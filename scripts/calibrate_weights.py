@@ -14,6 +14,78 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from webkup import flows
+from webkup.growth import canonical_rule_tables, _h_strategy_keys
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "derived_rules.md"
+
+
+def _fmt_colors(zs) -> str:
+    return ", ".join(str(z) for z in sorted(zs, reverse=True))
+
+
+def write_docs(n_free: int, n_gauged: int) -> Path:
+    """Write the two derivations a reader most often wants to audit: the
+    gauge argument pinning the weight table, and the growth rule tables
+    extracted from it (the weight-zero moves per sign pair and states)."""
+    lines = [
+        "# Derived rule tables",
+        "",
+        "Generated by scripts/calibrate_weights.py; do not edit by hand.",
+        "",
+        "## Weight table gauge",
+        "",
+        "The defining constraints of the single-move weight table leave a",
+        f"finite solution set: {n_free} tables satisfy the constraints,",
+        "related by reassigning the roles of the three edge colors.  The",
+        f"gauge conditions cut this to {n_gauged}; the frozen table in",
+        "webkup.flows is that unique solution, and verify_frozen_table()",
+        "rechecks every constraint against it at import time in tests.",
+        "",
+        "## Growth rules from the weight table",
+        "",
+        "Each entry lists the weight-zero moves of the corresponding slice",
+        "exchange, keyed by the pair of states above it.  The growth engine",
+        "uses them in the priority arc > Y > exchange.",
+        "",
+    ]
+    tables = canonical_rule_tables()
+    names = {"arc": "Arc", "y": "Y", "h": "Exchange"}
+    for kind in ("arc", "y", "h"):
+        for sp, sq in (("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")):
+            key = (kind, sp, sq)
+            if key not in tables:
+                continue
+            lines.append(f"### {names[kind]} rule, signs ({sp}, {sq})")
+            lines.append("")
+            entry = tables[key]
+            if kind == "h":
+                lines.append("| states above | weight-zero moves |")
+                lines.append("|---|---|")
+                for states in sorted(entry, reverse=True):
+                    lines.append(
+                        f"| ({states[0]},{states[1]}) | {_fmt_colors(entry[states])} |"
+                    )
+                strategy = _h_strategy_keys(sp, sq)
+                lines.append("")
+                lines.append(
+                    "Engine strategy keys (pairs where growth applies the"
+                    " exchange, walking a 0 state left): "
+                    + "; ".join(
+                        f"({a},{b}) -> {strategy[(a, b)]}"
+                        for a, b in sorted(strategy, reverse=True)
+                    )
+                )
+            else:
+                lines.append("| states above | move |")
+                lines.append("|---|---|")
+                for states in sorted(entry, reverse=True):
+                    lines.append(
+                        f"| ({states[0]},{states[1]}) | {entry[states]} |"
+                    )
+            lines.append("")
+    DOC.parent.mkdir(parents=True, exist_ok=True)
+    DOC.write_text("\n".join(lines))
+    return DOC
 
 
 def main() -> int:
@@ -47,13 +119,8 @@ def main() -> int:
     flows.verify_frozen_table()
     print("frozen table matches the derivation and satisfies all constraints")
 
-    try:
-        from derive_docs import write_docs  # local helper, optional
-    except ImportError:
-        write_docs = None
-    if write_docs is not None:
-        write_docs(len(free), len(gauged))
-        print("regenerated docs/derived_rules.md")
+    write_docs(len(free), len(gauged))
+    print("regenerated docs/derived_rules.md")
     return 0
 
 

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, ZERO, qint
+from .qlaurent import ONE, ZERO, qint
 from .webs import (
     LadderWeb,
     Slice,
@@ -29,9 +29,9 @@ from .webs import (
     weight_of_signs,
     weights_bounded,
 )
-from .flows import bracket, enumerate_flows, expansion, lusztig_form
+from .flows import bracket, enumerate_flows, expansion, lusztig_form, lusztig_form_vec
 from .planar import PlanarWeb, rewrite_bracket
-from .growth import construct_flow, dominant_states, growth, web_space
+from .growth import construct_flow, dominant_states, flow_census, growth, web_space
 from .oracles import hook_content_dim, invariant_dim, ssyt_count
 from .howe import (
     adjunction_holds,
@@ -53,7 +53,6 @@ from .dualcan import (
     dual_canonical_basis,
     default_budget,
     is_bar_invariant_vec,
-    lusztig_form_vec,
     search_counterexample,
     strictly_below_one,
 )
@@ -347,10 +346,7 @@ def criterion_9() -> CriterionResult:
             return False, "frozen center dimensions changed"
         checked = 0
         for signs in plain_boundaries(6):
-            boundaries = set()
-            for w in web_space(signs).basis.values():
-                boundaries.update(f.boundary for f in enumerate_flows(w))
-            if len(boundaries) != center_dim(signs):
+            if len(flow_census(signs)) != center_dim(signs):
                 return False, f"block count differs from center dimension at {signs}"
             checked += 1
         return True, f"{checked} boundaries; blocks = balanced fillings everywhere"
@@ -365,24 +361,15 @@ def criterion_10() -> CriterionResult:
     def check():
         for signs in plain_boundaries(6):
             space = web_space(signs)
-            mult: dict = {}
-            per_web = {}
-            for J, w in space.basis.items():
-                counts: dict = {}
-                for f in enumerate_flows(w):
-                    counts[f.boundary] = counts.get(f.boundary, 0) + 1
-                per_web[J] = counts
-                for b, c in counts.items():
-                    mult[b] = mult.get(b, 0) + c
             lhs = 0
-            for Ju, u in space.basis.items():
-                for Jv, v in space.basis.items():
+            for u in space.basis.values():
+                for v in space.basis.values():
                     w = close(u, v)
                     colorings = len(enumerate_flows(w))
                     if colorings != bracket(w).eval_at_one():
                         return False, f"coloring count differs from q=1 value at {signs}"
                     lhs += colorings
-            rhs = sum(c * c for c in mult.values())
+            rhs = sum(c * c for c in flow_census(signs).values())
             if lhs != rhs:
                 return False, f"sum of squares fails at {signs}: {lhs} vs {rhs}"
         return True, "coloring counts match q=1 values; sum-of-squares holds everywhere"
@@ -446,6 +433,13 @@ def criterion_12() -> CriterionResult:
     def check():
         budget = default_budget()
         rep = search_counterexample(max_strands=10, budget_s=budget)
+        if rep.completed:
+            expected = sum(invariant_dim(s) for s in plain_boundaries(10))
+            if rep.checked_webs != expected:
+                return False, (
+                    f"complete sweep checked {rep.checked_webs} webs, "
+                    f"expected {expected}"
+                )
         if rep.found:
             head = ", ".join(f"{s} {J}" for s, J in rep.found[:3])
             return True, f"found {len(rep.found)} discrepant webs: {head}"
@@ -483,10 +477,7 @@ def criterion_13() -> CriterionResult:
         roundtrips = 0
         for signs in _small_weight_signs():
             k = len(hat_weights(signs))
-            space = web_space(signs)
-            realized = set()
-            for w in space.basis.values():
-                realized.update(f.boundary for f in enumerate_flows(w))
+            realized = set(flow_census(signs))
             for J in product((1, 0, -1), repeat=k):
                 f = state_to_filling(signs, J)
                 if filling_to_state(signs, f) != J:

@@ -47,13 +47,14 @@ class Workspace:
         return self.root / kind / f"S_{signs}.json"
 
     def load(self, kind: str, signs: str):
-        """Payload, or None on a miss or a stale schema version."""
+        """Payload, or None on a miss, a stale schema version or a file
+        that is not a JSON object (unreadable, not UTF-8, corrupt)."""
         path = self.artifact_path(kind, signs)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if doc.get("version") != CACHE_VERSION:
+        if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
             return None
         payload = doc.get("payload")
         digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()

@@ -6,7 +6,9 @@ the canonical text form, least to greatest exponent never mixed: highest
 power first, e.g. "q^2 + 1 + q^-2".
 
 Exit codes: 0 success, 1 a verification report failed, 2 usage errors
-(bad flags, malformed strings, unusable input files).
+(bad flags, malformed strings, unusable input files).  A counterexample
+found by search-counterexample is a result, not a failure: it is reported
+on stdout and the exit code stays 0.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import sys
 
 from .qlaurent import LaurentPoly
 from .webs import LadderWeb, format_states, parse_states, weight_of_signs
-from .flows import bracket, enumerate_flows, expansion
+from .flows import bracket, expansion
 from .planar import rewrite_bracket
-from .growth import dominant_states, growth, web_space
+from .growth import dominant_states, flow_census, growth, web_space
 from .howe import inverse_growth, format_word, verify_relations
 from .tableaux import is_balanced, is_semistandard, state_to_filling
 from .dualcan import dual_canonical_basis, search_counterexample
@@ -114,12 +116,7 @@ def dualcan_payload(signs: str) -> dict:
 
 
 def blocks_payload(signs: str) -> dict:
-    space = web_space(signs)
-    mult: dict[str, int] = {}
-    for w in space.basis.values():
-        for f in enumerate_flows(w):
-            key = format_states(f.boundary)
-            mult[key] = mult.get(key, 0) + 1
+    mult = {format_states(J): m for J, m in flow_census(signs).items()}
     return {
         "multiplicities": mult,
         "sum_of_squares": sum(c * c for c in mult.values()),
@@ -216,6 +213,9 @@ def cmd_howe_verify(args) -> int:
     except AssertionError as exc:
         print(f"k={args.k}: FAIL: {exc}")
         return 1
+    if count == 0:
+        # fewer than 2 columns, or a total weight with no invariant webs
+        raise UsageError(f"--k {args.k} leaves no relation instance to check")
     print(f"k={args.k}: {count} relation instances hold: PASS")
     return 0
 

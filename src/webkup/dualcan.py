@@ -22,7 +22,8 @@ from functools import lru_cache
 from itertools import product
 
 from .qlaurent import LaurentPoly, ONE
-from .flows import count_weight_zero_flows, expansion
+# lusztig_form_vec lives in flows; it stays importable from here
+from .flows import count_weight_zero_flows, lusztig_form_vec
 from .growth import dominant_states, growth, web_space
 
 
@@ -42,16 +43,6 @@ def bar_symmetric_top(p: LaurentPoly) -> LaurentPoly:
 def strictly_below_one(p: LaurentPoly) -> bool:
     """All exponents <= -1."""
     return all(e <= -1 for e in p.coeffs)
-
-
-def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:
-    """Coordinatewise pairing of two state-coefficient vectors."""
-    out = LaurentPoly.zero()
-    for k, a in u.items():
-        b = v.get(k)
-        if b is not None:
-            out = out + a * b
-    return out
 
 
 @dataclass

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .qlaurent import LaurentPoly, ONE, qfact, qint
 from .webs import LadderWeb, close, ell, visible_columns
@@ -141,43 +140,52 @@ def minus_weight(A: frozenset, B: frozenset, z: int) -> int:
     return PLUS_WEIGHTS[key] + shift
 
 
-def slice_weight(sign: str, A: frozenset, B: frozenset, x: int) -> int:
-    return plus_weight(A, B, x) if sign == "+" else minus_weight(A, B, x)
-
-
 # ---------------------------------------------------------------------------
 # transitions, including divided powers
 # ---------------------------------------------------------------------------
 
 
-def _single_transitions(sign: str, A: frozenset, B: frozenset):
+def _single_moves(sign: str, A: frozenset, B: frozenset):
+    """Weight-free single moves: (moved color, new left set, new right set).
+
+    A '+' slice carries a color from the right column to the left one, a
+    '-' slice from the left column to the right one.  This is the only
+    place that spells out how a slice changes the two columns it touches.
+    """
     if sign == "+":
         for x in sorted(B - A):
-            yield frozenset((x,)), A | {x}, B - {x}, plus_weight(A, B, x)
+            yield x, A | {x}, B - {x}
     else:
         for z in sorted(A - B):
-            yield frozenset((z,)), A - {z}, B | {z}, minus_weight(A, B, z)
+            yield z, A - {z}, B | {z}
 
 
 @lru_cache(maxsize=None)
 def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
-    """Moves of a power slice: list of (moved set X, weight).
+    """The transition table of one slice on column sets (A, B): a tuple of
+    (moved set X, new left set, new right set, weight), sorted by X.
 
     A power-a slice is the a-fold single slice divided by the quantum
     factorial [a]!; every entry of that matrix must come out as a plain
     power of q (checked loudly), which is the flow weight of the move.
     """
+    weight = plus_weight if sign == "+" else minus_weight
     if power == 1:
-        return tuple((X, w) for X, nA, nB, w in _single_transitions(sign, A, B))
+        return tuple(
+            (frozenset((x,)), nA, nB, weight(A, B, x))
+            for x, nA, nB in _single_moves(sign, A, B)
+        )
     paths: dict[frozenset, LaurentPoly] = {}
+    ends: dict[frozenset, tuple[frozenset, frozenset]] = {}
 
     def rec(curA, curB, moved, wsum, depth):
         if depth == power:
-            key = frozenset(moved)
-            paths[key] = paths.get(key, LaurentPoly.zero()) + LaurentPoly.monomial(wsum)
+            prev = paths.get(moved, LaurentPoly.zero())
+            paths[moved] = prev + LaurentPoly.monomial(wsum)
+            ends[moved] = (curA, curB)
             return
-        for X, nA, nB, w in _single_transitions(sign, curA, curB):
-            rec(nA, nB, moved | X, wsum + w, depth + 1)
+        for x, nA, nB in _single_moves(sign, curA, curB):
+            rec(nA, nB, moved | {x}, wsum + weight(curA, curB, x), depth + 1)
 
     rec(A, B, frozenset(), 0, 0)
     out = []
@@ -189,13 +197,13 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
                 f"divided power entry is not a plain q power: {sign}^{power} "
                 f"on {set(A)},{set(B)} moving {set(X)} gave {mono}"
             )
-        out.append((X, mono.degree()))
+        out.append((X, *ends[X], mono.degree()))
     return tuple(out)
 
 
 def slice_transitions(sign: str, power: int, A: frozenset, B: frozenset):
     """All (moved color set, weight) options for one slice on sets (A, B)."""
-    return _power_transitions(sign, power, A, B)
+    return tuple((X, w) for X, _, _, w in _power_transitions(sign, power, A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +227,22 @@ def _apply_slice(vec: dict, s) -> dict:
     c = s.index - 1
     out: dict[tuple, LaurentPoly] = {}
     for cfg, poly in vec.items():
-        A, B = cfg[c], cfg[c + 1]
-        for X, w in slice_transitions(s.sign, s.power, A, B):
-            if s.sign == "+":
-                ncfg = cfg[:c] + (A | X, B - X) + cfg[c + 2 :]
-            else:
-                ncfg = cfg[:c] + (A - X, B | X) + cfg[c + 2 :]
+        for X, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+            ncfg = cfg[:c] + (nA, nB) + cfg[c + 2 :]
             add = poly.shift(w)
             prev = out.get(ncfg)
             out[ncfg] = add if prev is None else prev + add
         # note: a slice with no legal move kills the configuration
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
+    """Top color configurations of a closed-bottom web with their exact
+    Laurent coefficients, swept slice by slice from the bottom."""
+    vec = {start_config(web.bottom_weight): ONE}
+    for s in web.slices:
+        vec = _apply_slice(vec, s)
+    return vec
 
 
 def config_states(cfg, lam) -> tuple[int, ...]:
@@ -243,12 +256,9 @@ def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
     polynomial; the top configuration of a flow determines its states
     (and conversely, so no information is lost here).
     """
-    vec = {start_config(web.bottom_weight): ONE}
-    for s in web.slices:
-        vec = _apply_slice(vec, s)
     top = web.top_weight
     out: dict[tuple[int, ...], LaurentPoly] = {}
-    for cfg, poly in vec.items():
+    for cfg, poly in config_vector(web).items():
         out[config_states(cfg, top)] = poly
     return out
 
@@ -286,32 +296,37 @@ def enumerate_flows(web: LadderWeb, boundary=None) -> list[Flow]:
             return
         s = web.slices[idx]
         c = s.index - 1
-        A, B = cfg[c], cfg[c + 1]
-        for X, w in slice_transitions(s.sign, s.power, A, B):
-            if s.sign == "+":
-                ncfg = cfg[:c] + (A | X, B - X) + cfg[c + 2 :]
-            else:
-                ncfg = cfg[:c] + (A - X, B | X) + cfg[c + 2 :]
+        for X, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
             moves.append(X)
-            rec(idx + 1, ncfg, moves, wsum + w)
+            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], moves, wsum + w)
             moves.pop()
 
     rec(0, start_config(web.bottom_weight), [], 0)
     return out
 
 
+def walk_moves(web: LadderWeb, moves) -> tuple[list[tuple[frozenset, ...]], int]:
+    """Configurations at every level (bottom first) and total weight of a
+    recorded move list; raises if a move is not a legal transition."""
+    cfg = start_config(web.bottom_weight)
+    cfgs = [cfg]
+    weight = 0
+    for s, X in zip(web.slices, moves):
+        c = s.index - 1
+        for Y, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+            if Y == X:
+                break
+        else:
+            raise AssertionError("recorded move not among slice transitions")
+        cfg = cfg[:c] + (nA, nB) + cfg[c + 2 :]
+        cfgs.append(cfg)
+        weight += w
+    return cfgs, weight
+
+
 def flow_configs(flow: Flow) -> list[tuple[frozenset, ...]]:
     """Color configurations of a flow at every level, bottom first."""
-    cfg = start_config(flow.web.bottom_weight)
-    out = [cfg]
-    for s, X in zip(flow.web.slices, flow.moves):
-        c = s.index - 1
-        if s.sign == "+":
-            cfg = cfg[:c] + (cfg[c] | X, cfg[c + 1] - X) + cfg[c + 2 :]
-        else:
-            cfg = cfg[:c] + (cfg[c] - X, cfg[c + 1] | X) + cfg[c + 2 :]
-        out.append(cfg)
-    return out
+    return walk_moves(flow.web, flow.moves)[0]
 
 
 def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
@@ -328,7 +343,7 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
             w
             for A in _subsets()
             for B in _subsets()
-            for _, w in slice_transitions(s.sign, s.power, A, B)
+            for _, _, _, w in _power_transitions(s.sign, s.power, A, B)
         ]
         lows.append(min(ws))
         highs.append(max(ws))
@@ -351,13 +366,8 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
             return
         s = slices[idx]
         c = s.index - 1
-        A, B = cfg[c], cfg[c + 1]
-        for X, w in slice_transitions(s.sign, s.power, A, B):
-            if s.sign == "+":
-                ncfg = cfg[:c] + (A | X, B - X) + cfg[c + 2 :]
-            else:
-                ncfg = cfg[:c] + (A - X, B | X) + cfg[c + 2 :]
-            rec(idx + 1, ncfg, wsum + w)
+        for _, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], wsum + w)
 
     rec(0, start_config(web.bottom_weight), 0)
     return count
@@ -388,13 +398,17 @@ def lusztig_form(u: LadderWeb, v: LadderWeb) -> LaurentPoly:
     Computed from the expansions; tests check it against the closed-web
     route q^(-strand count) * bracket(close(u, v)).
     """
-    cu, cv = expansion(u), expansion(v)
-    tot = LaurentPoly.zero()
-    for k, a in cu.items():
-        b = cv.get(k)
+    return lusztig_form_vec(expansion(u), expansion(v))
+
+
+def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:
+    """Coordinatewise pairing of two state-coefficient vectors."""
+    out = LaurentPoly.zero()
+    for k, a in u.items():
+        b = v.get(k)
         if b is not None:
-            tot = tot + a * b
-    return tot
+            out = out + a * b
+    return out
 
 
 def kuperberg_form_vec(coeffs_u: dict, coeffs_v: dict, webs: dict) -> LaurentPoly:
@@ -441,11 +455,6 @@ class _Constraint:
         return acc == self.rhs
 
 
-def _term_minus(A, B, z):
-    key, shift = minus_reflection(A, B, z)
-    return key, shift
-
-
 def _gauge_webs():
     # the two arcs and the two three-strand joins, with the state string
     # of their distinguished (lex largest) flow
@@ -469,14 +478,9 @@ def _symbolic_flows(web: LadderWeb):
         assert s.power == 1
         c = s.index - 1
         A, B = cfg[c], cfg[c + 1]
-        pool = sorted(B - A) if s.sign == "+" else sorted(A - B)
-        for x in pool:
-            if s.sign == "+":
-                ncfg = cfg[:c] + (A | {x}, B - {x}) + cfg[c + 2 :]
-            else:
-                ncfg = cfg[:c] + (A - {x}, B | {x}) + cfg[c + 2 :]
+        for x, nA, nB in _single_moves(s.sign, A, B):
             refs.append((s.sign, A, B, x))
-            rec(idx + 1, ncfg, refs)
+            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], refs)
             refs.pop()
 
     rec(0, start_config(web.bottom_weight), [])
@@ -489,7 +493,7 @@ def _refs_to_term(refs):
         if sign == "+":
             keys.append(_key(A, B, x))
         else:
-            k, shift = _term_minus(A, B, x)
+            k, shift = minus_reflection(A, B, x)
             keys.append(k)
             const += shift
     return tuple(keys), const
@@ -504,20 +508,16 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
     for A in subsets:
         for B in subsets:
             per_target: dict[tuple, tuple[list, list]] = {}
-            for z in sorted(A - B):
-                A1, B1 = A - {z}, B | {z}
-                for x in sorted(B1 - A1):
-                    tgt = (A1 | {x}, B1 - {x})
-                    mk, ms = _term_minus(A, B, z)
+            for z, A1, B1 in _single_moves("-", A, B):
+                for x, A2, B2 in _single_moves("+", A1, B1):
+                    mk, ms = minus_reflection(A, B, z)
                     term = ((mk, _key(A1, B1, x)), ms)
-                    per_target.setdefault(tgt, ([], []))[0].append(term)
-            for x in sorted(B - A):
-                A1, B1 = A | {x}, B - {x}
-                for z in sorted(A1 - B1):
-                    tgt = (A1 - {z}, B1 | {z})
-                    mk, ms = _term_minus(A1, B1, z)
+                    per_target.setdefault((A2, B2), ([], []))[0].append(term)
+            for x, A1, B1 in _single_moves("+", A, B):
+                for z, A2, B2 in _single_moves("-", A1, B1):
+                    mk, ms = minus_reflection(A1, B1, z)
                     term = ((_key(A, B, x), mk), ms)
-                    per_target.setdefault(tgt, ([], []))[1].append(term)
+                    per_target.setdefault((A2, B2), ([], []))[1].append(term)
             targets = set(per_target) | {(A, B)}
             for tgt in sorted(targets, key=lambda t: (sorted(t[0]), sorted(t[1]))):
                 plus, minus = per_target.get(tgt, ([], []))
@@ -536,29 +536,29 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
     for A in subsets:
         for B in subsets:
             for C in subsets:
-                for x in sorted(B - A):
-                    for z in sorted(B - C):
+                for x, _, Bx in _single_moves("+", A, B):
+                    for z, Bz, _ in _single_moves("-", B, C):
                         if x == z:
                             continue
-                        mk1, s1 = _term_minus(B, C, z)
-                        mk2, s2 = _term_minus(B - {x}, C, z)
+                        mk1, s1 = minus_reflection(B, C, z)
+                        mk2, s2 = minus_reflection(Bx, C, z)
                         cons.append(
                             _Constraint(
-                                [((mk1, _key(A, B - {z}, x)), s1)],
+                                [((mk1, _key(A, Bz, x)), s1)],
                                 [((_key(A, B, x), mk2), s2)],
                                 {},
                                 "comm3a",
                             )
                         )
-                for z in sorted(A - B):
-                    for x in sorted(C - B):
+                for z, _, Bz in _single_moves("-", A, B):
+                    for x, Bx, _ in _single_moves("+", B, C):
                         if x == z:
                             continue
-                        mk1, s1 = _term_minus(A, B, z)
-                        mk2, s2 = _term_minus(A, B | {x}, z)
+                        mk1, s1 = minus_reflection(A, B, z)
+                        mk2, s2 = minus_reflection(A, Bx, z)
                         cons.append(
                             _Constraint(
-                                [((mk1, _key(B | {z}, C, x)), s1)],
+                                [((mk1, _key(Bz, C, x)), s1)],
                                 [((_key(B, C, x), mk2), s2)],
                                 {},
                                 "comm3b",

@@ -13,12 +13,10 @@ filling count of the boundary.
 
 from __future__ import annotations
 
-from itertools import product
-
-from .webs import LadderWeb, close, ell
-from .flows import FULL, Flow, bracket, enumerate_flows, flow_configs
-from .growth import web_space
-from .tableaux import satisfies_conds
+from .webs import LadderWeb, close
+from .flows import FULL, Flow, bracket, flow_configs
+from .growth import flow_census, web_space
+from .tableaux import enumerate_fillings, filling_to_state
 
 # Eisenstein integers a + b*zeta as pairs, zeta^2 = -1 - zeta
 Eis = tuple[int, int]
@@ -85,19 +83,12 @@ def coloring_count(web: LadderWeb) -> int:
 
 def state_multiplicity(signs: str, states: tuple[int, ...]) -> int:
     """Total number of flows with the given boundary over all basis webs."""
-    space = web_space(signs)
-    return sum(
-        len(enumerate_flows(w, boundary=tuple(states)))
-        for w in space.basis.values()
-    )
+    return flow_census(signs)[tuple(states)]
 
 
 def block_states(signs: str) -> list[tuple[int, ...]]:
     """Balanced state strings, one block each."""
-    k = ell(signs)
-    return [
-        J for J in product((1, 0, -1), repeat=k) if satisfies_conds(signs, J)
-    ]
+    return [filling_to_state(signs, f) for f in enumerate_fillings(signs)]
 
 
 def block_count(signs: str) -> int:
@@ -118,5 +109,5 @@ def sum_of_squares_identity(signs: str) -> tuple[int, int]:
     """Both sides of: total colorings over all closures equals the sum of
     squared state multiplicities."""
     lhs = sum(pairwise_coloring_counts(signs).values())
-    rhs = sum(state_multiplicity(signs, J) ** 2 for J in block_states(signs))
+    rhs = sum(m * m for m in flow_census(signs).values())
     return lhs, rhs

@@ -22,6 +22,7 @@ some web (construct_flow), used by the tableau correspondence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -36,7 +37,7 @@ from .flows import (
     expansion,
     minus_weight,
     plus_weight,
-    slice_transitions,
+    walk_moves,
 )
 
 
@@ -185,13 +186,6 @@ class GrownWeb:
     flow: Flow
 
 
-def _move_weight(sign: str, power: int, A: frozenset, B: frozenset, X: frozenset):
-    for Y, w in slice_transitions(sign, power, A, B):
-        if Y == X:
-            return w
-    raise AssertionError("recorded move not among slice transitions")
-
-
 def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> GrownWeb:
     lam = list(weight_of_signs(signs))
     vis = list(visible_columns(tuple(lam)))
@@ -320,15 +314,7 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> GrownWe
 
     web = LadderWeb(tuple(lam), tuple(s for s, _ in reversed(emitted)))
     moves = tuple(m for _, m in reversed(emitted))
-    weight = 0
-    sets = [FULL if v == 3 else frozenset() for v in web.bottom_weight]
-    for s, X in zip(web.slices, moves):
-        c = s.index - 1
-        weight += _move_weight(s.sign, s.power, sets[c], sets[c + 1], X)
-        if s.sign == "+":
-            sets[c], sets[c + 1] = sets[c] | X, sets[c + 1] - X
-        else:
-            sets[c], sets[c + 1] = sets[c] - X, sets[c + 1] | X
+    _, weight = walk_moves(web, moves)
     flow = Flow(web, moves, weight, states)
     return GrownWeb(web, flow)
 
@@ -408,3 +394,15 @@ class WebSpace:
 
 def enumerate_basis(signs: str) -> dict[tuple, LadderWeb]:
     return dict(web_space(signs).basis)
+
+
+def flow_census(signs: str) -> Counter:
+    """Flow count of each boundary state, summed over the basis webs.
+
+    Every flow adds +q^weight to the expansion coefficient of its
+    boundary, so the count is that coefficient at q = 1."""
+    census: Counter = Counter()
+    for exp in web_space(signs).expansions.values():
+        for state, poly in exp.items():
+            census[state] += poly.eval_at_one()
+    return census

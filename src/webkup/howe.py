@@ -13,7 +13,6 @@ coordinates on the invariant space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -21,12 +20,11 @@ from .qlaurent import LaurentPoly, ONE, qint, qbinom
 from .webs import (
     LadderWeb,
     Slice,
-    empty_web,
     signs_of_weight,
     weight_of_signs,
     weights_bounded,
 )
-from .flows import _apply_slice, start_config, kuperberg_form
+from .flows import _apply_slice, config_vector, kuperberg_form
 from .growth import web_space
 
 Word = tuple[Slice, ...]
@@ -71,13 +69,7 @@ def phi_word(word: Word, web: LadderWeb):
 @lru_cache(maxsize=None)
 def _basis_vectors(signs: str):
     """Config vector of every basis web of a boundary, keyed by state."""
-    out = {}
-    for J, w in web_space(signs).basis.items():
-        vec = {start_config(w.bottom_weight): ONE}
-        for s in w.slices:
-            vec = _apply_slice(vec, s)
-        out[J] = vec
-    return out
+    return {J: config_vector(w) for J, w in web_space(signs).basis.items()}
 
 
 def _act(word: Word, lam, vec):
@@ -113,17 +105,6 @@ def combo_action(combo, lam, vec):
             else:
                 total[cfg] = acc
     return target, total
-
-
-def combos_equal_on(signs: str, lhs, rhs) -> bool:
-    """Compare two formal combinations on every basis web of a boundary."""
-    lam = weight_of_signs(signs)
-    for _J, vec in _basis_vectors(signs).items():
-        _, a = combo_action(lhs, lam, vec)
-        _, b = combo_action(rhs, lam, vec)
-        if a != b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ a dict mapping exponent -> nonzero int coefficient.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -40,13 +40,6 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exponent: coeff})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for e, c in pairs:
-            acc[e] = acc.get(e, 0) + c
-        return cls(acc)
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -77,12 +70,6 @@ class LaurentPoly:
         """Specialize q = 1, i.e. the sum of coefficients."""
         return sum(self.coeffs.values())
 
-    def has_positive_exponent(self) -> bool:
-        return any(e > 0 for e in self.coeffs)
-
-    def has_nonnegative_exponent(self) -> bool:
-        return any(e >= 0 for e in self.coeffs)
-
     def is_nonnegative(self) -> bool:
         """True when every coefficient is >= 0."""
         return all(c >= 0 for c in self.coeffs.values())
@@ -111,9 +98,6 @@ class LaurentPoly:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly(acc)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self.coeffs.items()})
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by q^d."""

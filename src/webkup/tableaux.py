@@ -14,9 +14,9 @@ out exactly the dominant state strings, the ones indexing basis webs.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
-from .flows import FULL, colorset_for, colorset_state
+from .flows import colorset_for, colorset_state
 from .webs import weight_of_signs
 from .growth import construct_flow, GrownWeb
 
@@ -45,8 +45,12 @@ def satisfies_conds(signs: str, states) -> bool:
 
 
 def state_to_filling(signs: str, states) -> Filling:
+    mus = hat_weights(signs)
+    states = tuple(states)
+    if len(states) != len(mus):
+        raise ValueError("state string length must match visible strands")
     cols: dict[int, list[int]] = {c: [] for c in COLOR_ORDER}
-    for i, (mu, j) in enumerate(zip(hat_weights(signs), tuple(states)), start=1):
+    for i, (mu, j) in enumerate(zip(mus, states), start=1):
         for c in colorset_for(mu, j):
             cols[c].append(i)
     return tuple(tuple(cols[c]) for c in COLOR_ORDER)

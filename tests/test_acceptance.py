@@ -5,7 +5,7 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 (seconds; default 1800) for the counterexample search.
 """
 
-from webkup import acceptance
+from webkup import acceptance, dualcan
 
 
 def _check(number):
@@ -64,3 +64,23 @@ def test_criterion_12_counterexample_search():
 
 def test_criterion_13_tableau_dictionary():
     _check(13)
+
+
+def _report(checked_webs, completed=True):
+    return dualcan.SearchReport([], checked_webs, "+" * 10, completed, 0.0)
+
+
+def test_criterion_12_fails_on_wrong_web_count(monkeypatch):
+    # a complete sweep through 10 strands checks 45,340 basis webs
+    monkeypatch.setattr(
+        acceptance, "search_counterexample", lambda **kw: _report(45_339)
+    )
+    res = acceptance.CRITERIA[12]()
+    assert not res.passed
+    assert "45339" in res.detail and "45340" in res.detail
+    monkeypatch.setattr(
+        acceptance, "search_counterexample", lambda **kw: _report(45_340)
+    )
+    res = acceptance.CRITERIA[12]()
+    assert res.passed, res.line()
+    assert res.detail.startswith("complete through 10 strands: 45340 webs")

@@ -81,3 +81,29 @@ def test_fetch_computes_once(tmp_path):
     assert ws.fetch("blocks", "+++", compute) == {"n": 42}
     assert ws.fetch("blocks", "+++", compute) == {"n": 42}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"payload"', "{"])
+def test_file_that_is_not_a_json_object_misses(tmp_path, text):
+    ws = Workspace(tmp_path)
+    path = ws.artifact_path("blocks", "+-")
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert ws.load("blocks", "+-") is None
+
+
+def test_non_utf8_file_misses(tmp_path):
+    ws = Workspace(tmp_path)
+    path = ws.artifact_path("blocks", "+-")
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"\xff\xfe")
+    assert ws.load("blocks", "+-") is None
+
+
+def test_fetch_recomputes_over_corrupt_file(tmp_path):
+    ws = Workspace(tmp_path)
+    path = ws.artifact_path("blocks", "+-")
+    path.parent.mkdir(parents=True)
+    path.write_text("[1, 2]")
+    assert ws.fetch("blocks", "+-", lambda: {"n": 1}) == {"n": 1}
+    assert ws.load("blocks", "+-") == {"n": 1}

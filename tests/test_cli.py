@@ -192,6 +192,19 @@ def test_bad_sign_and_state_strings():
     assert run("nonsense")[0] == 2
 
 
+def test_tableau_rejects_wrong_state_length():
+    code, out, err = run("tableau", "+-", "1")
+    assert code == 2 and out == ""
+    assert "visible strands" in err
+
+
+def test_howe_verify_rejects_vacuous_runs():
+    for k in ("-1", "0", "1", "2", "4"):
+        code, out, err = run("howe-verify", "--k", k)
+        assert code == 2 and out == ""
+        assert "no relation instance" in err
+
+
 def test_selftest_subset_and_bad_only():
     code, out, _ = run("selftest", "--only", "2")
     assert code == 0
@@ -207,3 +220,15 @@ def test_cache_flag_byte_identical(tmp_path, monkeypatch):
     plain = run("dualcan", "++--")
     assert first == again == plain
     assert (tmp_path / "dualcan" / "S_++--.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", [b"[1, 2]", b"null", b"\xff\xfe", b"{"])
+def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, corrupt):
+    monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
+    path = tmp_path / "blocks" / "S_++--.json"
+    path.parent.mkdir()
+    path.write_bytes(corrupt)
+    plain = run("blocks", "++--")
+    assert plain[0] == 0
+    assert run("blocks", "++--", "--cache") == plain
+    assert run("blocks", "++--", "--cache") == plain

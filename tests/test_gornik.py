@@ -1,12 +1,13 @@
 """Tests for the cube-root-of-unity specialization and block structure."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import enumerate_flows
-from webkup.growth import web_space
+from webkup.growth import flow_census, web_space
 from webkup.tableaux import center_dim, satisfies_conds
 from webkup.gornik import (
     OMEGA,
@@ -120,3 +121,23 @@ def test_pairwise_counts_decompose_by_boundary():
                 per_u[J] * per_v.get(J, 0) for J in per_u
             )
             assert counts[(Ju, Jv)] == total
+
+
+def test_flow_census_and_block_states_match_references():
+    """On every plain boundary of 2 to 6 strands, the census is the flow
+    enumeration bucketed by boundary, and the block states (read from the
+    balanced fillings) are the balanced strings among all 3^k, in order."""
+    boundaries = [
+        "".join(p) for n in range(2, 7) for p in product("+-", repeat=n)
+    ]
+    assert len(boundaries) == 124
+    for signs in boundaries:
+        webs = web_space(signs).basis.values()
+        expected = Counter(f.boundary for w in webs for f in enumerate_flows(w))
+        assert flow_census(signs) == expected, signs
+        balanced = [
+            J
+            for J in product((1, 0, -1), repeat=len(signs))
+            if satisfies_conds(signs, J)
+        ]
+        assert block_states(signs) == balanced, signs
