@@ -23,9 +23,9 @@ def _fmt_colors(zs) -> str:
     return ", ".join(str(z) for z in sorted(zs, reverse=True))
 
 
-def write_docs(n_free: int, n_gauged: int) -> Path:
-    """Write the two derivations a reader most often wants to audit: the
-    gauge argument pinning the weight table, and the growth rule tables
+def docs_text(n_free: int, n_gauged: int) -> str:
+    """The two derivations a reader most often wants to audit: the gauge
+    argument pinning the weight table, and the growth rule tables
     extracted from it (the weight-zero moves per sign pair and states)."""
     lines = [
         "# Derived rule tables",
@@ -48,43 +48,32 @@ def write_docs(n_free: int, n_gauged: int) -> Path:
         "uses them in the priority arc > Y > exchange.",
         "",
     ]
-    tables = canonical_rule_tables()
     names = {"arc": "Arc", "y": "Y", "h": "Exchange"}
-    for kind in ("arc", "y", "h"):
-        for sp, sq in (("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")):
-            key = (kind, sp, sq)
-            if key not in tables:
-                continue
-            lines.append(f"### {names[kind]} rule, signs ({sp}, {sq})")
+    for (kind, sp, sq), entry in canonical_rule_tables().items():
+        header = "weight-zero moves" if kind == "h" else "move"
+        lines += [f"### {names[kind]} rule, signs ({sp}, {sq})", ""]
+        lines += [f"| states above | {header} |", "|---|---|"]
+        for states in sorted(entry, reverse=True):
+            colors = [z for _, moved, *_ in entry[states] for z in moved]
+            lines.append(f"| ({states[0]},{states[1]}) | {_fmt_colors(colors)} |")
+        if kind == "h":
+            strategy = _h_strategy_keys(sp, sq)
             lines.append("")
-            entry = tables[key]
-            if kind == "h":
-                lines.append("| states above | weight-zero moves |")
-                lines.append("|---|---|")
-                for states in sorted(entry, reverse=True):
-                    lines.append(
-                        f"| ({states[0]},{states[1]}) | {_fmt_colors(entry[states])} |"
-                    )
-                strategy = _h_strategy_keys(sp, sq)
-                lines.append("")
-                lines.append(
-                    "Engine strategy keys (pairs where growth applies the"
-                    " exchange, walking a 0 state left): "
-                    + "; ".join(
-                        f"({a},{b}) -> {strategy[(a, b)]}"
-                        for a, b in sorted(strategy, reverse=True)
-                    )
+            lines.append(
+                "Engine strategy keys (pairs where growth applies the"
+                " exchange, walking a 0 state left): "
+                + "; ".join(
+                    f"({a},{b}) -> {strategy[(a, b)]}"
+                    for a, b in sorted(strategy, reverse=True)
                 )
-            else:
-                lines.append("| states above | move |")
-                lines.append("|---|---|")
-                for states in sorted(entry, reverse=True):
-                    lines.append(
-                        f"| ({states[0]},{states[1]}) | {entry[states]} |"
-                    )
-            lines.append("")
+            )
+        lines.append("")
+    return "\n".join(lines)
+
+
+def write_docs(n_free: int, n_gauged: int) -> Path:
     DOC.parent.mkdir(parents=True, exist_ok=True)
-    DOC.write_text("\n".join(lines))
+    DOC.write_text(docs_text(n_free, n_gauged))
     return DOC
 
 

@@ -1,10 +1,11 @@
 """Versioned on-disk artifacts, one JSON file per boundary and kind.
 
 Artifacts are plain JSON so regressions diff cleanly.  Every file
-carries the schema version and a content hash of its payload; a stale
-version is treated as a miss.  Writes go to a temp file in the target
-directory and are renamed into place, so readers never see a partial
-file and reruns are byte-identical.
+carries the schema version, a stamp of the package version and weight
+table it was computed with, and a content hash of its payload; a stale
+version or stamp is treated as a miss.  Writes go to a temp file in the
+target directory and are renamed into place, so readers never see a
+partial file and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+import webkup
+
+from . import flows
 
 CACHE_VERSION = 1
 
@@ -32,6 +37,13 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _code_stamp() -> str:
+    """Digest of the package version and the move weight table, which
+    every artifact (growth rules included) is derived from."""
+    weights = sorted(flows.PLUS_WEIGHTS.items())
+    return hashlib.sha256(repr((webkup.__version__, weights)).encode()).hexdigest()
+
+
 @dataclass
 class Workspace:
     root: Path
@@ -47,14 +59,17 @@ class Workspace:
         return self.root / kind / f"S_{signs}.json"
 
     def load(self, kind: str, signs: str):
-        """Payload, or None on a miss, a stale schema version or a file
-        that is not a JSON object (unreadable, not UTF-8, corrupt)."""
+        """Payload, or None on a miss, a stale schema version or code
+        stamp, or a file that is not a JSON object (unreadable, not
+        UTF-8, corrupt)."""
         path = self.artifact_path(kind, signs)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
+            return None
+        if doc.get("stamp") != _code_stamp():
             return None
         payload = doc.get("payload")
         digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
@@ -69,6 +84,7 @@ class Workspace:
             "version": CACHE_VERSION,
             "kind": kind,
             "signs": signs,
+            "stamp": _code_stamp(),
             "sha256": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
             "payload": payload,
         }

@@ -168,6 +168,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.boundary == []:  # argparse reads --boundary=-- as an empty list
+        args.boundary = "--"
     if (args.web is None) == (args.boundary is None):
         raise UsageError("expand needs a web file or --boundary, not both")
     if args.boundary is not None:

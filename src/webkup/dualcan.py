@@ -151,7 +151,15 @@ def search_counterexample(
     stop_at_first: bool = False,
 ) -> SearchReport:
     """Scan plain boundaries by size for a basis web with more than one
-    weight-zero flow, then confirm against the dual canonical element."""
+    weight-zero flow, then confirm against the dual canonical element.
+
+    The prefilter is complete only because no flow of a basis web has
+    positive weight: every expansion coefficient has exponents <= 0 and
+    the leading one is exactly 1, so a web with a single weight-zero
+    flow has every off-leading exponent <= -1, needs no correction and
+    is its dual canonical element.  That invariant is asserted through
+    7 strands by
+    tests/test_dualcan.py::test_no_flow_of_a_basis_web_has_positive_weight."""
     budget = default_budget() if budget_s is None else budget_s
     t0 = time.time()
     found = []

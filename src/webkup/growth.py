@@ -9,9 +9,9 @@ algorithm repeatedly consumes adjacent visible strands:
 
 and transports strands sideways across invisible columns when the pair
 to consume is not physically adjacent.  Which states each rule may
-consume is not hard-coded: the tables are derived at import time from
-the calibrated move weights (a canonical rule is one whose move has
-weight zero), and the derived tables are asserted in tests.
+consume is not hard-coded: every rule is read off the slice-transition
+table of webkup.flows (a canonical rule is one whose move has weight
+zero), and the derived tables are asserted in tests.
 
 The procedure terminates exactly on the state strings whose color
 expansion satisfies the nested ballot condition (is_dominant_closed);
@@ -25,18 +25,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .qlaurent import LaurentPoly, ONE
 from .webs import LadderWeb, Slice, weight_of_signs, visible_columns
 from .flows import (
+    COLORS,
     FULL,
     Flow,
+    _power_transitions,
     colorset_for,
     colorset_state,
     expansion,
-    minus_weight,
-    plus_weight,
     walk_moves,
 )
 
@@ -46,81 +46,50 @@ class GrowthStuck(Exception):
 
 
 # ---------------------------------------------------------------------------
-# rule tables, derived from the move weight table
+# rule tables, read off the slice-transition table
 # ---------------------------------------------------------------------------
 
 
-def _arc_moves(sp: str, sq: str):
-    """Arc rule on an opposite-sign pair: above states -> (move, weight)."""
-    out = {}
-    if (sp, sq) == ("+", "-"):
-        for x in sorted(FULL):
-            out[(x, -x)] = (x, plus_weight(frozenset(), FULL, x))
-    elif (sp, sq) == ("-", "+"):
-        for z in sorted(FULL):
-            out[(-z, z)] = (z, minus_weight(FULL, frozenset(), z))
-    else:
-        raise ValueError("arc needs opposite signs")
-    return out
+# Column weights below the slice of each rule, by sign pair above; the
+# slice sign is whichever turns them into the weights above.
+_RULE_BELOW = {
+    ("arc", "+", "-"): (0, 3),
+    ("arc", "-", "+"): (3, 0),
+    ("y", "+", "+"): (2, 0),
+    ("y", "-", "-"): (1, 3),
+    ("h", "+", "-"): (2, 1),
+    ("h", "-", "+"): (1, 2),
+}
 
 
-def _y_moves(sp: str, sq: str):
-    """Join rule on an equal-sign pair: above states -> (move, weight)."""
-    out = {}
-    if (sp, sq) == ("+", "+"):
-        for w in sorted(FULL):
-            for z in sorted(FULL - {w}):
-                out[(w, z)] = (z, minus_weight(frozenset((w, z)), frozenset(), z))
-    elif (sp, sq) == ("-", "-"):
-        for y in sorted(FULL):
-            for x in sorted(FULL - {y}):
-                key = (colorset_state(frozenset((x, y))), -x)
-                assert key not in out
-                out[key] = (x, plus_weight(frozenset((y,)), FULL, x))
-    else:
-        raise ValueError("join needs equal signs")
-    return out
-
-
-def _h_moves(sp: str, sq: str):
-    """Exchange rule on an opposite-sign pair: above states -> [(move, w)]."""
-    out: dict[tuple, list] = {}
-    if (sp, sq) == ("+", "-"):
-        for a in sorted(FULL):
-            for q_state in (-1, 0, 1):
-                Q = colorset_for(2, q_state)
-                for z in sorted(Q - {a}):
-                    w = minus_weight(frozenset((a, z)), Q - {z}, z)
-                    out.setdefault((a, q_state), []).append((z, w))
-    elif (sp, sq) == ("-", "+"):
-        for p_state in (-1, 0, 1):
-            P = colorset_for(2, p_state)
-            for b in sorted(FULL):
-                for z in sorted(P - {b}):
-                    w = plus_weight(P - {z}, frozenset((b, z)), z)
-                    out.setdefault((p_state, b), []).append((z, w))
-    else:
-        raise ValueError("exchange needs opposite signs")
-    return out
+@lru_cache(maxsize=None)
+def _rule_moves():
+    """Every move of each rule, read off the slice-transition table:
+    (kind, sp, sq) -> states above -> tuple of (slice sign, moved set,
+    left set below, right set below, weight)."""
+    tables: dict[tuple, dict] = {}
+    for (kind, sp, sq), (a, b) in _RULE_BELOW.items():
+        sign = "+" if weight_of_signs(sp)[0] > a else "-"
+        table: dict[tuple, list] = {}
+        for A, B in product(combinations(COLORS, a), combinations(COLORS, b)):
+            A, B = frozenset(A), frozenset(B)
+            for X, nA, nB, w in _power_transitions(sign, 1, A, B):
+                above = (colorset_state(nA), colorset_state(nB))
+                table.setdefault(above, []).append((sign, X, A, B, w))
+        tables[(kind, sp, sq)] = {k: tuple(v) for k, v in table.items()}
+    return tables
 
 
 @lru_cache(maxsize=None)
 def canonical_rule_tables():
-    """Weight-zero state tables for each rule and sign arrangement."""
+    """The weight-zero moves of each rule, keyed like _rule_moves()."""
     tables: dict[tuple, dict] = {}
-    for sp, sq in (("+", "-"), ("-", "+")):
-        arc = {k: z for k, (z, w) in _arc_moves(sp, sq).items() if w == 0}
-        assert len(arc) == 1, f"arc table for {sp}{sq} is not a single state"
-        tables[("arc", sp, sq)] = arc
-        hs = {}
-        for k, opts in _h_moves(sp, sq).items():
-            zs = [z for z, w in opts if w == 0]
-            if zs:
-                hs[k] = tuple(zs)
-        tables[("h", sp, sq)] = hs
-    for s in "+-":
-        y = {k: z for k, (z, w) in _y_moves(s, s).items() if w == 0}
-        tables[("y", s, s)] = y
+    for rule, table in _rule_moves().items():
+        tables[rule] = {}
+        for above, moves in table.items():
+            zero = tuple(m for m in moves if m[4] == 0)
+            if zero:
+                tables[rule][above] = zero
     return tables
 
 
@@ -129,11 +98,32 @@ def canonical_rule_tables():
 def _h_strategy_keys(sp: str, sq: str):
     table = canonical_rule_tables()[("h", sp, sq)]
     out = {}
-    for k, zs in table.items():
+    for k, moves in table.items():
         if k[1] == 0 and k[0] != 0:
-            assert len(zs) == 1, f"ambiguous weight-zero exchange at {k}"
-            out[k] = zs[0]
+            assert len(moves) == 1, f"ambiguous weight-zero exchange at {k}"
+            (z,) = moves[0][1]
+            out[k] = z
     return out
+
+
+@lru_cache(maxsize=None)
+def _rule_priority(canonical: bool) -> tuple[dict, ...]:
+    """The moves growth may make, in the order it tries them, each stage a
+    map (sp, sq, state p, state q) -> move: weight-zero arcs, joins and
+    the exchange strategy; construct_flow then also any arc, then any join."""
+    order = [(canonical_rule_tables(), kind) for kind in ("arc", "y", "h")]
+    if not canonical:
+        order += [(_rule_moves(), kind) for kind in ("arc", "y")]
+    stages = []
+    for tables, kind in order:
+        stage = {}
+        for (k, sp, sq), table in tables.items():
+            for above, moves in table.items():
+                if k == kind and (k != "h" or above in _h_strategy_keys(sp, sq)):
+                    assert len(moves) == 1, f"ambiguous {k} move at {sp}{sq} {above}"
+                    stage[(sp, sq) + above] = moves[0]
+        stages.append(stage)
+    return tuple(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -193,124 +183,51 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> GrownWe
     if len(states) != len(vis):
         raise ValueError("state string length must match visible strands")
     col_state = dict(zip(vis, states))
-    col_colors = {c: colorset_for(lam[c], col_state[c]) for c in vis}
     emitted: list[tuple[Slice, frozenset]] = []  # top-down discovery order
 
     def emit(sign, col0, power, moved):
-        # record the upward slice whose level below is the current lam
-        emitted.append((Slice(sign, col0 + 1, power), frozenset(moved)))
+        # record the upward slice whose level above is the current lam
+        emitted.append((Slice(sign, col0 + 1, power), moved))
 
     def transport(c):
         """Hop the strand at column c across the invisible column c-1."""
         e, s = lam[c - 1], lam[c]
         assert e in (0, 3) and s in (1, 2)
-        colors = col_colors[c]
-        if e == 0:
-            emit("-", c - 1, s, colors)
-        else:
-            emit("+", c - 1, 3 - s, FULL - colors)
+        sign, power, other = ("-", s, frozenset()) if e == 0 else ("+", 3 - s, FULL)
+        strand = colorset_for(s, col_state[c])
+        ((moved, _, _, _),) = _power_transitions(sign, power, strand, other)
+        emit(sign, c - 1, power, moved)
         lam[c - 1], lam[c] = s, e
         col_state[c - 1] = col_state.pop(c)
-        col_colors[c - 1] = col_colors.pop(c)
-
-    def bring_adjacent(p, r):
-        for c in range(r, p + 1, -1):
-            transport(c)
 
     def sign_at(c):
         return "+" if lam[c] == 1 else "-"
 
-    def visible_pairs():
+    def choose():
         cols = sorted(col_state)
-        return list(zip(cols, cols[1:]))
+        for stage in stages:
+            for p, r in zip(cols, cols[1:]):
+                move = stage.get((sign_at(p), sign_at(r), col_state[p], col_state[r]))
+                if move is not None:
+                    return p, r, move
+        raise GrowthStuck(f"no rule applies to {signs} with {states}")
 
-    tables = canonical_rule_tables()
+    stages = _rule_priority(canonical)
     guard = 0
     while col_state:
         guard += 1
         if guard > 4 * len(signs) ** 2 + 16:
             raise AssertionError("growth failed to terminate")
-        pairs = visible_pairs()
-        action = None
-        # 1. arcs on meeting states
-        for p, r in pairs:
-            sp, sq = sign_at(p), sign_at(r)
-            if sp != sq and (col_state[p], col_state[r]) in tables[("arc", sp, sq)]:
-                action = ("arc", p, r)
-                break
-        # 2. joins on merging states
-        if action is None:
-            for p, r in pairs:
-                sp, sq = sign_at(p), sign_at(r)
-                if sp == sq and (col_state[p], col_state[r]) in tables[("y", sp, sq)]:
-                    action = ("y", p, r)
-                    break
-        # 3. exchange, walking a 0 state leftward
-        if action is None:
-            for p, r in pairs:
-                sp, sq = sign_at(p), sign_at(r)
-                if sp != sq and (col_state[p], col_state[r]) in _h_strategy_keys(sp, sq):
-                    action = ("h", p, r)
-                    break
-        if action is None and not canonical:
-            # fall back to moves of nonzero weight: arcs first, then joins
-            for p, r in pairs:
-                sp, sq = sign_at(p), sign_at(r)
-                if sp != sq and (col_state[p], col_state[r]) in _arc_moves(sp, sq):
-                    action = ("arc", p, r)
-                    break
+        p, r, (sign, moved, below_p, below_q, _) = choose()
+        for c in range(r, p + 1, -1):
+            transport(c)
+        emit(sign, p, 1, moved)
+        for c, below in ((p, below_p), (p + 1, below_q)):
+            lam[c] = len(below)
+            if lam[c] in (1, 2):
+                col_state[c] = colorset_state(below)
             else:
-                for p, r in pairs:
-                    sp, sq = sign_at(p), sign_at(r)
-                    if sp == sq and (col_state[p], col_state[r]) in _y_moves(sp, sq):
-                        action = ("y", p, r)
-                        break
-        if action is None:
-            raise GrowthStuck(f"no rule applies to {signs} with {states}")
-
-        kind, p, r = action
-        bring_adjacent(p, r)
-        q = p + 1
-        sp, sq = sign_at(p), sign_at(q)
-        jp, jq = col_state[p], col_state[q]
-        if kind == "arc":
-            moved, _w = _arc_moves(sp, sq)[(jp, jq)]
-            if sp == "+":
-                emit("+", p, 1, {moved})
-                lam[p], lam[q] = 0, 3
-            else:
-                emit("-", p, 1, {moved})
-                lam[p], lam[q] = 3, 0
-            del col_state[p], col_state[q], col_colors[p], col_colors[q]
-        elif kind == "y":
-            moved, _w = _y_moves(sp, sq)[(jp, jq)]
-            if sp == "+":
-                new_colors = col_colors[p] | col_colors[q]
-                assert len(new_colors) == 2
-                emit("-", p, 1, {moved})
-                lam[p], lam[q] = 2, 0
-            else:
-                new_colors = col_colors[p] & col_colors[q]
-                assert len(new_colors) == 1
-                emit("+", p, 1, {moved})
-                lam[p], lam[q] = 1, 3
-            del col_state[q], col_colors[q]
-            col_state[p] = colorset_state(new_colors)
-            col_colors[p] = new_colors
-        else:  # exchange
-            z = _h_strategy_keys(sp, sq)[(jp, jq)]
-            if sp == "+":
-                below_p, below_q = col_colors[p] | {z}, col_colors[q] - {z}
-                emit("-", p, 1, {z})
-                lam[p], lam[q] = 2, 1
-            else:
-                below_p, below_q = col_colors[p] - {z}, col_colors[q] | {z}
-                emit("+", p, 1, {z})
-                lam[p], lam[q] = 1, 2
-            assert len(below_p) == lam[p] and len(below_q) == lam[q]
-            col_colors[p], col_colors[q] = below_p, below_q
-            col_state[p] = colorset_state(below_p)
-            col_state[q] = colorset_state(below_q)
+                del col_state[c]
 
     web = LadderWeb(tuple(lam), tuple(s for s, _ in reversed(emitted)))
     moves = tuple(m for _, m in reversed(emitted))

@@ -52,13 +52,9 @@ def word_target(lam: tuple[int, ...], word: Word):
 
 def phi_word(word: Word, web: LadderWeb):
     """Apply a word to a web from the top; None when the word kills it."""
-    lam = web.top_weight
-    for s in word:
-        lam = step_weight(lam, s)
-        if lam is None:
-            return None
-        web = web.append_slice(s)
-    return web
+    if word_target(web.top_weight, word) is None:
+        return None
+    return LadderWeb(web.bottom_weight, web.slices + tuple(word))
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,6 @@ class LadderWeb:
             raise ValueError("stack mismatch: top weight != upper bottom weight")
         return LadderWeb(self.bottom_weight, self.slices + upper.slices)
 
-    def append_slice(self, s: Slice) -> "LadderWeb":
-        return LadderWeb(self.bottom_weight, self.slices + (s,))
-
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import webkup
+from webkup import flows
 from webkup.cache import CACHE_VERSION, Workspace, default_cache_dir
 
 
@@ -32,7 +34,7 @@ def test_miss_on_absent_and_unknown_kind(tmp_path):
         ws.artifact_path("bogus", "+-")
 
 
-def test_version_stamp_and_stale_miss(tmp_path):
+def test_version_stamp_and_stale_miss(tmp_path, monkeypatch):
     ws = Workspace(tmp_path)
     ws.store("basis", "+-", {"a": 1})
     path = ws.artifact_path("basis", "+-")
@@ -42,6 +44,19 @@ def test_version_stamp_and_stale_miss(tmp_path):
     doc["version"] = CACHE_VERSION + 1
     path.write_text(json.dumps(doc))
     assert ws.load("basis", "+-") is None
+    # a changed weight table or package version makes every artifact stale
+    for module, name, value in (
+        (flows, "PLUS_WEIGHTS", {**flows.PLUS_WEIGHTS, (): 0}),
+        (webkup, "__version__", webkup.__version__ + ".dev"),
+    ):
+        ws.store("basis", "+-", {"a": 1})
+        assert ws.load("basis", "+-") == {"a": 1}
+        with monkeypatch.context() as m:
+            m.setattr(module, name, value)
+            assert ws.load("basis", "+-") is None
+            assert ws.fetch("basis", "+-", lambda: {"a": 2}) == {"a": 2}
+            assert ws.load("basis", "+-") == {"a": 2}
+        assert ws.load("basis", "+-") is None
 
 
 def test_corrupted_payload_misses(tmp_path):

@@ -91,6 +91,13 @@ def test_expand_boundary_matrix():
     assert doc == {"1m": {"1m": "1", "00": "q^-1", "m1": "q^-2"}}
 
 
+@pytest.mark.parametrize("flags", [(), ("--q1",)])
+def test_expand_boundary_minus_minus(flags):
+    """The boundary -- has no invariant web, as `enumerate -- --` shows."""
+    code, out, err = run("expand", *flags, "--boundary=--")
+    assert (code, out, err) == (0, "{}\n", "")
+
+
 def test_expand_wants_exactly_one_input(circle_file):
     code, _, err = run("expand")
     assert code == 2

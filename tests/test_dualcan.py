@@ -1,5 +1,7 @@
 """Tests for dual canonical vectors, the bar involution, and the search."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,6 +139,19 @@ def test_search_small_complete():
     assert rep.last_boundary == "----"
     assert "no counterexample found" in rep.summary()
     assert "complete" in rep.summary()
+
+
+def test_no_flow_of_a_basis_web_has_positive_weight():
+    """The invariant behind the search prefilter: every flow adds q^weight
+    to its boundary's coefficient, so no exponent above 0 means no flow
+    of positive weight, and the leading coefficient 1 is the one flow of
+    weight 0 at the web's own state."""
+    for n in range(2, 8):
+        for signs in ("".join(p) for p in product("+-", repeat=n)):
+            for J, exp in web_space(signs).expansions.items():
+                assert exp[J] == ONE, (signs, J)
+                for K, poly in exp.items():
+                    assert poly.is_zero() or poly.degree() <= 0, (signs, J, K)
 
 
 def test_search_budget_exhaustion():
