@@ -86,8 +86,8 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    free = flows.calibrate_weight_table(with_gauge=False, all_solutions=True)
-    gauged = flows.calibrate_weight_table(with_gauge=True, all_solutions=True)
+    free = flows.calibrate_weight_table(with_gauge=False)
+    gauged = flows.calibrate_weight_table(with_gauge=True)
     print(f"solutions without gauge: {len(free)}")
     print(f"solutions with gauge:    {len(gauged)}")
     if len(gauged) != 1:

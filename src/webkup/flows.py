@@ -589,17 +589,15 @@ def _all_var_keys() -> list[tuple]:
     return sorted(out)
 
 
-def calibrate_weight_table(
-    with_gauge: bool = True,
-    all_solutions: bool = False,
-    domain: range = range(-6, 7),
-    limit: int = 2000,
-):
+_CALIBRATION_DOMAIN = range(-6, 7)
+_CALIBRATION_LIMIT = 2000
+
+
+def calibrate_weight_table(with_gauge: bool = True):
     """Solve the constraint system for the single-move weights.
 
-    Returns a list of solution dicts (each mapping key -> int).  With
-    all_solutions=False the search stops at the first solution.
-    """
+    Returns every solution with weights in _CALIBRATION_DOMAIN, at most
+    _CALIBRATION_LIMIT of them, each a dict mapping key -> int."""
     cons = build_constraints(with_gauge)
     allvars = _all_var_keys()
 
@@ -648,7 +646,7 @@ def calibrate_weight_table(
                 if remaining[id(con)] == 1:
                     free = next(u for u in con.vars if u not in assign)
                     hits = []
-                    for d in domain:
+                    for d in _CALIBRATION_DOMAIN:
                         assign[free] = d
                         if feasible(con):
                             hits.append(d)
@@ -671,9 +669,9 @@ def calibrate_weight_table(
             pos += 1
         if pos == len(order):
             solutions.append(dict(assign))
-            return not all_solutions or len(solutions) >= limit
+            return len(solutions) >= _CALIBRATION_LIMIT
         v = order[pos]
-        for val in domain:
+        for val in _CALIBRATION_DOMAIN:
             trail: list[tuple] = []
             if assign_var(v, val, trail):
                 if search(pos + 1):

@@ -81,18 +81,9 @@ def coloring_count(web: LadderWeb) -> int:
     return bracket(web).eval_at_one()
 
 
-def state_multiplicity(signs: str, states: tuple[int, ...]) -> int:
-    """Total number of flows with the given boundary over all basis webs."""
-    return flow_census(signs)[tuple(states)]
-
-
 def block_states(signs: str) -> list[tuple[int, ...]]:
     """Balanced state strings, one block each."""
     return [filling_to_state(signs, f) for f in enumerate_fillings(signs)]
-
-
-def block_count(signs: str) -> int:
-    return len(block_states(signs))
 
 
 def pairwise_coloring_counts(signs: str) -> dict:

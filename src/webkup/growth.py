@@ -13,9 +13,9 @@ consume is not hard-coded: every rule is read off the slice-transition
 table of webkup.flows (a canonical rule is one whose move has weight
 zero), and the derived tables are asserted in tests.
 
-The procedure terminates exactly on the state strings whose color
-expansion satisfies the nested ballot condition (is_dominant_closed);
-those J index the web basis of their boundary.  The same engine with
+The procedure terminates exactly on the state strings whose column
+filling is semistandard (webkup.tableaux); those J, the dominant states,
+index the web basis of their boundary.  The same engine with
 non-canonical rules allowed builds a flow with prescribed boundary on
 some web (construct_flow), used by the tableau correspondence.
 """
@@ -39,6 +39,7 @@ from .flows import (
     expansion,
     walk_moves,
 )
+from .tableaux import enumerate_fillings, filling_to_state, is_semistandard
 
 
 class GrowthStuck(Exception):
@@ -124,45 +125,6 @@ def _rule_priority(canonical: bool) -> tuple[dict, ...]:
                     stage[(sp, sq) + above] = moves[0]
         stages.append(stage)
     return tuple(stages)
-
-
-# ---------------------------------------------------------------------------
-# dominance (ballot) test
-# ---------------------------------------------------------------------------
-
-
-def expand_states(signs: str, states: tuple[int, ...]) -> tuple[int, ...]:
-    """Color word of a boundary: singles show their color, doubles their
-    pair in decreasing order; invisible columns contribute nothing."""
-    vis_signs = [c for c in signs if c in "+-"]
-    if len(vis_signs) != len(states):
-        raise ValueError("state string length must match visible strands")
-    out: list[int] = []
-    for c, j in zip(vis_signs, states):
-        if c == "+":
-            if j not in (-1, 0, 1):
-                raise ValueError(f"bad state {j}")
-            out.append(j)
-        else:
-            out.extend(sorted(colorset_for(2, j), reverse=True))
-    return tuple(out)
-
-
-def is_dominant_closed(signs: str, states: tuple[int, ...]) -> bool:
-    """Ballot condition on the color word: every prefix has at least as
-    many +1 as 0 as -1, with equal totals overall."""
-    word = expand_states(signs, tuple(states))
-    c1 = c0 = cm = 0
-    for x in word:
-        if x == 1:
-            c1 += 1
-        elif x == 0:
-            c0 += 1
-        else:
-            cm += 1
-        if not (c1 >= c0 >= cm):
-            return False
-    return c1 == c0 == cm
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +224,12 @@ def construct_flow(signs: str, states) -> GrownWeb:
 
 
 def dominant_states(signs: str) -> list[tuple[int, ...]]:
-    k = len([c for c in signs if c in "+-"])
-    out = [J for J in product((1, 0, -1), repeat=k) if is_dominant_closed(signs, J)]
+    """The states of the semistandard fillings, in descending order."""
+    out = [
+        filling_to_state(signs, f)
+        for f in enumerate_fillings(signs)
+        if is_semistandard(f)
+    ]
     out.sort(reverse=True)
     return out
 

@@ -171,7 +171,7 @@ def relation_instances(lam: tuple[int, ...]):
     return out
 
 
-def verify_relations(n: int, d: int, progress=None) -> int:
+def verify_relations(n: int, d: int) -> int:
     """Check every defining relation on every weight space of n columns
     and total weight d.  Returns the number of instances checked."""
     checked = 0
@@ -186,8 +186,6 @@ def verify_relations(n: int, d: int, progress=None) -> int:
                 _, b = combo_action(rhs, lam, vec)
                 assert a == b, f"relation {name} fails on {lam}"
             checked += 1
-        if progress:
-            progress(lam, checked)
     return checked
 
 

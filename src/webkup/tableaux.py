@@ -9,7 +9,8 @@ condition for the state string to bound a flow at all.  Columns are
 strictly increasing by construction.
 
 The semistandard fillings (rows weakly increasing in column order) pick
-out exactly the dominant state strings, the ones indexing basis webs.
+out the dominant state strings, the ones indexing basis webs: this module
+is where that is decided, and growth.dominant_states reads them from here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from itertools import combinations
 
 from .flows import colorset_for, colorset_state
 from .webs import weight_of_signs
-from .growth import construct_flow, GrownWeb
 
 COLOR_ORDER = (1, 0, -1)
 
@@ -131,8 +131,3 @@ def insert_triple(filling: Filling, triple) -> Filling:
             raise ValueError("triple does not extend the columns")
         out.append(col + (v,))
     return tuple(out)
-
-
-def filling_flow(signs: str, filling: Filling) -> GrownWeb:
-    """A web carrying a flow whose boundary realizes the filling."""
-    return construct_flow(signs, filling_to_state(signs, filling))

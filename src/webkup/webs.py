@@ -64,14 +64,14 @@ def format_states(states: tuple[int, ...]) -> str:
     return "".join(STATE_TO_CHAR[s] for s in states)
 
 
-def weights_bounded(n: int, total: int, bound: int = 3) -> Iterator[tuple[int, ...]]:
-    """All weight vectors of length n, entries 0..bound, summing to total."""
+def weights_bounded(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All weight vectors of length n, entries 0..3, summing to total."""
     if n == 0:
         if total == 0:
             yield ()
         return
-    for first in range(min(bound, total) + 1):
-        for rest in weights_bounded(n - 1, total - first, bound):
+    for first in range(min(3, total) + 1):
+        for rest in weights_bounded(n - 1, total - first):
             yield (first,) + rest
 
 

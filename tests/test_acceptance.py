@@ -84,3 +84,17 @@ def test_criterion_12_fails_on_wrong_web_count(monkeypatch):
     res = acceptance.CRITERIA[12]()
     assert res.passed, res.line()
     assert res.detail.startswith("complete through 10 strands: 45340 webs")
+
+
+def test_criterion_13_fails_on_dropped_dominant_state(monkeypatch):
+    # growth still terminates on the dropped state, so AC13 must see it
+    real = acceptance.dominant_states
+
+    def drop_one(signs):
+        states = real(signs)
+        return states[1:] if signs == "+++" else states
+
+    monkeypatch.setattr(acceptance, "dominant_states", drop_one)
+    res = acceptance.CRITERIA[13]()
+    assert not res.passed
+    assert res.detail == "growth and dominant states disagree at +++ (1, 0, -1)"

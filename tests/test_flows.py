@@ -152,13 +152,13 @@ def test_bracket_reflection_invariant():
 
 
 def test_calibration_is_unique_with_gauge():
-    sols = calibrate_weight_table(with_gauge=True, all_solutions=True)
+    sols = calibrate_weight_table(with_gauge=True)
     assert len(sols) == 1
 
 
 def test_calibration_six_solutions_without_gauge():
     # the color-relabeling orbit
-    sols = calibrate_weight_table(with_gauge=False, all_solutions=True)
+    sols = calibrate_weight_table(with_gauge=False)
     assert len(sols) == 6
 
 

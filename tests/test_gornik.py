@@ -11,7 +11,6 @@ from webkup.growth import flow_census, web_space
 from webkup.tableaux import center_dim, satisfies_conds
 from webkup.gornik import (
     OMEGA,
-    block_count,
     block_states,
     coloring_count,
     eis_add,
@@ -19,7 +18,6 @@ from webkup.gornik import (
     junction_triples,
     junctions_satisfy_root_relations,
     pairwise_coloring_counts,
-    state_multiplicity,
     sum_of_squares_identity,
 )
 
@@ -72,22 +70,21 @@ def test_root_relations_on_basis_closures():
 
 def test_block_count_equals_center_dim():
     for signs in ("+-", "+++", "++--", "+-+-", "o+x-", "++-+--", "+++---"):
-        assert block_count(signs) == center_dim(signs)
+        assert len(block_states(signs)) == center_dim(signs)
 
 
 def test_block_states_are_balanced():
     for J in block_states("++--"):
         assert satisfies_conds("++--", J)
-    assert block_count("++--") == 15
+    assert center_dim("++--") == 15
 
 
 def test_state_multiplicity_positive_iff_balanced():
     for signs in ("+++", "++--"):
         k = len(block_states(signs)[0])
+        census = flow_census(signs)
         for J in product((1, 0, -1), repeat=k):
-            assert (state_multiplicity(signs, J) > 0) == satisfies_conds(
-                signs, J
-            )
+            assert (census[J] > 0) == satisfies_conds(signs, J)
 
 
 def test_sum_of_squares_identity():

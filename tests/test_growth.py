@@ -17,9 +17,7 @@ from webkup.growth import (
     construct_flow,
     dominant_states,
     enumerate_basis,
-    expand_states,
     growth,
-    is_dominant_closed,
     web_space,
 )
 from webkup.oracles import invariant_dim
@@ -50,19 +48,17 @@ def test_derived_rules_doc_is_current():
     assert script.docs_text(6, 1) == committed
 
 
-def test_expand_states():
-    assert expand_states("+-", (1, -1)) == (1, 0, -1)
-    assert expand_states("o-x", (0,)) == (1, -1)
-    with pytest.raises(ValueError):
-        expand_states("++", (1,))
-
-
 def test_dominance_examples():
-    assert is_dominant_closed("+-", (1, -1))
-    assert not is_dominant_closed("+-", (0, 0))  # word 0,1,-1 fails ballot
-    assert is_dominant_closed("+++", (1, 0, -1))
-    assert not is_dominant_closed("+++", (0, 1, -1))
-    assert is_dominant_closed("", ())
+    assert (1, -1) in dominant_states("+-")
+    assert (0, 0) not in dominant_states("+-")  # row (2, 1, 2) not increasing
+    assert (1, 0, -1) in dominant_states("+++")
+    assert (0, 1, -1) not in dominant_states("+++")
+    assert () in dominant_states("")
+
+
+def test_dominant_states_rejects_bad_sign_characters():
+    with pytest.raises(ValueError):
+        dominant_states("+a-")
 
 
 def test_growth_arc():
@@ -121,8 +117,9 @@ def test_growth_stuck_on_non_dominant():
 def test_termination_iff_dominance_small():
     for n in range(0, 6):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
+            dominant = set(dominant_states(signs))
             for J in product((1, 0, -1), repeat=n):
-                dom = is_dominant_closed(signs, J)
+                dom = J in dominant
                 try:
                     growth(signs, J)
                     assert dom, (signs, J)
@@ -135,7 +132,7 @@ def test_termination_iff_dominance_small():
 @settings(max_examples=60, deadline=None)
 def test_termination_iff_dominance_random(signs, data):
     J = tuple(data.draw(st.sampled_from((1, 0, -1))) for _ in signs)
-    dom = is_dominant_closed(signs, J)
+    dom = J in dominant_states(signs)
     try:
         gw = growth(signs, J)
         assert dom

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.webs import weight_of_signs
-from webkup.growth import dominant_states, is_dominant_closed
+from webkup.growth import construct_flow, dominant_states
 from webkup.tableaux import (
     center_dim,
     enumerate_fillings,
-    filling_flow,
     filling_to_state,
     hat_weights,
     insert_triple,
@@ -67,7 +66,8 @@ def test_balanced_iff_conds():
 
 def test_semistandard_iff_dominant():
     """Rows weakly increasing in color order picks out the basis states."""
-    for signs in ("+-", "-+", "+++", "---", "++--", "+-+-", "+++---", "++-+--"):
+    for signs in ("+-", "-+", "+++", "---", "++--", "+-+-", "+++---", "++-+--",
+                  "o+x-", "+o-", "x++o--", "++-+-++"):
         dom = set(dominant_states(signs))
         for J in all_states(signs):
             assert is_semistandard(state_to_filling(signs, J)) == (J in dom)
@@ -77,10 +77,9 @@ def test_semistandard_iff_dominant():
 @given(st.lists(st.sampled_from("+-"), min_size=2, max_size=6))
 def test_semistandard_iff_dominant_random(chars):
     signs = "".join(chars)
+    dom = set(dominant_states(signs))
     for J in all_states(signs):
-        assert is_semistandard(state_to_filling(signs, J)) == is_dominant_closed(
-            signs, J
-        )
+        assert is_semistandard(state_to_filling(signs, J)) == (J in dom)
 
 
 def test_enumerate_fillings_counts():
@@ -133,7 +132,7 @@ def test_filling_flow_realizes_state():
     signs = "++--"
     for f in enumerate_fillings(signs):
         J = filling_to_state(signs, f)
-        grown = filling_flow(signs, f)
+        grown = construct_flow(signs, J)
         assert grown.flow.boundary == J
 
 
