@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .qlaurent import ONE, ZERO, qint
+from .qlaurent import ONE, ZERO, add_scaled, qint
 from .webs import (
     LadderWeb,
     Slice,
@@ -409,12 +409,9 @@ def criterion_11() -> CriterionResult:
                         continue
                     if not d.is_nonnegative():
                         return False, f"negative change-of-basis entry at {signs}"
-                    for k, v in db.elements[Jp].items():
-                        recon[k] = recon.get(k, ZERO) + d * v
+                    add_scaled(recon, d, db.elements[Jp])
                     corrections += 1
-                exp = {k: v for k, v in space.expansions[J].items() if not v.is_zero()}
-                recon = {k: v for k, v in recon.items() if not v.is_zero()}
-                if recon != exp:
+                if recon != space.expansions[J]:
                     return False, f"change of basis does not reconstruct {signs} {J}"
                 elements += 1
             keys = sorted(db.elements)
@@ -494,7 +491,7 @@ def criterion_13() -> CriterionResult:
                 ok = satisfies_conds(signs, J)
                 if ok != (J in realized):
                     return False, f"flow existence mismatch at {signs} {J}"
-                if ok and construct_flow(signs, J).flow.boundary != J:
+                if ok and construct_flow(signs, J).boundary != J:
                     return False, f"constructed flow misses its boundary at {signs} {J}"
                 try:  # growth stops exactly on the dominant states
                     grown = growth(signs, J)
@@ -502,7 +499,7 @@ def criterion_13() -> CriterionResult:
                     grown = None
                 if (grown is not None) != (J in dominant):
                     return False, f"growth and dominant states disagree at {signs} {J}"
-                if grown and (grown.flow.weight != 0 or grown.flow.boundary != J):
+                if grown and (grown.weight != 0 or grown.boundary != J):
                     return False, f"canonical flow wrong at {signs} {J}"
             balanced = {filling_to_state(signs, f) for f in enumerate_fillings(signs)}
             if balanced != realized:

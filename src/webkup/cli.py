@@ -24,7 +24,7 @@ from .planar import rewrite_bracket
 from .growth import dominant_states, flow_census, growth, web_space
 from .howe import inverse_growth, format_word, verify_relations
 from .tableaux import is_balanced, is_semistandard, state_to_filling
-from .dualcan import dual_canonical_basis, search_counterexample
+from .dualcan import default_budget, dual_canonical_basis, search_counterexample
 from .render import render
 from .cache import Workspace
 from .acceptance import CRITERIA, run_all
@@ -72,10 +72,6 @@ def _poly_out(p: LaurentPoly, q1: bool):
     return p.eval_at_one() if q1 else str(p)
 
 
-def _workspace(args) -> Workspace | None:
-    return Workspace.from_env() if getattr(args, "cache", False) else None
-
-
 # -- per-boundary artifact payloads (also the cached representations) --------
 
 
@@ -92,9 +88,7 @@ def basis_payload(signs: str) -> dict:
 def expansions_payload(signs: str) -> dict:
     space = web_space(signs)
     return {
-        format_states(J): {
-            format_states(k): str(v) for k, v in vec.items() if not v.is_zero()
-        }
+        format_states(J): {format_states(k): str(v) for k, v in vec.items()}
         for J, vec in space.expansions.items()
     }
 
@@ -132,10 +126,13 @@ _BUILDERS = {
 
 
 def _artifact(args, kind: str, signs: str) -> dict:
-    ws = _workspace(args)
-    if ws is None:
+    if not args.cache:
         return _BUILDERS[kind](signs)
-    return ws.fetch(kind, signs, lambda: _BUILDERS[kind](signs))
+    ws = Workspace.from_env()
+    try:
+        return ws.fetch(kind, signs, lambda: _BUILDERS[kind](signs))
+    except OSError as exc:
+        raise UsageError(f"cannot use cache directory {ws.root}: {exc}")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -185,13 +182,7 @@ def cmd_expand(args) -> int:
     if not web.has_closed_bottom():
         raise UsageError("expand needs a web with a closed bottom")
     vec = expansion(web)
-    _emit(
-        {
-            format_states(k): _poly_out(v, args.q1)
-            for k, v in vec.items()
-            if not v.is_zero()
-        }
-    )
+    _emit({format_states(k): _poly_out(v, args.q1) for k, v in vec.items()})
     return 0
 
 
@@ -265,9 +256,13 @@ def cmd_inverse_growth(args) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        budget = default_budget() if args.budget_s is None else args.budget_s
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rep = search_counterexample(
         max_strands=args.max_strands,
-        budget_s=args.budget_s,
+        budget_s=budget,
         stop_at_first=args.stop_at_first,
     )
     print(rep.summary())
@@ -285,7 +280,7 @@ def cmd_render(args) -> int:
         if args.states not in set(dominant_states(args.signs)):
             raise UsageError("render needs a dominant state (a basis web)")
         grown = growth(args.signs, args.states)
-        svg = render(grown.web, None if args.no_flow else grown.flow)
+        svg = render(grown.web, None if args.no_flow else grown)
     if args.out == "-":
         sys.stdout.write(svg)
     else:
@@ -296,7 +291,7 @@ def cmd_render(args) -> int:
 
 def cmd_selftest(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         try:
             numbers = sorted({int(tok) for tok in args.only.split(",")})
         except ValueError:

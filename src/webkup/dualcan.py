@@ -15,13 +15,14 @@ element.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE
+from .qlaurent import LaurentPoly, ONE, add_scaled
 # lusztig_form_vec lives in flows; it stays importable from here
 from .flows import count_weight_zero_flows, lusztig_form_vec
 from .growth import dominant_states, growth, web_space
@@ -67,12 +68,7 @@ def dual_canonical_basis(signs: str) -> DualBasis:
             if f.is_zero():
                 continue
             db.d_matrix[(J, Jp)] = f
-            for k, v in db.elements[Jp].items():
-                nv = vec.get(k, LaurentPoly.zero()) - f * v
-                if nv.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+            add_scaled(vec, -f, db.elements[Jp])
         assert vec.get(J) == ONE, f"leading coefficient corrupted at {J}"
         for k, v in vec.items():
             if k != J and not strictly_below_one(v):
@@ -91,13 +87,7 @@ def apply_bar(signs: str, vec: dict) -> dict:
     coords = space.reduce_to_basis(vec)
     out: dict = {}
     for J, c in coords.items():
-        cb = c.bar()
-        for k, v in space.expansions[J].items():
-            nv = out.get(k, LaurentPoly.zero()) + cb * v
-            if nv.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nv
+        add_scaled(out, c.bar(), space.expansions[J])
     return out
 
 
@@ -109,8 +99,7 @@ def is_bar_invariant_vec(signs: str, vec: dict) -> bool:
 def web_matches_dual_canonical(signs: str, J: tuple[int, ...]) -> bool:
     db = dual_canonical_basis(signs)
     space = web_space(signs)
-    exp = {k: v for k, v in space.expansions[J].items() if not v.is_zero()}
-    return exp == db.elements[J]
+    return space.expansions[J] == db.elements[J]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +131,13 @@ class SearchReport:
 
 
 def default_budget() -> float:
-    return float(os.environ.get("WEBKUP_SEARCH_BUDGET", "1800"))
+    text = os.environ.get("WEBKUP_SEARCH_BUDGET", "1800")
+    try:
+        if not math.isnan(budget := float(text)):
+            return budget
+    except ValueError:
+        pass
+    raise ValueError(f"WEBKUP_SEARCH_BUDGET must be a number of seconds, got {text!r}")
 
 
 def search_counterexample(

@@ -27,6 +27,7 @@ PLUS_WEIGHTS and verified by tests and by scripts/calibrate_weights.py.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,13 +176,12 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
             (frozenset((x,)), nA, nB, weight(A, B, x))
             for x, nA, nB in _single_moves(sign, A, B)
         )
-    paths: dict[frozenset, LaurentPoly] = {}
+    paths: dict[frozenset, Counter] = {}  # moved set -> path count by weight
     ends: dict[frozenset, tuple[frozenset, frozenset]] = {}
 
     def rec(curA, curB, moved, wsum, depth):
         if depth == power:
-            prev = paths.get(moved, LaurentPoly.zero())
-            paths[moved] = prev + LaurentPoly.monomial(wsum)
+            paths.setdefault(moved, Counter())[wsum] += 1
             ends[moved] = (curA, curB)
             return
         for x, nA, nB in _single_moves(sign, curA, curB):
@@ -190,8 +190,8 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
     rec(A, B, frozenset(), 0, 0)
     out = []
     fact = qfact(power)
-    for X, poly in sorted(paths.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        mono = poly.exact_div(fact)
+    for X, counts in sorted(paths.items(), key=lambda kv: tuple(sorted(kv[0]))):
+        mono = LaurentPoly(counts).exact_div(fact)
         if not mono.is_monomial_coeff_one():
             raise AssertionError(
                 f"divided power entry is not a plain q power: {sign}^{power} "
@@ -337,21 +337,12 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
     Pass stop_at to return early once that many flows are found.
     """
     slices = web.slices
-    lows, highs = [], []
-    for s in slices:
-        ws = [
-            w
-            for A in _subsets()
-            for B in _subsets()
-            for _, _, _, w in _power_transitions(s.sign, s.power, A, B)
-        ]
-        lows.append(min(ws))
-        highs.append(max(ws))
     minfut = [0] * (len(slices) + 1)
     maxfut = [0] * (len(slices) + 1)
     for i in range(len(slices) - 1, -1, -1):
-        minfut[i] = minfut[i + 1] + lows[i]
-        maxfut[i] = maxfut[i + 1] + highs[i]
+        low, high = _weight_window(slices[i].sign, slices[i].power)
+        minfut[i] = minfut[i + 1] + low
+        maxfut[i] = maxfut[i + 1] + high
 
     count = 0
 
@@ -379,6 +370,18 @@ def _subsets() -> tuple[frozenset, ...]:
     for mask in range(8):
         out.append(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _weight_window(sign: str, power: int) -> tuple[int, int]:
+    """Least and greatest weight of any move of one slice kind."""
+    ws = [
+        w
+        for A in _subsets()
+        for B in _subsets()
+        for _, _, _, w in _power_transitions(sign, power, A, B)
+    ]
+    return min(ws), max(ws)
 
 
 # ---------------------------------------------------------------------------

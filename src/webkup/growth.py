@@ -23,11 +23,10 @@ some web (construct_flow), used by the tableau correspondence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .qlaurent import LaurentPoly, ONE
+from .qlaurent import LaurentPoly, ONE, add_scaled
 from .webs import LadderWeb, Slice, weight_of_signs, visible_columns
 from .flows import (
     COLORS,
@@ -132,13 +131,7 @@ def _rule_priority(canonical: bool) -> tuple[dict, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrownWeb:
-    web: LadderWeb
-    flow: Flow
-
-
-def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> GrownWeb:
+def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
     lam = list(weight_of_signs(signs))
     vis = list(visible_columns(tuple(lam)))
     states = tuple(states)
@@ -194,22 +187,21 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> GrownWe
     web = LadderWeb(tuple(lam), tuple(s for s, _ in reversed(emitted)))
     moves = tuple(m for _, m in reversed(emitted))
     _, weight = walk_moves(web, moves)
-    flow = Flow(web, moves, weight, states)
-    return GrownWeb(web, flow)
+    return Flow(web, moves, weight, states)
 
 
-def growth(signs: str, states) -> GrownWeb:
+def growth(signs: str, states) -> Flow:
     """Canonical growth; defined exactly on dominant state strings.
 
-    The constructed flow always has weight zero (asserted), making it the
-    distinguished flow of the resulting basis web.
+    Returns a flow on the basis web `.web`; it always has weight zero
+    (asserted), making it the distinguished flow of that web.
     """
-    gw = _run_engine(signs, tuple(states), canonical=True)
-    assert gw.flow.weight == 0, "canonical growth produced a nonzero weight"
-    return gw
+    flow = _run_engine(signs, tuple(states), canonical=True)
+    assert flow.weight == 0, "canonical growth produced a nonzero weight"
+    return flow
 
 
-def construct_flow(signs: str, states) -> GrownWeb:
+def construct_flow(signs: str, states) -> Flow:
     """Build some web with a flow whose boundary is the given state string.
 
     Canonical rules are preferred, so on dominant strings this returns the
@@ -249,8 +241,7 @@ class WebSpace:
             self.basis[J] = growth(signs, J).web
         self.expansions = {J: expansion(w) for J, w in self.basis.items()}
         for J, exp in self.expansions.items():
-            lead = max(k for k, v in exp.items() if not v.is_zero())
-            if lead != J or exp[J] != ONE:
+            if max(exp) != J or exp[J] != ONE:
                 raise AssertionError(f"expansion of {signs} {J} is not unitriangular")
 
     def reduce_to_basis(self, vec: dict) -> dict:
@@ -263,20 +254,10 @@ class WebSpace:
                 raise AssertionError(
                     f"vector has leading state {k} outside the dominant set"
                 )
-            c = vec[k]
-            out[k] = out.get(k, LaurentPoly.zero()) + c
-            row = self.expansions[k]
-            for k2, v2 in row.items():
-                nv = vec.get(k2, LaurentPoly.zero()) - c * v2
-                if nv.is_zero():
-                    vec.pop(k2, None)
-                else:
-                    vec[k2] = nv
+            # each state leads at most once: __init__ asserts unitriangularity
+            out[k] = vec[k]
+            add_scaled(vec, -vec[k], self.expansions[k])
         return out
-
-
-def enumerate_basis(signs: str) -> dict[tuple, LadderWeb]:
-    return dict(web_space(signs).basis)
 
 
 def flow_census(signs: str) -> Counter:

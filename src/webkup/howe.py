@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, qint, qbinom
+from .qlaurent import LaurentPoly, ONE, add_scaled, qint, qbinom
 from .webs import (
     LadderWeb,
     Slice,
@@ -94,12 +94,7 @@ def combo_action(combo, lam, vec):
             target = tlam
         else:
             assert target == tlam, "combination mixes target weights"
-        for cfg, poly in tvec.items():
-            acc = total.get(cfg, LaurentPoly.zero()) + coeff * poly
-            if acc.is_zero():
-                total.pop(cfg, None)
-            else:
-                total[cfg] = acc
+        add_scaled(total, coeff, tvec)
     return target, total
 
 
@@ -211,9 +206,7 @@ def divided_power_consistent(signs: str, i: int, sign: str, a: int) -> bool:
         dl, dv = direct
         rl, rv = repeated
         assert dl == rl
-        scaled = {cfg: poly.exact_div(fact) for cfg, poly in rv.items()}
-        scaled = {c: p for c, p in scaled.items() if not p.is_zero()}
-        if scaled != {c: p for c, p in dv.items() if not p.is_zero()}:
+        if {cfg: poly.exact_div(fact) for cfg, poly in rv.items()} != dv:
             return False
     return True
 

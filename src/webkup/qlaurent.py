@@ -222,6 +222,18 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 
+def add_scaled(acc: dict, c: LaurentPoly, vec: Mapping) -> None:
+    """acc += c * vec in place, for state vectors {key: LaurentPoly}.
+    A state vector never stores a zero coefficient: an entry that cancels
+    is removed, so vectors built here or by the slice sweep need no filter."""
+    for k, v in vec.items():
+        nv = acc.get(k, ZERO) + c * v
+        if nv.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = nv
+
+
 def qint(a: int) -> LaurentPoly:
     """Balanced quantum integer: q^(a-1) + q^(a-3) + ... + q^-(a-1).
 

@@ -220,6 +220,29 @@ def test_selftest_subset_and_bad_only():
     assert run("selftest", "--only", "two")[0] == 2
 
 
+def test_selftest_rejects_empty_only():
+    code, out, err = run("selftest", "--only", "")
+    assert code == 2 and out == ""
+    assert "--only" in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "nan", ""])
+def test_search_rejects_bad_budget_setting(monkeypatch, budget):
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", budget)
+    code, out, err = run("search-counterexample", "--max-strands", "3")
+    assert code == 2 and out == ""
+    assert "WEBKUP_SEARCH_BUDGET" in err
+
+
+def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    monkeypatch.setenv("WEBKUP_CACHE", str(blocker))
+    code, out, err = run("enumerate", "+-", "--cache")
+    assert code == 2 and out == ""
+    assert str(blocker) in err
+
+
 def test_cache_flag_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
     first = run("dualcan", "++--", "--cache")

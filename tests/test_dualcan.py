@@ -9,6 +9,7 @@ from webkup.qlaurent import LaurentPoly, ONE, ZERO
 from webkup.webs import LadderWeb, Slice
 from webkup.flows import expansion
 from webkup.growth import web_space
+from webkup.howe import _basis_vectors
 from webkup.dualcan import (
     SearchReport,
     apply_bar,
@@ -152,6 +153,20 @@ def test_no_flow_of_a_basis_web_has_positive_weight():
                 assert exp[J] == ONE, (signs, J)
                 for K, poly in exp.items():
                     assert poly.is_zero() or poly.degree() <= 0, (signs, J, K)
+
+
+def test_state_vectors_hold_no_zero():
+    """No vector the library builds stores a zero coefficient, which is
+    why none of their readers filters zeros (qlaurent.add_scaled)."""
+    for n in range(2, 7):
+        for signs in ("".join(p) for p in product("+-", repeat=n)):
+            vectors = [
+                *web_space(signs).expansions.values(),
+                *dual_canonical_basis(signs).elements.values(),
+                *_basis_vectors(signs).values(),
+            ]
+            for vec in vectors:
+                assert not any(v.is_zero() for v in vec.values()), signs
 
 
 def test_search_budget_exhaustion():

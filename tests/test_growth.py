@@ -16,7 +16,6 @@ from webkup.growth import (
     canonical_rule_tables,
     construct_flow,
     dominant_states,
-    enumerate_basis,
     growth,
     web_space,
 )
@@ -64,7 +63,7 @@ def test_dominant_states_rejects_bad_sign_characters():
 def test_growth_arc():
     gw = growth("+-", (1, -1))
     assert gw.web == LadderWeb((0, 3), (Slice("+", 1),))
-    assert gw.flow.weight == 0
+    assert gw.weight == 0
 
 
 def test_growth_tripod():
@@ -72,7 +71,7 @@ def test_growth_tripod():
     assert gw.web == LadderWeb(
         (3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1))
     )
-    assert gw.flow.moves == (frozenset({-1}), frozenset({-1}), frozenset({0}))
+    assert gw.moves == (frozenset({-1}), frozenset({-1}), frozenset({0}))
 
 
 def test_growth_nested_arcs():
@@ -102,7 +101,7 @@ def test_growth_seven_strands():
     # a longer trace exercising transport, joins and the exchange rule
     gw = growth("+-+-+++", (1, 1, 0, 0, -1, 0, -1))
     assert gw.web.bottom_weight == (0, 3, 3, 0, 0, 3, 0)
-    assert gw.flow.weight == 0
+    assert gw.weight == 0
     assert expansion(gw.web)[(1, 1, 0, 0, -1, 0, -1)] == ONE
     assert count_weight_zero_flows(gw.web) == 1
 
@@ -136,16 +135,16 @@ def test_termination_iff_dominance_random(signs, data):
     try:
         gw = growth(signs, J)
         assert dom
-        assert gw.flow.weight == 0
+        assert gw.weight == 0
     except GrowthStuck:
         assert not dom
 
 
 def test_construct_flow_boundary():
     gw = construct_flow("+-", (0, 0))
-    assert gw.flow.boundary == (0, 0)
+    assert gw.boundary == (0, 0)
     gw = construct_flow("+-", (-1, 1))
-    assert gw.flow.boundary == (-1, 1)
+    assert gw.boundary == (-1, 1)
 
 
 def test_construct_flow_prefers_canonical():
@@ -161,7 +160,7 @@ def test_basis_sizes_match_invariant_dim():
 
 def test_basis_sizes_enhanced_boundaries():
     for signs in ["+ox-", "o+x+--", "xx++--o", "+oxo-", "x", "oo", ""]:
-        assert len(enumerate_basis(signs)) == invariant_dim(signs)
+        assert len(web_space(signs).basis) == invariant_dim(signs)
 
 
 def test_expansions_unitriangular():
@@ -177,7 +176,7 @@ def test_expansions_unitriangular():
 
 def test_every_basis_web_has_unique_weight_zero_flow():
     for signs in ["+-", "+++", "++--", "+-+-", "++-+--"]:
-        for J, w in enumerate_basis(signs).items():
+        for J, w in web_space(signs).basis.items():
             assert count_weight_zero_flows(w) == 1
 
 

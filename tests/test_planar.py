@@ -7,7 +7,7 @@ from webkup.qlaurent import qint
 from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import bracket
 from webkup.planar import PlanarWeb, rewrite_bracket
-from webkup.growth import enumerate_basis
+from webkup.growth import web_space
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 CIRCLE2 = LadderWeb((3, 0), (Slice("-", 1), Slice("+", 1)))
@@ -50,8 +50,7 @@ def test_open_web_rejected():
 
 
 def _closed_pairs(signs):
-    basis = enumerate_basis(signs)
-    webs = list(basis.values())
+    webs = list(web_space(signs).basis.values())
     return [close(u, v) for u in webs for v in webs]
 
 

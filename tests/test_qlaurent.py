@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from webkup.qlaurent import LaurentPoly, ONE, ZERO, qbinom, qfact, qint
+from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled, qbinom, qfact, qint
 
 
 # strategy: small Laurent polynomials with bounded exponents/coefficients
@@ -105,6 +105,16 @@ def test_exact_div_remainder_error():
 def test_exact_div_units():
     p = LaurentPoly({5: 7, -2: 3})
     assert p.exact_div(LaurentPoly.monomial(2)) == LaurentPoly({3: 7, -4: 3})
+
+
+def test_add_scaled_removes_cancelled_entries():
+    acc = {"a": ONE, "b": qint(2)}
+    add_scaled(acc, -ONE, {"a": ONE, "c": qint(3)})
+    assert acc == {"b": qint(2), "c": -qint(3)}  # "a" cancelled: no key
+    add_scaled(acc, qint(5), {})
+    assert acc == {"b": qint(2), "c": -qint(3)}
+    add_scaled(acc, LaurentPoly.monomial(1), {"b": ONE})
+    assert acc == {"b": LaurentPoly({1: 2, -1: 1}), "c": -qint(3)}
 
 
 @given(laurents, laurents, laurents)

@@ -19,7 +19,7 @@ def test_arc_matches_golden():
 
 def test_tripod_with_flow_matches_golden():
     g = growth("+++", (1, 0, -1))
-    assert render(g.web, g.flow) == (GOLDEN / "tripod_flow.svg").read_text()
+    assert render(g.web, g) == (GOLDEN / "tripod_flow.svg").read_text()
 
 
 def test_arc_has_one_cap():
@@ -41,21 +41,21 @@ def test_empty_web_is_markers_only():
 
 def test_deterministic():
     g = growth("++--", (1, 1, -1, -1))
-    assert render(g.web, g.flow) == render(g.web, g.flow)
+    assert render(g.web, g) == render(g.web, g)
 
 
 def test_flow_overlay_only_with_flow():
     g = growth("+++", (1, 0, -1))
     bare = render(g.web)
     assert 'class="fl"' not in bare
-    assert 'class="fl"' in render(g.web, g.flow)
+    assert 'class="fl"' in render(g.web, g)
 
 
 def test_foreign_flow_rejected():
     g1 = growth("+++", (1, 0, -1))
     g2 = growth("++--", (1, 1, -1, -1))
     with pytest.raises(ValueError):
-        render(g1.web, g2.flow)
+        render(g1.web, g2)
 
 
 def test_open_bottom_gets_bottom_markers():

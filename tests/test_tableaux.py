@@ -133,7 +133,7 @@ def test_filling_flow_realizes_state():
     for f in enumerate_fillings(signs):
         J = filling_to_state(signs, f)
         grown = construct_flow(signs, J)
-        assert grown.flow.boundary == J
+        assert grown.boundary == J
 
 
 def test_flow_exists_iff_conds():
