@@ -434,8 +434,8 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
+    budget = default_budget()  # a bad setting raises here, outside the check
     def check():
-        budget = default_budget()
         rep = search_counterexample(max_strands=10, budget_s=budget)
         if rep.completed:
             expected = sum(invariant_dim(s) for s in plain_boundaries(10))

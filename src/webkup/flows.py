@@ -223,30 +223,35 @@ def start_config(lam: tuple[int, ...]) -> tuple[frozenset, ...]:
     return tuple(cfg)
 
 
-def _apply_slice(vec: dict, s) -> dict:
-    c = s.index - 1
-    out: dict[tuple, LaurentPoly] = {}
-    for cfg, poly in vec.items():
-        for X, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
-            ncfg = cfg[:c] + (nA, nB) + cfg[c + 2 :]
-            add = poly.shift(w)
-            prev = out.get(ncfg)
-            out[ncfg] = add if prev is None else prev + add
-        # note: a slice with no legal move kills the configuration
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def sweep(vec: dict, slices) -> dict:
+    """Apply ladder slices in order to a vector over color configurations,
+    on raw {exponent: coeff} dicts wrapped once at the end.  Coefficients
+    must be nonzero and in N[q, q^-1] (checked), so no sum cancels and the
+    output holds no zero without a filter."""
+    raw = {cfg: poly.coeffs for cfg, poly in vec.items()}
+    for coeffs in raw.values():
+        if min(coeffs.values(), default=0) <= 0:
+            raise ValueError(f"sweep needs nonzero coefficients in N[q, q^-1]: {coeffs}")
+    for sign, index, power in slices:
+        c = index - 1
+        out: dict[tuple, dict[int, int]] = {}
+        for cfg, coeffs in raw.items():
+            for _, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[c + 1]):
+                acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
+                for e, k in coeffs.items():
+                    acc[e + w] = acc.get(e + w, 0) + k
+        raw = out
+    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in raw.items()}
 
 
 def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
     """Top color configurations of a closed-bottom web with their exact
     Laurent coefficients, swept slice by slice from the bottom."""
-    vec = {start_config(web.bottom_weight): ONE}
-    for s in web.slices:
-        vec = _apply_slice(vec, s)
-    return vec
+    return sweep({start_config(web.bottom_weight): ONE}, web.slices)
 
 
-def config_states(cfg, lam) -> tuple[int, ...]:
-    return tuple(colorset_state(cfg[i]) for i in visible_columns(lam))
+def config_states(cfg, cols) -> tuple[int, ...]:
+    return tuple(colorset_state(cfg[i]) for i in cols)
 
 
 def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
@@ -256,21 +261,15 @@ def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
     polynomial; the top configuration of a flow determines its states
     (and conversely, so no information is lost here).
     """
-    top = web.top_weight
-    out: dict[tuple[int, ...], LaurentPoly] = {}
-    for cfg, poly in config_vector(web).items():
-        out[config_states(cfg, top)] = poly
-    return out
+    cols = visible_columns(web.top_weight)
+    return {config_states(cfg, cols): poly for cfg, poly in config_vector(web).items()}
 
 
 def bracket(web: LadderWeb) -> LaurentPoly:
     """Value of a closed web: the sum q^(weight) over all of its flows."""
     if not web.is_closed():
         raise ValueError("bracket needs a closed web")
-    exp = expansion(web)
-    if not exp:
-        return LaurentPoly.zero()
-    return exp[()]
+    return expansion(web).get((), LaurentPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -285,12 +284,12 @@ class Flow:
 
 def enumerate_flows(web: LadderWeb, boundary=None) -> list[Flow]:
     """All flows of a closed-bottom web, optionally filtered by boundary."""
-    top = web.top_weight
+    cols = visible_columns(web.top_weight)
     out: list[Flow] = []
 
     def rec(idx, cfg, moves, wsum):
         if idx == len(web.slices):
-            states = config_states(cfg, top)
+            states = config_states(cfg, cols)
             if boundary is None or states == boundary:
                 out.append(Flow(web, tuple(moves), wsum, states))
             return
@@ -572,7 +571,7 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
         for web, states in _gauge_webs():
             hits = []
             for cfg, refs in _symbolic_flows(web):
-                if config_states(cfg, web.top_weight) == states:
+                if config_states(cfg, visible_columns(web.top_weight)) == states:
                     hits.append(refs)
             if len(hits) != 1:
                 raise AssertionError(

@@ -23,7 +23,7 @@ some web (construct_flow), used by the tableau correspondence.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .qlaurent import LaurentPoly, ONE, add_scaled
@@ -236,13 +236,17 @@ class WebSpace:
 
     def __init__(self, signs: str):
         self.signs = signs
-        self.basis: dict[tuple, LadderWeb] = {}
-        for J in dominant_states(signs):
-            self.basis[J] = growth(signs, J).web
-        self.expansions = {J: expansion(w) for J, w in self.basis.items()}
-        for J, exp in self.expansions.items():
+        self.basis = {J: growth(signs, J).web for J in dominant_states(signs)}
+
+    @cached_property
+    def expansions(self) -> dict[tuple, dict]:
+        """Expansion of each basis web, built on first use and asserted
+        unitriangular: its leading state is its own, with coefficient 1."""
+        out = {J: expansion(w) for J, w in self.basis.items()}
+        for J, exp in out.items():
             if max(exp) != J or exp[J] != ONE:
-                raise AssertionError(f"expansion of {signs} {J} is not unitriangular")
+                raise AssertionError(f"expansion of {self.signs} {J} is not unitriangular")
+        return out
 
     def reduce_to_basis(self, vec: dict) -> dict:
         """Coefficients of a boundary-state vector over the web basis."""
@@ -254,7 +258,7 @@ class WebSpace:
                 raise AssertionError(
                     f"vector has leading state {k} outside the dominant set"
                 )
-            # each state leads at most once: __init__ asserts unitriangularity
+            # each state leads at most once: expansions asserts unitriangularity
             out[k] = vec[k]
             add_scaled(vec, -vec[k], self.expansions[k])
         return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, add_scaled, qint, qbinom
+from .qlaurent import LaurentPoly, ONE, add_scaled, qfact, qint, qbinom
 from .webs import (
     LadderWeb,
     Slice,
@@ -24,7 +24,7 @@ from .webs import (
     weight_of_signs,
     weights_bounded,
 )
-from .flows import _apply_slice, config_vector, kuperberg_form
+from .flows import config_vector, kuperberg_form, sweep
 from .growth import web_space
 
 Word = tuple[Slice, ...]
@@ -70,12 +70,8 @@ def _basis_vectors(signs: str):
 
 def _act(word: Word, lam, vec):
     """(weight, vector) after a word, or None when killed."""
-    for s in word:
-        lam = step_weight(lam, s)
-        if lam is None:
-            return None
-        vec = _apply_slice(vec, s)
-    return lam, vec
+    lam = word_target(lam, word)
+    return None if lam is None else (lam, sweep(vec, word))
 
 
 def combo_action(combo, lam, vec):
@@ -192,8 +188,6 @@ def verify_relations(n: int, d: int) -> int:
 def divided_power_consistent(signs: str, i: int, sign: str, a: int) -> bool:
     """A power-a rung equals the a-fold single rung divided by [a]!,
     checked on every basis web of the boundary (division must be exact)."""
-    from .qlaurent import qfact
-
     lam = weight_of_signs(signs)
     fact = qfact(a)
     for _J, vec in _basis_vectors(signs).items():

@@ -7,6 +7,7 @@ a dict mapping exponent -> nonzero int coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 
@@ -20,11 +21,14 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    self.coeffs[int(e)] = int(c)
+        self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """Wrap a built dict with no zero entry, skipping __init__'s pass."""
+        poly = object.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -78,30 +82,25 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        _add_product(acc, {0: 1}, other.coeffs)
+        return LaurentPoly._trusted(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) - c
-        return LaurentPoly(acc)
+        _add_product(acc, {0: -1}, other.coeffs)
+        return LaurentPoly._trusted(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        _add_product(acc, self.coeffs, other.coeffs)
+        return LaurentPoly._trusted(acc)
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by q^d."""
-        return LaurentPoly({e + d: c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({e + d: c for e, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -113,7 +112,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._trusted({-e: c for e, c in self.coeffs.items()})
 
     def is_bar_invariant(self) -> bool:
         return self.coeffs == self.bar().coeffs
@@ -222,16 +221,29 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 
+def _add_product(acc: dict, a: Mapping, b: Mapping) -> None:
+    """acc += a * b on raw {exponent: coeff} dicts; a cancelled entry is deleted."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c = acc.get(e, 0) + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+
+
 def add_scaled(acc: dict, c: LaurentPoly, vec: Mapping) -> None:
     """acc += c * vec in place, for state vectors {key: LaurentPoly}.
     A state vector never stores a zero coefficient: an entry that cancels
     is removed, so vectors built here or by the slice sweep need no filter."""
     for k, v in vec.items():
-        nv = acc.get(k, ZERO) + c * v
-        if nv.is_zero():
-            acc.pop(k, None)
+        raw = dict(acc[k].coeffs) if k in acc else {}
+        _add_product(raw, c.coeffs, v.coeffs)
+        if raw:
+            acc[k] = LaurentPoly._trusted(raw)
         else:
-            acc[k] = nv
+            acc.pop(k, None)
 
 
 def qint(a: int) -> LaurentPoly:
@@ -256,6 +268,7 @@ def qfact(a: int) -> LaurentPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def qbinom(top: int, bot: int) -> LaurentPoly:
     """Quantum binomial coefficient.
 

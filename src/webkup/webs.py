@@ -13,7 +13,7 @@ State characters for flow boundary values:  1, 0, m  (for +1, 0, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -101,6 +101,7 @@ class LadderWeb:
 
     bottom_weight: tuple[int, ...]
     slices: tuple[Slice, ...]
+    top_weight: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bottom_weight", tuple(self.bottom_weight))
@@ -108,7 +109,7 @@ class LadderWeb:
             self, "slices", tuple(Slice(*s) for s in self.slices)
         )
         # walk the levels once to validate everything loudly
-        self.levels()
+        object.__setattr__(self, "top_weight", self.levels()[-1])
 
     @property
     def n_cols(self) -> int:
@@ -139,16 +140,11 @@ class LadderWeb:
             out.append(tuple(lam))
         return out
 
-    @property
-    def top_weight(self) -> tuple[int, ...]:
-        return self.levels()[-1]
-
     def top_signs(self) -> str:
         return signs_of_weight(self.top_weight)
 
     def is_closed(self) -> bool:
-        lv = self.levels()
-        return all(v in (0, 3) for v in lv[0]) and all(v in (0, 3) for v in lv[-1])
+        return self.has_closed_bottom() and all(v in (0, 3) for v in self.top_weight)
 
     def has_closed_bottom(self) -> bool:
         return all(v in (0, 3) for v in self.bottom_weight)

@@ -5,6 +5,8 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 (seconds; default 1800) for the counterexample search.
 """
 
+import pytest
+
 from webkup import acceptance, dualcan
 
 
@@ -98,3 +100,10 @@ def test_criterion_13_fails_on_dropped_dominant_state(monkeypatch):
     res = acceptance.CRITERIA[13]()
     assert not res.passed
     assert res.detail == "growth and dominant states disagree at +++ (1, 0, -1)"
+
+
+def test_criterion_12_reads_a_bad_budget_outside_its_check(monkeypatch):
+    # a bad setting is a usage error for the caller, not an AC12 failure
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "abc")
+    with pytest.raises(ValueError, match="WEBKUP_SEARCH_BUDGET"):
+        acceptance.CRITERIA[12]()

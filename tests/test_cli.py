@@ -234,6 +234,19 @@ def test_search_rejects_bad_budget_setting(monkeypatch, budget):
     assert "WEBKUP_SEARCH_BUDGET" in err
 
 
+def test_search_rejects_nan_budget_flag():
+    code, out, err = run("search-counterexample", "--max-strands", "3", "--budget-s", "nan")
+    assert code == 2 and out == ""
+    assert "--budget-s" in err
+
+
+def test_selftest_bad_budget_setting_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "abc")
+    code, out, err = run("selftest", "--only", "12")
+    assert code == 2 and out == ""
+    assert "WEBKUP_SEARCH_BUDGET" in err
+
+
 def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch):
     blocker = tmp_path / "cache"
     blocker.write_text("")

@@ -1,7 +1,9 @@
 """Tests for flow state sums: expansions, brackets, forms, calibration."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, qint
 from webkup.webs import LadderWeb, Slice, close, ell
@@ -12,6 +14,7 @@ from webkup.flows import (
     calibrate_weight_table,
     colorset_for,
     colorset_state,
+    config_vector,
     count_weight_zero_flows,
     enumerate_flows,
     expansion,
@@ -21,8 +24,11 @@ from webkup.flows import (
     minus_weight,
     plus_weight,
     slice_transitions,
+    sweep,
     verify_frozen_table,
+    walk_moves,
 )
+from webkup.howe import _act, step_weight
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 CIRCLE2 = LadderWeb((3, 0), (Slice("-", 1), Slice("+", 1)))
@@ -192,3 +198,97 @@ def test_expansion_matches_flow_enumeration(web):
         by_state.setdefault(f.boundary, LaurentPoly.zero())
         by_state[f.boundary] = by_state[f.boundary] + LaurentPoly.monomial(f.weight)
     assert by_state == {k: v for k, v in exp.items() if not v.is_zero()}
+
+
+def _legal_slices(lam):
+    n = len(lam)
+    return [
+        Slice(sign, i, p)
+        for sign in "+-"
+        for i in range(1, n)
+        for p in (1, 2, 3)
+        if step_weight(lam, Slice(sign, i, p)) is not None
+    ]
+
+
+@st.composite
+def slice_word(draw, lam, max_len):
+    """Slices that each keep every column weight in 0..3, read upward."""
+    word = []
+    for _ in range(draw(st.integers(0, max_len))):
+        legal = _legal_slices(lam)
+        if not legal:
+            break
+        s = draw(st.sampled_from(legal))
+        word.append(s)
+        lam = step_weight(lam, s)
+    return tuple(word)
+
+
+@st.composite
+def closed_bottom_ladders(draw):
+    """Random ladders on 2-4 columns over an o/x bottom, with power 1, 2
+    and 3 slices."""
+    bottom = tuple(draw(st.lists(st.sampled_from((0, 3)), min_size=2, max_size=4)))
+    return LadderWeb(bottom, draw(slice_word(bottom, 6)))
+
+
+def _flow_census_by_config(web):
+    """Sum of q^weight over the flows, grouped by top configuration; it
+    walks each flow on its own and never runs the Laurent sweep."""
+    census: dict = {}
+    for f in enumerate_flows(web):
+        top = walk_moves(web, f.moves)[0][-1]
+        census.setdefault(top, Counter())[f.weight] += 1
+    return {cfg: LaurentPoly(c) for cfg, c in census.items()}
+
+
+POWER_WEBS = [
+    LadderWeb((3, 0, 0), (Slice("-", 1, 3), Slice("+", 1, 2), Slice("-", 2), Slice("-", 1))),
+    LadderWeb((3, 0, 3), (Slice("-", 1, 3), Slice("+", 1, 2), Slice("+", 2, 2), Slice("-", 2))),
+]
+
+
+@given(closed_bottom_ladders())
+@example(POWER_WEBS[0])
+@example(POWER_WEBS[1])
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_flow_census(web):
+    vec = config_vector(web)
+    assert vec == _flow_census_by_config(web)
+    assert all(poly.coeffs and 0 not in poly.coeffs.values() for poly in vec.values())
+
+
+def _check_act(web, word):
+    """_act on a whole word equals the word applied one slice at a time,
+    and the vector of the web with the word stacked on top."""
+    lam, vec = web.top_weight, config_vector(web)
+    whole = _act(word, lam, vec)
+    step = (lam, vec)
+    for s in word:
+        step = step and _act((s,), *step)
+    assert whole == step
+    if whole is not None:
+        assert whole[1] == config_vector(LadderWeb(web.bottom_weight, web.slices + word))
+    return whole
+
+
+@given(closed_bottom_ladders(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_act_word_equals_slice_by_slice(web, data):
+    word = data.draw(slice_word(web.top_weight, 4))
+    _check_act(web, word + data.draw(st.sampled_from(((), (Slice("+", 1, 3),)))))
+
+
+def test_act_power_words():
+    assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("-", 2, 2)))[0] == (0, 0, 3)
+    assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("+", 1, 3))) is None
+    assert _check_act(POWER_WEBS[1], (Slice("+", 2), Slice("-", 2, 2)))[0] == (2, 1, 3)
+
+
+def test_sweep_rejects_coefficients_outside_n_q():
+    start = {(frozenset(), FULL): ONE}
+    assert sweep(start, ()) == start
+    for bad in (-ONE, LaurentPoly.zero(), LaurentPoly({1: 1, 0: -1})):
+        with pytest.raises(ValueError):
+            sweep({(frozenset(), FULL): bad}, (Slice("+", 1),))

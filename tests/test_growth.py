@@ -174,6 +174,20 @@ def test_expansions_unitriangular():
                 assert K <= J
 
 
+def test_expansions_unitriangular_seven_and_eight_strands():
+    # expansions are built on first use, so reading them here is what checks
+    # the spaces that criterion 5 only counts
+    spaces = 0
+    for signs in ("".join(p) for n in (7, 8) for p in product("+-", repeat=n)):
+        ws = web_space(signs)
+        assert set(ws.expansions) == set(ws.basis)
+        for J, exp in ws.expansions.items():
+            assert exp[J] == ONE, (signs, J)
+            assert all(K <= J and c.is_nonnegative() for K, c in exp.items()), (signs, J)
+        spaces += 1
+    assert spaces == 128 + 256
+
+
 def test_every_basis_web_has_unique_weight_zero_flow():
     for signs in ["+-", "+++", "++--", "+-+-", "++-+--"]:
         for J, w in web_space(signs).basis.items():

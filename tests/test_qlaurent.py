@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,45 @@ def test_add_scaled_removes_cancelled_entries():
     assert acc == {"b": qint(2), "c": -qint(3)}
     add_scaled(acc, LaurentPoly.monomial(1), {"b": ONE})
     assert acc == {"b": LaurentPoly({1: 2, -1: 1}), "c": -qint(3)}
+
+
+def _reference(terms) -> LaurentPoly:
+    """Sum of c1*c2*q^(e1+e2) over (a, b) pairs of polynomials, summed in a
+    Counter and normalised by the public constructor."""
+    raw: Counter = Counter()
+    for a, b in terms:
+        for e1, c1 in a.coeffs.items():
+            for e2, c2 in b.coeffs.items():
+                raw[e1 + e2] += c1 * c2
+    return LaurentPoly(raw)
+
+
+@given(laurents, laurents, st.integers(-4, 4))
+def test_arithmetic_stores_no_zero(a, b, d):
+    c = b - a  # a + c is b: every term of a that b lacks cancels
+    results = {
+        "a+b": (a + b, _reference([(a, ONE), (b, ONE)])),
+        "a-b": (a - b, _reference([(a, ONE), (b, -ONE)])),
+        "a+c": (a + c, b),
+        "a-a": (a - a, ZERO),
+        "a+(-a)": (a + (-a), ZERO),
+        "a*b": (a * b, _reference([(a, b)])),
+        "(a+1)(a-1)": ((a + ONE) * (a - ONE), _reference([(a, a), (ONE, -ONE)])),
+        "shift": (a.shift(d), _reference([(a, LaurentPoly.monomial(d))])),
+        "bar": (a.bar().bar(), a),
+    }
+    acc = {"x": a, "y": b}
+    add_scaled(acc, ONE, {"x": -a, "y": c})  # "x" cancels exactly
+    add_scaled(acc, b, {"y": a, "z": a})
+    assert "x" not in acc
+    results["acc y"] = (acc.get("y", ZERO), _reference([(b, ONE), (c, ONE), (b, a)]))
+    if "z" in acc:
+        results["acc z"] = (acc["z"], _reference([(b, a)]))
+    for name, (got, want) in results.items():
+        assert 0 not in got.coeffs.values(), name
+        assert got == LaurentPoly(dict(got.coeffs)), name
+        assert got == want, name
+    assert all(not v.is_zero() for v in acc.values())
 
 
 @given(laurents, laurents, laurents)
