@@ -264,6 +264,9 @@ def _env_budget() -> float:
 
 
 def cmd_search(args) -> int:
+    if args.max_strands < 2:
+        # the sweep starts at 2 strands, so it would check nothing
+        raise UsageError(f"--max-strands {args.max_strands} leaves no boundary to search")
     budget = _env_budget() if args.budget_s is None else args.budget_s
     if math.isnan(budget):
         raise UsageError("--budget-s must be a number of seconds, got nan")

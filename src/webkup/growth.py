@@ -38,7 +38,7 @@ from .flows import (
     expansion,
     walk_moves,
 )
-from .tableaux import enumerate_fillings, filling_to_state, is_semistandard
+from .tableaux import semistandard_states
 
 
 class GrowthStuck(Exception):
@@ -217,13 +217,7 @@ def construct_flow(signs: str, states) -> Flow:
 
 def dominant_states(signs: str) -> list[tuple[int, ...]]:
     """The states of the semistandard fillings, in descending order."""
-    out = [
-        filling_to_state(signs, f)
-        for f in enumerate_fillings(signs)
-        if is_semistandard(f)
-    ]
-    out.sort(reverse=True)
-    return out
+    return sorted(semistandard_states(signs), reverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -74,15 +74,36 @@ def _act(word: Word, lam, vec):
     return None if lam is None else (lam, sweep(vec, word))
 
 
-def combo_action(combo, lam, vec):
-    """Apply a formal combination [(coeff, word), ...]; all surviving
-    words must land on one common weight (asserted)."""
+def word_actions(lam, vec):
+    """The action of words on one vector of weight lam, memoized: a word
+    maps to (target weight, vector), or None when it kills the vector.
+
+    A word's target and vector are its one-slice-shorter prefix's, stepped
+    and swept by its last slice, so words sharing a prefix sweep it once.
+    That equals sweeping the whole word (asserted by
+    tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
+    memo = {(): (lam, vec)}
+
+    def act(word: Word):
+        if word not in memo:
+            prev = act(word[:-1])
+            tlam = None if prev is None else step_weight(prev[0], word[-1])
+            memo[word] = None if tlam is None else (tlam, sweep(prev[1], word[-1:]))
+        return memo[word]
+
+    return act
+
+
+def combo_action(combo, act):
+    """Apply a formal combination [(coeff, word), ...] through a word
+    action act (see word_actions); all surviving words must land on one
+    common weight (asserted)."""
     target = None
     total: dict = {}
     for coeff, word in combo:
         if coeff.is_zero():
             continue
-        res = _act(word, lam, vec)
+        res = act(word)
         if res is None:
             continue
         tlam, tvec = res
@@ -171,12 +192,15 @@ def verify_relations(n: int, d: int) -> int:
         vecs = _basis_vectors(signs)
         if not vecs:
             continue
-        for name, lhs, rhs in relation_instances(lam):
-            for _J, vec in vecs.items():
-                _, a = combo_action(lhs, lam, vec)
-                _, b = combo_action(rhs, lam, vec)
+        instances = relation_instances(lam)
+        for vec in vecs.values():
+            # one vector's memo at a time keeps memory at one vector's words
+            act = word_actions(lam, vec)
+            for name, lhs, rhs in instances:
+                _, a = combo_action(lhs, act)
+                _, b = combo_action(rhs, act)
                 assert a == b, f"relation {name} fails on {lam}"
-            checked += 1
+        checked += len(instances)
     return checked
 
 

@@ -11,6 +11,9 @@ strictly increasing by construction.
 The semistandard fillings (rows weakly increasing in column order) pick
 out the dominant state strings, the ones indexing basis webs: this module
 is where that is decided, and growth.dominant_states reads them from here.
+semistandard_states decides it by a walk over the strands that prunes on
+prefix color counts and builds no other filling; enumerate_fillings
+filtered by is_semistandard is its reference in the tests.
 """
 
 from __future__ import annotations
@@ -107,6 +110,43 @@ def enumerate_fillings(signs: str) -> list[Filling]:
                 cols[c].pop()
 
     rec(1)
+    return out
+
+
+# (state, increments of the counts of colors 1, 0, -1) of a visible strand
+# of each multiplicity, in descending state order
+_COLOR_STEPS = {
+    mu: tuple((j, tuple(int(c in colorset_for(mu, j)) for c in COLOR_ORDER)) for j in COLOR_ORDER)
+    for mu in (1, 2)
+}
+
+
+def semistandard_states(signs: str) -> list[tuple[int, ...]]:
+    """The states of the semistandard fillings, building no other filling.
+
+    Columns increase strictly, so the rows increase weakly exactly when
+    the prefix counts n1, n0, n-1 of each color keep n1 >= n0 >= n-1
+    after every strand; with n1 <= load throughout the filling is also
+    balanced.  The walk over the strands cuts a branch once either fails."""
+    mus = hat_weights(signs)
+    if sum(mus) % 3:
+        return []
+    load = sum(mus) // 3
+    out: list[tuple[int, ...]] = []
+    path: list[int] = []
+
+    def rec(i, n1, n0, nm):
+        if i == len(mus):
+            out.append(tuple(path))
+            return
+        for j, (d1, d0, dm) in _COLOR_STEPS[mus[i]]:
+            a, b, c = n1 + d1, n0 + d0, nm + dm
+            if a <= load and a >= b >= c:
+                path.append(j)
+                rec(i + 1, a, b, c)
+                path.pop()
+
+    rec(0, 0, 0, 0)
     return out
 
 

@@ -7,7 +7,8 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 
 import pytest
 
-from webkup import acceptance, dualcan
+from webkup import acceptance, dualcan, howe
+from webkup.qlaurent import LaurentPoly
 
 
 def _check(number):
@@ -107,3 +108,37 @@ def test_criterion_12_reads_a_bad_budget_outside_its_check(monkeypatch):
     monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "abc")
     with pytest.raises(ValueError, match="WEBKUP_SEARCH_BUDGET"):
         acceptance.CRITERIA[12]()
+
+
+def test_criterion_06_fails_on_a_wrong_coefficient(monkeypatch):
+    # word actions are memoized, coefficients are not: a wrong one must show
+    real = howe.relation_instances
+    planted = []
+
+    def one_wrong(lam):
+        out = real(lam)
+        for k, (name, lhs, rhs) in enumerate(out):
+            if not planted and name.startswith("adjust"):
+                (coeff, word), *rest = rhs
+                out[k] = (name, lhs, [(coeff * LaurentPoly.monomial(1), word)] + rest)
+                planted.append((name, lam))
+        return out
+
+    monkeypatch.setattr(howe, "relation_instances", one_wrong)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    name, lam = planted[0]
+    assert f"relation {name} fails on {lam}" in res.detail
+
+
+def test_criterion_06_fails_on_a_dropped_instance(monkeypatch):
+    real = howe.relation_instances
+
+    def drop_one(lam):
+        out = real(lam)
+        return out[1:] if lam == (3, 0, 0) else out
+
+    monkeypatch.setattr(howe, "relation_instances", drop_one)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    assert res.detail == "three-column relation count changed: 535"

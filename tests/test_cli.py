@@ -212,6 +212,13 @@ def test_howe_verify_rejects_vacuous_runs():
         assert "no relation instance" in err
 
 
+def test_search_rejects_vacuous_runs():
+    for n in ("-3", "0", "1"):
+        code, out, err = run("search-counterexample", "--max-strands", n)
+        assert code == 2 and out == ""
+        assert "no boundary to search" in err
+
+
 def test_selftest_subset_and_bad_only():
     code, out, _ = run("selftest", "--only", "2")
     assert code == 0

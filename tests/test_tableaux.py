@@ -82,6 +82,29 @@ def test_semistandard_iff_dominant_random(chars):
         assert is_semistandard(state_to_filling(signs, J)) == (J in dom)
 
 
+def _dominant_by_filter(signs):
+    return sorted(
+        (filling_to_state(signs, f) for f in enumerate_fillings(signs) if is_semistandard(f)),
+        reverse=True,
+    )
+
+
+def test_dominant_states_match_the_semistandard_fillings():
+    """The pruned prefix walk emits exactly the semistandard fillings'
+    states, in descending order: every plain boundary of 0-8 strands and
+    every boundary of 0-5 characters over o+-x."""
+    for alphabet, top in (("+-", 8), ("o+-x", 5)):
+        for n in range(top + 1):
+            for chars in product(alphabet, repeat=n):
+                signs = "".join(chars)
+                assert dominant_states(signs) == _dominant_by_filter(signs), signs
+
+
+def test_dominant_states_rejects_bad_signs():
+    with pytest.raises(ValueError):
+        dominant_states("+a-")
+
+
 def test_enumerate_fillings_counts():
     assert center_dim("+-") == 3
     assert center_dim("+++") == 6
