@@ -93,7 +93,7 @@ def main() -> int:
     if len(gauged) != 1:
         print("ERROR: gauge did not pin a unique table", file=sys.stderr)
         return 1
-    table = flows.table_from_solution(gauged[0])
+    table = dict(sorted(gauged[0].items()))
 
     if args.print_literal:
         print("PLUS_WEIGHTS = {")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .qlaurent import LaurentPoly
@@ -268,8 +267,8 @@ def cmd_search(args) -> int:
         # the sweep starts at 2 strands, so it would check nothing
         raise UsageError(f"--max-strands {args.max_strands} leaves no boundary to search")
     budget = _env_budget() if args.budget_s is None else args.budget_s
-    if math.isnan(budget):
-        raise UsageError("--budget-s must be a number of seconds, got nan")
+    if not budget >= 0:  # also true for nan
+        raise UsageError(f"--budget-s must be a number of seconds >= 0, got {budget}")
     rep = search_counterexample(
         max_strands=args.max_strands,
         budget_s=budget,

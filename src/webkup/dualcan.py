@@ -15,7 +15,6 @@ element.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -133,11 +132,11 @@ class SearchReport:
 def default_budget() -> float:
     text = os.environ.get("WEBKUP_SEARCH_BUDGET", "1800")
     try:
-        if not math.isnan(budget := float(text)):
+        if (budget := float(text)) >= 0:  # also false for nan
             return budget
     except ValueError:
         pass
-    raise ValueError(f"WEBKUP_SEARCH_BUDGET must be a number of seconds, got {text!r}")
+    raise ValueError(f"WEBKUP_SEARCH_BUDGET must be a number of seconds >= 0, got {text!r}")
 
 
 def search_counterexample(

@@ -603,11 +603,6 @@ def calibrate_weight_table(with_gauge: bool = True):
     cons = build_constraints(with_gauge)
     allvars = _all_var_keys()
 
-    by_var: dict[tuple, list[_Constraint]] = {v: [] for v in allvars}
-    for con in cons:
-        for v in con.vars:
-            by_var[v].append(con)
-
     # static order: walk constraints from fewest variables up, appending
     # unseen variables, so equations complete as early as possible
     order: list[tuple] = []
@@ -621,73 +616,29 @@ def calibrate_weight_table(with_gauge: bool = True):
             seen.add(v)
             order.append(v)
 
-    remaining = {id(con): len(con.vars) for con in cons}
+    # each constraint is checked once, when its last variable is assigned
+    position = {v: k for k, v in enumerate(order)}
+    due: list[list[_Constraint]] = [[] for _ in order]
+    for con in cons:
+        due[max(position[v] for v in con.vars)].append(con)
+
     assign: dict[tuple, int] = {}
     solutions: list[dict] = []
 
-    def feasible(con) -> bool:
-        return con.check(assign)
-
-    def do_assign(v, val, trail) -> None:
-        # counters must always be decremented in full so undo stays exact
-        assign[v] = val
-        trail.append(v)
-        for con in by_var[v]:
-            remaining[id(con)] -= 1
-
-    def assign_var(v, val, trail) -> bool:
-        do_assign(v, val, trail)
-        queue = [v]
-        while queue:
-            w = queue.pop()
-            for con in by_var[w]:
-                if remaining[id(con)] == 0 and not feasible(con):
-                    return False
-            # single-free-variable propagation
-            for con in by_var[w]:
-                if remaining[id(con)] == 1:
-                    free = next(u for u in con.vars if u not in assign)
-                    hits = []
-                    for d in _CALIBRATION_DOMAIN:
-                        assign[free] = d
-                        if feasible(con):
-                            hits.append(d)
-                        del assign[free]
-                    if not hits:
-                        return False
-                    if len(hits) == 1:
-                        do_assign(free, hits[0], trail)
-                        queue.append(free)
-        return True
-
-    def undo(trail):
-        for v in trail:
-            del assign[v]
-            for con in by_var[v]:
-                remaining[id(con)] += 1
-
-    def search(pos) -> bool:
-        while pos < len(order) and order[pos] in assign:
-            pos += 1
-        if pos == len(order):
+    def search(k) -> bool:
+        """Extend the assignment from order[k]; True once the limit is hit."""
+        if k == len(order):
             solutions.append(dict(assign))
             return len(solutions) >= _CALIBRATION_LIMIT
-        v = order[pos]
         for val in _CALIBRATION_DOMAIN:
-            trail: list[tuple] = []
-            if assign_var(v, val, trail):
-                if search(pos + 1):
-                    undo(trail)
-                    return True
-            undo(trail)
+            assign[order[k]] = val
+            if all(con.check(assign) for con in due[k]) and search(k + 1):
+                return True
+        del assign[order[k]]
         return False
 
     search(0)
     return solutions
-
-
-def table_from_solution(sol: dict) -> dict:
-    return dict(sorted(sol.items()))
 
 
 def verify_frozen_table() -> None:

@@ -68,51 +68,21 @@ def _basis_vectors(signs: str):
     return {J: config_vector(w) for J, w in web_space(signs).basis.items()}
 
 
-def _act(word: Word, lam, vec):
-    """(weight, vector) after a word, or None when killed."""
-    lam = word_target(lam, word)
-    return None if lam is None else (lam, sweep(vec, word))
-
-
-def word_actions(lam, vec):
-    """The action of words on one vector of weight lam, memoized: a word
-    maps to (target weight, vector), or None when it kills the vector.
-
-    A word's target and vector are its one-slice-shorter prefix's, stepped
-    and swept by its last slice, so words sharing a prefix sweep it once.
-    That equals sweeping the whole word (asserted by
+def word_actions(vec):
+    """The action of live words on one vector, memoized: a word maps to
+    its one-slice-shorter prefix's vector swept by its last slice, so
+    words sharing a prefix sweep it once.  Only words that word_target
+    keeps alive may be asked for; a prefix of a live word is live.  That
+    equals sweeping the whole word (asserted by
     tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
-    memo = {(): (lam, vec)}
+    memo = {(): vec}
 
     def act(word: Word):
         if word not in memo:
-            prev = act(word[:-1])
-            tlam = None if prev is None else step_weight(prev[0], word[-1])
-            memo[word] = None if tlam is None else (tlam, sweep(prev[1], word[-1:]))
+            memo[word] = sweep(act(word[:-1]), word[-1:])
         return memo[word]
 
     return act
-
-
-def combo_action(combo, act):
-    """Apply a formal combination [(coeff, word), ...] through a word
-    action act (see word_actions); all surviving words must land on one
-    common weight (asserted)."""
-    target = None
-    total: dict = {}
-    for coeff, word in combo:
-        if coeff.is_zero():
-            continue
-        res = act(word)
-        if res is None:
-            continue
-        tlam, tvec = res
-        if target is None:
-            target = tlam
-        else:
-            assert target == tlam, "combination mixes target weights"
-        add_scaled(total, coeff, tvec)
-    return target, total
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +153,40 @@ def relation_instances(lam: tuple[int, ...]):
     return out
 
 
+def _live_terms(name: str, lam, lhs, rhs):
+    """lhs - rhs of one instance on weight lam as [(coeff, word), ...],
+    without zero coefficients and words killed on lam; the live words
+    must share one target weight (asserted)."""
+    terms = []
+    targets = set()
+    for side, negate in ((lhs, False), (rhs, True)):
+        for coeff, word in side:
+            target = word_target(lam, word)
+            if target is not None and not coeff.is_zero():
+                targets.add(target)
+                terms.append((-coeff if negate else coeff, word))
+    assert len(targets) <= 1, f"relation {name} mixes target weights on {lam}"
+    return terms
+
+
 def verify_relations(n: int, d: int) -> int:
     """Check every defining relation on every weight space of n columns
     and total weight d.  Returns the number of instances checked."""
     checked = 0
     for lam in weights_bounded(n, d):
-        signs = signs_of_weight(lam)
-        vecs = _basis_vectors(signs)
+        vecs = _basis_vectors(signs_of_weight(lam))
         if not vecs:
             continue
         instances = relation_instances(lam)
+        live = [(name, _live_terms(name, lam, lhs, rhs)) for name, lhs, rhs in instances]
         for vec in vecs.values():
             # one vector's memo at a time keeps memory at one vector's words
-            act = word_actions(lam, vec)
-            for name, lhs, rhs in instances:
-                _, a = combo_action(lhs, act)
-                _, b = combo_action(rhs, act)
-                assert a == b, f"relation {name} fails on {lam}"
+            act = word_actions(vec)
+            for name, terms in live:
+                residue: dict = {}
+                for coeff, word in terms:
+                    add_scaled(residue, coeff, act(word))
+                assert not residue, f"relation {name} fails on {lam}"
         checked += len(instances)
     return checked
 
@@ -213,18 +200,16 @@ def divided_power_consistent(signs: str, i: int, sign: str, a: int) -> bool:
     """A power-a rung equals the a-fold single rung divided by [a]!,
     checked on every basis web of the boundary (division must be exact)."""
     lam = weight_of_signs(signs)
+    direct, repeated = (Slice(sign, i, a),), (Slice(sign, i),) * a
+    target = word_target(lam, direct)
+    if target != word_target(lam, repeated):
+        return False  # the two words must be killed, or land, together
+    if target is None:
+        return True
     fact = qfact(a)
-    for _J, vec in _basis_vectors(signs).items():
-        direct = _act((Slice(sign, i, a),), lam, vec)
-        repeated = _act((Slice(sign, i),) * a, lam, vec)
-        if direct is None or repeated is None:
-            if direct is not None or repeated is not None:
-                return False
-            continue
-        dl, dv = direct
-        rl, rv = repeated
-        assert dl == rl
-        if {cfg: poly.exact_div(fact) for cfg, poly in rv.items()} != dv:
+    for vec in _basis_vectors(signs).values():
+        divided = {cfg: p.exact_div(fact) for cfg, p in sweep(vec, repeated).items()}
+        if divided != sweep(vec, direct):
             return False
     return True
 

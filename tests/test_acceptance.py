@@ -8,7 +8,8 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 import pytest
 
 from webkup import acceptance, dualcan, howe
-from webkup.qlaurent import LaurentPoly
+from webkup.qlaurent import LaurentPoly, ONE
+from webkup.webs import Slice
 
 
 def _check(number):
@@ -142,3 +143,22 @@ def test_criterion_06_fails_on_a_dropped_instance(monkeypatch):
     res = acceptance.CRITERIA[6]()
     assert not res.passed
     assert res.detail == "three-column relation count changed: 535"
+
+
+def test_criterion_06_fails_on_a_term_with_another_target(monkeypatch):
+    # every live word of an instance must land on one weight
+    real = howe.relation_instances
+    planted = []
+
+    def one_stray(lam):
+        out = real(lam)
+        if not planted and lam == (1, 1, 1):
+            name, lhs, rhs = out[0]
+            out[0] = (name, lhs, rhs + [(ONE, (Slice("+", 1),))])
+            planted.append(name)
+        return out
+
+    monkeypatch.setattr(howe, "relation_instances", one_stray)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    assert f"relation {planted[0]} mixes target weights" in res.detail

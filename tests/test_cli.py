@@ -233,7 +233,7 @@ def test_selftest_rejects_empty_only():
     assert "--only" in err
 
 
-@pytest.mark.parametrize("budget", ["abc", "nan", ""])
+@pytest.mark.parametrize("budget", ["abc", "nan", "", "-1"])
 def test_search_rejects_bad_budget_setting(monkeypatch, budget):
     monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", budget)
     code, out, err = run("search-counterexample", "--max-strands", "3")
@@ -247,8 +247,21 @@ def test_search_rejects_nan_budget_flag():
     assert "--budget-s" in err
 
 
+def test_search_rejects_negative_budget_flag():
+    code, out, err = run("search-counterexample", "--max-strands", "3", "--budget-s", "-1")
+    assert code == 2 and out == ""
+    assert "--budget-s" in err
+
+
 def test_selftest_bad_budget_setting_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "abc")
+    code, out, err = run("selftest", "--only", "12")
+    assert code == 2 and out == ""
+    assert "WEBKUP_SEARCH_BUDGET" in err
+
+
+def test_selftest_negative_budget_setting_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "-1")
     code, out, err = run("selftest", "--only", "12")
     assert code == 2 and out == ""
     assert "WEBKUP_SEARCH_BUDGET" in err

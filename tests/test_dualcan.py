@@ -181,5 +181,7 @@ def test_search_budget_env(monkeypatch):
 
     monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "7.5")
     assert default_budget() == 7.5
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "0")
+    assert default_budget() == 0.0
     monkeypatch.delenv("WEBKUP_SEARCH_BUDGET")
     assert default_budget() == 1800.0

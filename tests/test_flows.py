@@ -1,6 +1,7 @@
 """Tests for flow state sums: expansions, brackets, forms, calibration."""
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from webkup.qlaurent import LaurentPoly, ONE, qint
 from webkup.webs import LadderWeb, Slice, close, ell
 from webkup.flows import (
+    COLORS,
     FULL,
+    PLUS_WEIGHTS,
     bracket,
     build_constraints,
     calibrate_weight_table,
@@ -28,7 +31,7 @@ from webkup.flows import (
     verify_frozen_table,
     walk_moves,
 )
-from webkup.howe import _act, step_weight
+from webkup.howe import step_weight, word_actions, word_target
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 CIRCLE2 = LadderWeb((3, 0), (Slice("-", 1), Slice("+", 1)))
@@ -50,6 +53,13 @@ def test_colorset_state():
 
 def test_frozen_weight_table_satisfies_constraints():
     verify_frozen_table()
+
+
+@pytest.mark.parametrize("key", sorted(PLUS_WEIGHTS))
+def test_frozen_table_check_catches_one_wrong_entry(monkeypatch, key):
+    monkeypatch.setitem(PLUS_WEIGHTS, key, PLUS_WEIGHTS[key] + 1)
+    with pytest.raises(AssertionError):
+        verify_frozen_table()
 
 
 def test_cup_weights():
@@ -158,14 +168,25 @@ def test_bracket_reflection_invariant():
 
 
 def test_calibration_is_unique_with_gauge():
-    sols = calibrate_weight_table(with_gauge=True)
-    assert len(sols) == 1
+    assert calibrate_weight_table(with_gauge=True) == [PLUS_WEIGHTS]
+
+
+def _relabeled(table, perm):
+    def colors(cs):
+        return tuple(sorted(perm[c] for c in cs))
+
+    return {(colors(A), colors(B), perm[x]): w for (A, B, x), w in table.items()}
 
 
 def test_calibration_six_solutions_without_gauge():
     # the color-relabeling orbit
     sols = calibrate_weight_table(with_gauge=False)
     assert len(sols) == 6
+    orbit = {
+        frozenset(_relabeled(PLUS_WEIGHTS, dict(zip(COLORS, p))).items())
+        for p in permutations(COLORS)
+    }
+    assert {frozenset(sol.items()) for sol in sols} == orbit
 
 
 def test_constraint_count_sane():
@@ -260,17 +281,16 @@ def test_sweep_matches_flow_census(web):
 
 
 def _check_act(web, word):
-    """_act on a whole word equals the word applied one slice at a time,
-    and the vector of the web with the word stacked on top."""
+    """The memoized action of a live word equals sweeping the whole word,
+    and the vector of the web with the word stacked on top.  Returns the
+    word's target weight, None when the word kills the web."""
     lam, vec = web.top_weight, config_vector(web)
-    whole = _act(word, lam, vec)
-    step = (lam, vec)
-    for s in word:
-        step = step and _act((s,), *step)
-    assert whole == step
-    if whole is not None:
-        assert whole[1] == config_vector(LadderWeb(web.bottom_weight, web.slices + word))
-    return whole
+    target = word_target(lam, word)
+    if target is not None:
+        whole = word_actions(vec)(word)
+        assert whole == sweep(vec, word)
+        assert whole == config_vector(LadderWeb(web.bottom_weight, web.slices + word))
+    return target
 
 
 @given(closed_bottom_ladders(), st.data())
@@ -281,9 +301,9 @@ def test_act_word_equals_slice_by_slice(web, data):
 
 
 def test_act_power_words():
-    assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("-", 2, 2)))[0] == (0, 0, 3)
+    assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("-", 2, 2))) == (0, 0, 3)
     assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("+", 1, 3))) is None
-    assert _check_act(POWER_WEBS[1], (Slice("+", 2), Slice("-", 2, 2)))[0] == (2, 1, 3)
+    assert _check_act(POWER_WEBS[1], (Slice("+", 2), Slice("-", 2, 2))) == (2, 1, 3)
 
 
 def test_sweep_rejects_coefficients_outside_n_q():
