@@ -24,6 +24,7 @@ from .webs import (
     LadderWeb,
     Slice,
     close,
+    ell,
     empty_web,
     signs_of_weight,
     weight_of_signs,
@@ -323,7 +324,8 @@ def criterion_8() -> CriterionResult:
                 for k, c in exp.items():
                     if k != J:
                         expect = expect + c * c
-                if lusztig_form(u, u) != expect:
+                closed = bracket(close(u, u)).shift(-ell(signs))
+                if lusztig_form(u, u) != expect or closed != expect:
                     return False, f"diagonal form value differs at {signs} {J}"
                 diag += 1
             for u in space.basis.values():

@@ -201,11 +201,6 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
     return tuple(out)
 
 
-def slice_transitions(sign: str, power: int, A: frozenset, B: frozenset):
-    """All (moved color set, weight) options for one slice on sets (A, B)."""
-    return tuple((X, w) for X, _, _, w in _power_transitions(sign, power, A, B))
-
-
 # ---------------------------------------------------------------------------
 # sweeping ladders
 # ---------------------------------------------------------------------------
@@ -411,15 +406,6 @@ def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:
         if b is not None:
             out = out + a * b
     return out
-
-
-def kuperberg_form_vec(coeffs_u: dict, coeffs_v: dict, webs: dict) -> LaurentPoly:
-    """Sesquilinear extension to web combinations (bar on left scalars)."""
-    tot = LaurentPoly.zero()
-    for ju, fu in coeffs_u.items():
-        for jv, gv in coeffs_v.items():
-            tot = tot + fu.bar() * gv * kuperberg_form(webs[ju], webs[jv])
-    return tot
 
 
 # ---------------------------------------------------------------------------

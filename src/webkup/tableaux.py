@@ -153,21 +153,3 @@ def semistandard_states(signs: str) -> list[tuple[int, ...]]:
 def center_dim(signs: str) -> int:
     """Number of balanced fillings of the boundary."""
     return len(enumerate_fillings(signs))
-
-
-def strip_triple(filling: Filling):
-    """Remove the last row; returns (smaller filling, removed triple)."""
-    if not is_balanced(filling) or not filling[0]:
-        raise ValueError("need a balanced nonempty filling")
-    triple = tuple(col[-1] for col in filling)
-    return tuple(col[:-1] for col in filling), triple
-
-
-def insert_triple(filling: Filling, triple) -> Filling:
-    """Append one row; entries must extend each column strictly."""
-    out = []
-    for col, v in zip(filling, triple):
-        if col and col[-1] >= v:
-            raise ValueError("triple does not extend the columns")
-        out.append(col + (v,))
-    return tuple(out)

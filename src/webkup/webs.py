@@ -14,7 +14,6 @@ State characters for flow boundary values:  1, 0, m  (for +1, 0, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator, NamedTuple
 
 SIGN_TO_WEIGHT = {"o": 0, "+": 1, "-": 2, "x": 3}
@@ -75,13 +74,6 @@ def weights_bounded(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def weights_visible(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Weight vectors with every entry 1 or 2 (fully visible strings)."""
-    for lam in product((1, 2), repeat=n):
-        if sum(lam) == total:
-            yield lam
-
-
 class Slice(NamedTuple):
     """One ladder rung: sign '+' moves weight toward the smaller column
     index, '-' away from it; index is 1-based (acts on columns index,
@@ -93,6 +85,18 @@ class Slice(NamedTuple):
 
     def reflected(self) -> "Slice":
         return Slice("-" if self.sign == "+" else "+", self.index, self.power)
+
+
+def step_weight(lam: tuple[int, ...], s: Slice):
+    """Weight after one rung, or None if it leaves 0..3."""
+    c = s.index - 1
+    if not 1 <= s.index <= len(lam) - 1:
+        raise ValueError(f"slice index out of range: {s}")
+    d = s.power if s.sign == "+" else -s.power
+    a, b = lam[c] + d, lam[c + 1] - d
+    if not (0 <= a <= 3 and 0 <= b <= 3):
+        return None
+    return lam[:c] + (a, b) + lam[c + 2 :]
 
 
 @dataclass(frozen=True)
@@ -117,27 +121,19 @@ class LadderWeb:
 
     def levels(self) -> list[tuple[int, ...]]:
         """Weight vectors between slices, bottom first (len(slices)+1 of them)."""
-        n = len(self.bottom_weight)
-        lam = list(self.bottom_weight)
+        lam = self.bottom_weight
         if any(v not in (0, 1, 2, 3) for v in lam):
-            raise ValueError(f"bottom weight out of range: {lam}")
-        out = [tuple(lam)]
+            raise ValueError(f"bottom weight out of range: {list(lam)}")
+        out = [lam]
         for s in self.slices:
-            if s.sign not in "+-":
+            if s.sign not in ("+", "-"):
                 raise ValueError(f"bad slice sign: {s}")
-            if not 1 <= s.index <= n - 1:
-                raise ValueError(f"slice index out of range: {s}")
             if not 1 <= s.power <= 3:
                 raise ValueError(f"slice power out of range: {s}")
-            c = s.index - 1
-            d = s.power if s.sign == "+" else -s.power
-            lam[c] += d
-            lam[c + 1] -= d
-            if not (0 <= lam[c] <= 3 and 0 <= lam[c + 1] <= 3):
-                raise ValueError(
-                    f"slice {s} leaves the weight range 0..3: {tuple(lam)}"
-                )
-            out.append(tuple(lam))
+            lam = step_weight(lam, s)
+            if lam is None:
+                raise ValueError(f"slice {s} leaves the weight range 0..3 above {out[-1]}")
+            out.append(lam)
         return out
 
     def top_signs(self) -> str:
@@ -174,11 +170,16 @@ class LadderWeb:
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderWeb":
+        def integer(v):
+            if type(v) is not int:  # bool, float and str are not read as ints
+                raise ValueError(f"expected a JSON integer, got {v!r}")
+            return v
+
         slices = tuple(
-            Slice(s["sign"], int(s["index"]), int(s.get("power", 1)))
+            Slice(s["sign"], integer(s["index"]), integer(s.get("power", 1)))
             for s in data["slices"]
         )
-        return cls(tuple(int(v) for v in data["bottom_weight"]), slices)
+        return cls(tuple(integer(v) for v in data["bottom_weight"]), slices)
 
 
 def empty_web(lam: tuple[int, ...]) -> LadderWeb:

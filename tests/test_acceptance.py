@@ -8,7 +8,7 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 import pytest
 
 from webkup import acceptance, dualcan, howe
-from webkup.qlaurent import LaurentPoly, ONE
+from webkup.qlaurent import LaurentPoly
 from webkup.webs import Slice
 
 
@@ -118,10 +118,10 @@ def test_criterion_06_fails_on_a_wrong_coefficient(monkeypatch):
 
     def one_wrong(lam):
         out = real(lam)
-        for k, (name, lhs, rhs) in enumerate(out):
-            if not planted and name.startswith("adjust"):
-                (coeff, word), *rest = rhs
-                out[k] = (name, lhs, [(coeff * LaurentPoly.monomial(1), word)] + rest)
+        for k, (name, terms) in enumerate(out):
+            if not planted and name.startswith("adjust") and terms:
+                (coeff, word), *rest = terms
+                out[k] = (name, [(coeff * LaurentPoly.monomial(1), word)] + rest)
                 planted.append((name, lam))
         return out
 
@@ -147,18 +147,23 @@ def test_criterion_06_fails_on_a_dropped_instance(monkeypatch):
 
 def test_criterion_06_fails_on_a_term_with_another_target(monkeypatch):
     # every live word of an instance must land on one weight
-    real = howe.relation_instances
-    planted = []
+    real = howe.word_target
+    stray = (Slice("-", 1), Slice("+", 1))  # the first word of schur 11
 
-    def one_stray(lam):
-        out = real(lam)
-        if not planted and lam == (1, 1, 1):
-            name, lhs, rhs = out[0]
-            out[0] = (name, lhs, rhs + [(ONE, (Slice("+", 1),))])
-            planted.append(name)
-        return out
+    def one_stray(lam, word):
+        target = real(lam, word)
+        return (0, 2, 1) if (lam, word) == ((1, 1, 1), stray) else target
 
-    monkeypatch.setattr(howe, "relation_instances", one_stray)
+    monkeypatch.setattr(howe, "word_target", one_stray)
     res = acceptance.CRITERIA[6]()
     assert not res.passed
-    assert f"relation {planted[0]} mixes target weights" in res.detail
+    assert "relation schur 11 mixes target weights on (1, 1, 1)" in res.detail
+
+
+def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch):
+    # the diagonal form value must match the closed-web route too
+    real = acceptance.bracket
+    monkeypatch.setattr(acceptance, "bracket", lambda w: real(w) * LaurentPoly.monomial(1))
+    res = acceptance.CRITERIA[8]()
+    assert not res.passed
+    assert res.detail == "diagonal form value differs at +- (1, -1)"

@@ -71,6 +71,32 @@ def test_eval_missing_file():
     assert code == 2 and "cannot read" in err
 
 
+def _circle_doc(sign="-", index=1, power=1, bottom=(0, 3)):
+    """The circle web's JSON with one field replaced."""
+    slices = [{"sign": "+", "index": index, "power": power}, {"sign": sign, "index": 1}]
+    return {"bottom_weight": list(bottom), "slices": slices}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _circle_doc(sign=""),
+        _circle_doc(sign="+-"),
+        _circle_doc(power=1.9),
+        _circle_doc(index=True),
+        _circle_doc(bottom=[0, "3"]),
+        _circle_doc(bottom=[0, 3.7]),
+    ],
+    ids=["empty-sign", "compound-sign", "float-power", "bool-index", "str-weight", "float-weight"],
+)
+def test_eval_rejects_a_malformed_web(tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run("eval", "--closed", str(p), "--route", "both")
+    assert (code, out) == (2, "")
+    assert "is not a ladder web" in err
+
+
 def test_expand_web_file(tmp_path):
     p = tmp_path / "tripod.json"
     p.write_text(json.dumps(TRIPOD.to_json()))

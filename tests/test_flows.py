@@ -12,6 +12,7 @@ from webkup.flows import (
     COLORS,
     FULL,
     PLUS_WEIGHTS,
+    _power_transitions,
     bracket,
     build_constraints,
     calibrate_weight_table,
@@ -22,11 +23,9 @@ from webkup.flows import (
     enumerate_flows,
     expansion,
     kuperberg_form,
-    kuperberg_form_vec,
     lusztig_form,
     minus_weight,
     plus_weight,
-    slice_transitions,
     sweep,
     verify_frozen_table,
     walk_moves,
@@ -125,10 +124,11 @@ def test_flow_counts():
 
 def test_divided_power_transitions():
     got = sorted(
-        (tuple(sorted(X)), w) for X, w in slice_transitions("+", 2, frozenset(), FULL)
+        (tuple(sorted(X)), w)
+        for X, _, _, w in _power_transitions("+", 2, frozenset(), FULL)
     )
     assert got == [((-1, 0), -2), ((-1, 1), -1), ((0, 1), 0)]
-    full = list(slice_transitions("+", 3, frozenset(), FULL))
+    full = [(X, w) for X, _, _, w in _power_transitions("+", 3, frozenset(), FULL)]
     assert full == [(FULL, 0)]
 
 
@@ -146,15 +146,6 @@ def test_form_normalizations_agree():
     for u in (ARC, TRIPOD):
         n = ell(u.top_signs())
         assert kuperberg_form(u, u) == lusztig_form(u, u).shift(2 * n)
-
-
-def test_form_vec_sesquilinear():
-    webs = {"a": ARC}
-    f = P([(1, 2)])  # 2q
-    lhs = kuperberg_form_vec({"a": f}, {"a": ONE}, webs)
-    assert lhs == f.bar() * kuperberg_form(ARC, ARC)
-    rhs = kuperberg_form_vec({"a": ONE}, {"a": f}, webs)
-    assert rhs == f * kuperberg_form(ARC, ARC)
 
 
 def test_closed_values_bar_invariant():
@@ -199,10 +190,11 @@ def test_power_slices_compose(power, shift):
     # a power move on the full column is a single transition of weight 0
     A = frozenset()
     B = FULL
+    moves = [(X, w) for X, _, _, w in _power_transitions("+", power, A, B)]
     if power == 3:
-        assert list(slice_transitions("+", 3, A, B)) == [(FULL, 0)]
+        assert moves == [(FULL, 0)]
     else:
-        for X, w in slice_transitions("+", power, A, B):
+        for X, w in moves:
             assert len(X) == power
 
 

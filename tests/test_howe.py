@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from webkup import howe
 from webkup.qlaurent import LaurentPoly, ONE
 from webkup.webs import LadderWeb, Slice, empty_web, weight_of_signs
 from webkup.flows import expansion
@@ -49,12 +50,22 @@ def test_relations_small_spaces():
 
 
 def test_divided_power_two_routes():
-    for signs in ("+-o", "ox+", "++--"):
+    # +-xo has one basis web, and (3, "-", 3) lands on it
+    for signs in ("+-o", "ox+", "++--", "+-xo"):
         n = len(signs)
         for i in range(1, n):
             for sign in "+-":
                 for a in (1, 2, 3):
                     assert divided_power_consistent(signs, i, sign, a)
+
+
+@pytest.mark.parametrize(
+    "signs, i, sign, a", [("+-o", 1, "+", 2), ("+-xo", 3, "-", 3)], ids=["raise-2", "lower-3"]
+)
+def test_divided_power_fails_on_a_wrong_factorial(monkeypatch, signs, i, sign, a):
+    real = howe.qfact
+    monkeypatch.setattr(howe, "qfact", lambda k: real(k) * LaurentPoly.monomial(1))
+    assert not divided_power_consistent(signs, i, sign, a)
 
 
 def test_tripod_word():

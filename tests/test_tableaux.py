@@ -12,12 +12,10 @@ from webkup.tableaux import (
     enumerate_fillings,
     filling_to_state,
     hat_weights,
-    insert_triple,
     is_balanced,
     is_semistandard,
     satisfies_conds,
     state_to_filling,
-    strip_triple,
 )
 
 
@@ -128,27 +126,6 @@ def test_enumerate_matches_conds_filter():
             if satisfies_conds(signs, J)
         )
         assert sorted(enumerate_fillings(signs)) == by_filter
-
-
-def test_strip_insert_roundtrip():
-    f = ((1, 2, 3), (4, 5, 6), (3, 5, 6))
-    smaller, triple = strip_triple(f)
-    assert smaller == ((1, 2), (4, 5), (3, 5))
-    assert triple == (3, 6, 6)
-    assert insert_triple(smaller, triple) == f
-
-
-def test_strip_insert_roundtrip_everywhere():
-    for f in enumerate_fillings("++--"):
-        smaller, triple = strip_triple(f)
-        assert insert_triple(smaller, triple) == f
-
-
-def test_insert_requires_strict_extension():
-    with pytest.raises(ValueError):
-        insert_triple(((1,), (2,), (3,)), (1, 3, 4))
-    with pytest.raises(ValueError):
-        strip_triple(((1,), (1, 2), (2,)))
 
 
 def test_filling_flow_realizes_state():

@@ -16,7 +16,6 @@ from webkup.webs import (
     visible_columns,
     weight_of_signs,
     weights_bounded,
-    weights_visible,
 )
 
 
@@ -50,10 +49,6 @@ def test_state_strings():
 def test_weights_bounded_count():
     # compositions of 6 into 6 parts bounded by 3
     assert len(list(weights_bounded(6, 6))) == 336
-
-
-def test_weights_visible():
-    assert set(weights_visible(3, 4)) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
 
 
 def test_ladder_levels():
