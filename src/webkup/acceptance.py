@@ -374,8 +374,8 @@ def criterion_10() -> CriterionResult:
             for u in space.basis.values():
                 for v in space.basis.values():
                     w = close(u, v)
-                    colorings = len(enumerate_flows(w))
-                    if colorings != coloring_count(w):
+                    colorings = coloring_count(w)
+                    if colorings != bracket(w).eval_at_one():
                         return False, f"coloring count differs from q=1 value at {signs}"
                     lhs += colorings
             rhs = sum(c * c for c in flow_census(signs).values())

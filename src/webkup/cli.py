@@ -293,8 +293,11 @@ def cmd_render(args) -> int:
     if args.out == "-":
         sys.stdout.write(svg)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
     return 0
 
 

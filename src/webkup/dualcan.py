@@ -22,8 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .qlaurent import LaurentPoly, ONE, add_scaled
-# lusztig_form_vec lives in flows; it stays importable from here
-from .flows import count_weight_zero_flows, lusztig_form_vec
+from .flows import count_weight_zero_flows
 from .growth import dominant_states, growth, web_space
 
 

@@ -185,10 +185,6 @@ class LaurentPoly:
 
     # -- serialization --------------------------------------------------
 
-    def to_pairs(self) -> list[list[int]]:
-        """JSON form: [[exponent, coeff], ...] with exponents decreasing."""
-        return [[e, self.coeffs[e]] for e in sorted(self.coeffs, reverse=True)]
-
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Inverse of str(): reads the canonical text form back."""

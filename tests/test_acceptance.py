@@ -7,9 +7,34 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 
 import pytest
 
-from webkup import acceptance, dualcan, howe
+from webkup import acceptance, dualcan, flows, growth, howe
 from webkup.qlaurent import LaurentPoly
 from webkup.webs import Slice
+
+
+# every cache holding a table derived from the flow weights
+DERIVED_TABLES = (
+    flows._power_transitions,
+    flows._weight_window,
+    growth._rule_moves,
+    growth.canonical_rule_tables,
+    growth._h_strategy_keys,
+    growth._rule_priority,
+    growth.web_space,
+    dualcan.dual_canonical_basis,
+    howe._basis_vectors,
+)
+
+
+@pytest.fixture
+def fresh_tables():
+    """Rebuild the derived tables around a planted fault, so the fault
+    reaches the criterion and no later test reads a faulty table."""
+    for table in DERIVED_TABLES:
+        table.cache_clear()
+    yield
+    for table in DERIVED_TABLES:
+        table.cache_clear()
 
 
 def _check(number):
@@ -167,3 +192,44 @@ def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch):
     res = acceptance.CRITERIA[8]()
     assert not res.passed
     assert res.detail == "diagonal form value differs at +- (1, -1)"
+
+
+def test_criterion_10_fails_on_a_dropped_transition(monkeypatch, fresh_tables):
+    # only flows' binding is wrong, so growth still builds the true webs;
+    # the Tait count reads no transition and must differ from the bracket
+    real = flows._power_transitions
+    key = ("-", 1, flows.FULL, frozenset())
+
+    def drop_last(*args):
+        moves = real(*args)
+        return moves[:-1] if args == key else moves
+
+    monkeypatch.setattr(flows, "_power_transitions", drop_last)
+    res = acceptance.CRITERIA[10]()
+    assert not res.passed
+    assert res.detail == "coloring count differs from q=1 value at -+"
+
+
+def test_criterion_01_fails_on_a_wrong_weight(monkeypatch, fresh_tables):
+    # many other keys make growth or a divided power raise instead
+    key = ((), (-1, 0, 1), -1)
+    monkeypatch.setitem(flows.PLUS_WEIGHTS, key, flows.PLUS_WEIGHTS[key] + 1)
+    res = acceptance.CRITERIA[1]()
+    assert not res.passed
+    assert res.detail == "evaluators disagree on a closure over +-"
+
+
+def test_criterion_05_fails_on_a_wrong_oracle(monkeypatch):
+    real = acceptance.invariant_dim
+    monkeypatch.setattr(acceptance, "invariant_dim", lambda signs: real(signs) + 1)
+    res = acceptance.CRITERIA[5]()
+    assert not res.passed
+    assert res.detail == "basis count disagrees with tensor oracle at ++"
+
+
+def test_criterion_11_fails_on_a_shifted_bar_top(monkeypatch, fresh_tables):
+    real = dualcan.bar_symmetric_top
+    monkeypatch.setattr(dualcan, "bar_symmetric_top", lambda p: real(p.shift(1)))
+    res = acceptance.CRITERIA[11]()
+    assert not res.passed
+    assert res.detail.startswith("error: AssertionError('correction failed: ")

@@ -209,6 +209,13 @@ def test_render_to_file(tmp_path):
     assert 'class="fl"' not in out_path.read_text()
 
 
+def test_render_to_an_unwritable_path(tmp_path):
+    out_path = tmp_path / "missing" / "x.svg"
+    code, out, err = run("render", "+-", "1m", "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert f"cannot write {out_path}" in err
+
+
 def test_render_web_file(tmp_path, circle_file):
     code, out, _ = run("render", "--web", circle_file)
     assert code == 0 and out.startswith("<svg")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO
 from webkup.webs import LadderWeb, Slice
-from webkup.flows import expansion
+from webkup.flows import expansion, lusztig_form_vec
 from webkup.growth import web_space
 from webkup.howe import _basis_vectors
 from webkup.dualcan import (
@@ -16,7 +16,6 @@ from webkup.dualcan import (
     bar_symmetric_top,
     dual_canonical_basis,
     is_bar_invariant_vec,
-    lusztig_form_vec,
     search_counterexample,
     strictly_below_one,
     web_matches_dual_canonical,

@@ -9,63 +9,41 @@ from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import enumerate_flows
 from webkup.growth import flow_census, web_space
 from webkup.tableaux import center_dim, satisfies_conds
-from webkup.gornik import (
-    OMEGA,
-    block_states,
-    coloring_count,
-    eis_add,
-    eis_mul,
-    junction_triples,
-    junctions_satisfy_root_relations,
-    pairwise_coloring_counts,
-    sum_of_squares_identity,
-)
+from webkup.gornik import block_states, coloring_count
+from webkup.planar import PlanarWeb
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 TRIPOD = LadderWeb((3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1)))
 THETA = close(TRIPOD, TRIPOD)
 
-ONE_E = (1, 0)
-ZETA = (0, 1)
-ZETA2 = (-1, -1)
-
-
-def test_eisenstein_arithmetic():
-    assert eis_mul(ZETA, ZETA) == ZETA2
-    assert eis_mul(ZETA, ZETA2) == ONE_E
-    assert eis_add(eis_add(ONE_E, ZETA), ZETA2) == (0, 0)
-    assert OMEGA[0] == ONE_E and OMEGA[1] == ZETA and OMEGA[-1] == ZETA2
-
 
 def test_coloring_counts():
     assert coloring_count(CIRCLE) == 3
     assert coloring_count(THETA) == 6
+    with pytest.raises(ValueError):
+        coloring_count(TRIPOD)
 
 
 def test_theta_junctions():
-    flows = enumerate_flows(THETA)
-    assert len(flows) == 6
-    for f in flows:
-        triples = junction_triples(f)
-        assert len(triples) == 2
-        for t in triples:
-            assert sorted(t) == [-1, 0, 1]
-        assert junctions_satisfy_root_relations(f)
+    """The theta graph has two junctions; its Tait colorings are its flows."""
+    assert len(PlanarWeb.from_ladder(THETA).nodes) == 2
+    assert coloring_count(THETA) == len(enumerate_flows(THETA)) == 6
 
 
 def test_circle_has_no_junctions():
-    for f in enumerate_flows(CIRCLE):
-        assert junction_triples(f) == []
-        assert junctions_satisfy_root_relations(f)
+    pw = PlanarWeb.from_ladder(CIRCLE)
+    assert not pw.nodes and pw.loops == 1
+    assert coloring_count(CIRCLE) == len(enumerate_flows(CIRCLE)) == 3
 
 
 def test_root_relations_on_basis_closures():
+    """A flow whose junctions carry all three roots is a Tait coloring."""
     for signs in ("+-", "++--"):
         space = web_space(signs)
         for u in space.basis.values():
             for v in space.basis.values():
-                for f in enumerate_flows(close(u, v)):
-                    assert junctions_satisfy_root_relations(f)
+                w = close(u, v)
+                assert coloring_count(w) == len(enumerate_flows(w))
 
 
 def test_block_count_equals_center_dim():
@@ -97,7 +75,9 @@ def test_sum_of_squares_identity():
         "+++---": 771,
     }
     for signs, value in expected.items():
-        lhs, rhs = sum_of_squares_identity(signs)
+        basis = web_space(signs).basis.values()
+        lhs = sum(coloring_count(close(u, v)) for u in basis for v in basis)
+        rhs = sum(m * m for m in flow_census(signs).values())
         assert lhs == rhs == value
 
 
@@ -105,7 +85,6 @@ def test_pairwise_counts_decompose_by_boundary():
     """Colorings of a closure split as a sum over shared flow boundaries."""
     signs = "+-+-"
     space = web_space(signs)
-    counts = pairwise_coloring_counts(signs)
     for Ju, u in space.basis.items():
         per_u = {}
         for f in enumerate_flows(u):
@@ -117,7 +96,7 @@ def test_pairwise_counts_decompose_by_boundary():
             total = sum(
                 per_u[J] * per_v.get(J, 0) for J in per_u
             )
-            assert counts[(Ju, Jv)] == total
+            assert coloring_count(close(u, v)) == total
 
 
 def test_flow_census_and_block_states_match_references():

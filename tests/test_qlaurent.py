@@ -53,11 +53,6 @@ def test_str_negative_coeffs_and_zero():
     assert str(p) == "-q^2 + 3 - 2*q^-1"
 
 
-def test_to_pairs_descending():
-    theta = qint(2) * qint(3)
-    assert theta.to_pairs() == [[3, 1], [1, 2], [-1, 2], [-3, 1]]
-
-
 def test_qfact():
     assert qfact(0) == ONE
     assert qfact(3) == qint(1) * qint(2) * qint(3)
