@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .qlaurent import LaurentPoly, ONE, add_scaled
-from .flows import count_weight_zero_flows
+from .flows import count_weight_zero_flows, expansion
 from .growth import dominant_states, growth, web_space
 
 
@@ -100,6 +100,21 @@ def web_matches_dual_canonical(signs: str, J: tuple[int, ...]) -> bool:
     return space.expansions[J] == db.elements[J]
 
 
+def web_is_dual_canonical(web, J: tuple[int, ...]) -> bool:
+    """Whether the basis web with leading state J is its dual canonical
+    element, read off the web's own expansion.
+
+    The web is bar-invariant with leading coefficient 1, and the dual
+    canonical element is the one such vector whose other coefficients all
+    lie in q^-1 Z[q^-1]; so the two agree exactly when the web's do.
+    web_matches_dual_canonical, which builds the whole space, is the
+    reference this is tested against."""
+    exp = expansion(web)
+    if max(exp) != J or exp[J] != ONE:
+        raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
+    return all(strictly_below_one(v) for k, v in exp.items() if k != J)
+
+
 # ---------------------------------------------------------------------------
 # counterexample search
 # ---------------------------------------------------------------------------
@@ -144,15 +159,16 @@ def search_counterexample(
     stop_at_first: bool = False,
 ) -> SearchReport:
     """Scan plain boundaries by size for a basis web with more than one
-    weight-zero flow, then confirm against the dual canonical element.
+    weight-zero flow, then confirm from its expansion that it is not its
+    dual canonical element (web_is_dual_canonical).
 
     The prefilter is complete only because no flow of a basis web has
     positive weight: every expansion coefficient has exponents <= 0 and
     the leading one is exactly 1, so a web with a single weight-zero
     flow has every off-leading exponent <= -1, needs no correction and
-    is its dual canonical element.  That invariant is asserted through
-    7 strands by
-    tests/test_dualcan.py::test_no_flow_of_a_basis_web_has_positive_weight."""
+    is its dual canonical element.  The prefilter's walk checks that
+    invariant on every web it visits (count_weight_zero_flows with
+    basis=True raises on a flow of positive weight)."""
     budget = default_budget() if budget_s is None else budget_s
     t0 = time.time()
     found = []
@@ -166,8 +182,8 @@ def search_counterexample(
             for J in dominant_states(signs):
                 web = growth(signs, J).web
                 checked += 1
-                if count_weight_zero_flows(web, stop_at=2) > 1:
-                    if not web_matches_dual_canonical(signs, J):
+                if count_weight_zero_flows(web, stop_at=2, basis=True) > 1:
+                    if not web_is_dual_canonical(web, J):
                         found.append((signs, J))
                         if stop_at_first:
                             return SearchReport(

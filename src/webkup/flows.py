@@ -27,6 +27,7 @@ PLUS_WEIGHTS and verified by tests and by scripts/calibrate_weights.py.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -169,13 +170,26 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
     A power-a slice is the a-fold single slice divided by the quantum
     factorial [a]!; every entry of that matrix must come out as a plain
     power of q (checked loudly), which is the flow weight of the move.
+    Every move must also carry `power` colors from one column to the
+    other (checked once per table), so a column's color set always has
+    as many colors as its weight; the weight windows rely on that.
     """
     weight = plus_weight if sign == "+" else minus_weight
     if power == 1:
-        return tuple(
+        out = [
             (frozenset((x,)), nA, nB, weight(A, B, x))
             for x, nA, nB in _single_moves(sign, A, B)
-        )
+        ]
+    else:
+        out = _divided_power(sign, power, A, B, weight)
+    d = power if sign == "+" else -power
+    for X, nA, nB, _ in out:
+        if len(X) != power or len(nA) != len(A) + d or len(nB) != len(B) - d:
+            raise AssertionError(f"{sign}^{power} on {set(A)},{set(B)} moves {set(X)} wrongly")
+    return tuple(out)
+
+
+def _divided_power(sign: str, power: int, A: frozenset, B: frozenset, weight) -> list:
     paths: dict[frozenset, Counter] = {}  # moved set -> path count by weight
     ends: dict[frozenset, tuple[frozenset, frozenset]] = {}
 
@@ -198,7 +212,7 @@ def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
                 f"on {set(A)},{set(B)} moving {set(X)} gave {mono}"
             )
         out.append((X, *ends[X], mono.degree()))
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +316,18 @@ def enumerate_flows(web: LadderWeb, boundary=None) -> list[Flow]:
 def walk_moves(web: LadderWeb, moves) -> tuple[list[tuple[frozenset, ...]], int]:
     """Configurations at every level (bottom first) and total weight of a
     recorded move list; raises if a move is not a legal transition."""
-    cfg = start_config(web.bottom_weight)
-    cfgs = [cfg]
+    cfg = list(start_config(web.bottom_weight))
+    cfgs = [tuple(cfg)]
     weight = 0
-    for s, X in zip(web.slices, moves):
-        c = s.index - 1
-        for Y, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+    for (sign, index, power), X in zip(web.slices, moves):
+        c = index - 1
+        for Y, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[index]):
             if Y == X:
                 break
         else:
             raise AssertionError("recorded move not among slice transitions")
-        cfg = cfg[:c] + (nA, nB) + cfg[c + 2 :]
-        cfgs.append(cfg)
+        cfg[c], cfg[index] = nA, nB
+        cfgs.append(tuple(cfg))
         weight += w
     return cfgs, weight
 
@@ -323,38 +337,57 @@ def flow_configs(flow: Flow) -> list[tuple[frozenset, ...]]:
     return walk_moves(flow.web, flow.moves)[0]
 
 
-def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
+def count_weight_zero_flows(
+    web: LadderWeb, stop_at: int | None = None, *, basis: bool = False
+) -> int:
     """Number of weight-zero flows, with branch and bound pruning.
 
-    Pruning uses per-slice weight windows: if the weight so far plus the
-    best or worst achievable remainder cannot reach zero, the branch dies.
+    Pruning uses per-slice weight windows, keyed by the weights of the two
+    columns below the slice: if the weight so far plus the least or
+    greatest achievable remainder cannot reach zero, the branch dies.
     Pass stop_at to return early once that many flows are found.
-    """
-    slices = web.slices
-    minfut = [0] * (len(slices) + 1)
-    maxfut = [0] * (len(slices) + 1)
-    for i in range(len(slices) - 1, -1, -1):
-        low, high = _weight_window(slices[i].sign, slices[i].power)
-        minfut[i] = minfut[i + 1] + low
-        maxfut[i] = maxfut[i + 1] + high
 
+    With basis=True the web must be a basis web, on which no flow has
+    positive weight: the walk then prunes on the upper bound only, so it
+    reaches every flow of weight >= 0, counts those of weight 0 and raises
+    AssertionError on one of positive weight.
+    """
+    # each slice with the least and greatest weight the slices above it
+    # can add; the least is -inf when only the upper bound prunes
+    steps = []
+    low, high = (-math.inf if basis else 0), 0
+    for (sign, index, power), lam in zip(reversed(web.slices), web.levels()[-2::-1]):
+        steps.append((sign, power, index - 1, low, high))
+        least, greatest = _weight_window(sign, power, lam[index - 1], lam[index])
+        low += least
+        high += greatest
+    if low > 0 or high < 0:
+        return 0
+    steps.reverse()
+    n = len(steps)
+    cfg = list(start_config(web.bottom_weight))
     count = 0
 
-    def rec(idx, cfg, wsum):
+    def rec(idx, wsum):
         nonlocal count
-        if stop_at is not None and count >= stop_at:
-            return
-        if wsum + minfut[idx] > 0 or wsum + maxfut[idx] < 0:
-            return
-        if idx == len(slices):
+        if idx == n:
+            if wsum > 0:
+                raise AssertionError(f"basis web has a flow of weight {wsum}: {web}")
             count += 1
             return
-        s = slices[idx]
-        c = s.index - 1
-        for _, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
-            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], wsum + w)
+        sign, power, c, low, high = steps[idx]
+        A, B = cfg[c], cfg[c + 1]
+        for _, nA, nB, w in _power_transitions(sign, power, A, B):
+            w += wsum
+            if w + low > 0 or w + high < 0:
+                continue
+            cfg[c], cfg[c + 1] = nA, nB
+            rec(idx + 1, w)
+            if count == stop_at:
+                break
+        cfg[c], cfg[c + 1] = A, B
 
-    rec(0, start_config(web.bottom_weight), 0)
+    rec(0, 0)
     return count
 
 
@@ -367,15 +400,19 @@ def _subsets() -> tuple[frozenset, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weight_window(sign: str, power: int) -> tuple[int, int]:
-    """Least and greatest weight of any move of one slice kind."""
+def _weight_window(sign: str, power: int, a: int, b: int) -> tuple:
+    """Least and greatest weight of a move of one slice kind on columns of
+    weights a and b, i.e. on color sets of sizes a and b; (inf, -inf),
+    which prunes every branch, if the slice has no move there."""
     ws = [
         w
         for A in _subsets()
+        if len(A) == a
         for B in _subsets()
+        if len(B) == b
         for _, _, _, w in _power_transitions(sign, power, A, B)
     ]
-    return min(ws), max(ws)
+    return (min(ws), max(ws)) if ws else (math.inf, -math.inf)
 
 
 # ---------------------------------------------------------------------------

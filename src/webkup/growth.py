@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .qlaurent import LaurentPoly, ONE, add_scaled
-from .webs import LadderWeb, Slice, weight_of_signs, visible_columns
+from .webs import WEIGHT_TO_SIGN, LadderWeb, Slice, weight_of_signs, visible_columns
 from .flows import (
     COLORS,
     FULL,
@@ -107,23 +107,44 @@ def _h_strategy_keys(sp: str, sq: str):
 
 
 @lru_cache(maxsize=None)
-def _rule_priority(canonical: bool) -> tuple[dict, ...]:
-    """The moves growth may make, in the order it tries them, each stage a
-    map (sp, sq, state p, state q) -> move: weight-zero arcs, joins and
-    the exchange strategy; construct_flow then also any arc, then any join."""
+def _rule_priority(canonical: bool) -> dict:
+    """The moves growth may make: (sp, sq, state p, state q) -> (rank,
+    slice sign, moved set, weights below p and q, strands left below).
+
+    The rank is the first stage that offers the move; the stages in order
+    are weight-zero arcs, joins and the exchange strategy, and
+    construct_flow then also any arc, then any join.  The strands left
+    below are (offset from p, sign, state) of the columns that stay
+    visible."""
     order = [(canonical_rule_tables(), kind) for kind in ("arc", "y", "h")]
     if not canonical:
         order += [(_rule_moves(), kind) for kind in ("arc", "y")]
-    stages = []
-    for tables, kind in order:
-        stage = {}
+    ranked: dict[tuple, tuple] = {}
+    for rank, (tables, kind) in enumerate(order):
         for (k, sp, sq), table in tables.items():
             for above, moves in table.items():
                 if k == kind and (k != "h" or above in _h_strategy_keys(sp, sq)):
                     assert len(moves) == 1, f"ambiguous {k} move at {sp}{sq} {above}"
-                    stage[(sp, sq) + above] = moves[0]
-        stages.append(stage)
-    return tuple(stages)
+                    sign, moved, below_p, below_q, _ = moves[0]
+                    left = tuple(
+                        (offset, WEIGHT_TO_SIGN[len(below)], colorset_state(below))
+                        for offset, below in enumerate((below_p, below_q))
+                        if len(below) in (1, 2)
+                    )
+                    entry = (rank, sign, moved, len(below_p), len(below_q), left)
+                    ranked.setdefault((sp, sq) + above, entry)
+    return ranked
+
+
+@lru_cache(maxsize=None)
+def _hop(e: int, s: int, state: int, c: int) -> tuple[Slice, frozenset]:
+    """The slice, with its moved set, that hops the strand of weight s
+    showing `state` at column c leftward across the invisible column c-1
+    of weight e."""
+    assert e in (0, 3) and s in (1, 2)
+    sign, power, other = ("-", s, frozenset()) if e == 0 else ("+", 3 - s, FULL)
+    ((moved, _, _, _),) = _power_transitions(sign, power, colorset_for(s, state), other)
+    return Slice(sign, c, power), moved
 
 
 # ---------------------------------------------------------------------------
@@ -132,62 +153,50 @@ def _rule_priority(canonical: bool) -> tuple[dict, ...]:
 
 
 def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
+    """Each step scans the adjacent visible pairs once and takes the move
+    of lowest rank, leftmost first; it hops the pair's right strand
+    leftward next to the left one and applies the move.  Slices are found
+    from the top down."""
     lam = list(weight_of_signs(signs))
-    vis = list(visible_columns(tuple(lam)))
+    vis = visible_columns(tuple(lam))
     states = tuple(states)
     if len(states) != len(vis):
         raise ValueError("state string length must match visible strands")
-    col_state = dict(zip(vis, states))
-    emitted: list[tuple[Slice, frozenset]] = []  # top-down discovery order
-
-    def emit(sign, col0, power, moved):
-        # record the upward slice whose level above is the current lam
-        emitted.append((Slice(sign, col0 + 1, power), moved))
-
-    def transport(c):
-        """Hop the strand at column c across the invisible column c-1."""
-        e, s = lam[c - 1], lam[c]
-        assert e in (0, 3) and s in (1, 2)
-        sign, power, other = ("-", s, frozenset()) if e == 0 else ("+", 3 - s, FULL)
-        strand = colorset_for(s, col_state[c])
-        ((moved, _, _, _),) = _power_transitions(sign, power, strand, other)
-        emit(sign, c - 1, power, moved)
-        lam[c - 1], lam[c] = s, e
-        col_state[c - 1] = col_state.pop(c)
-
-    def sign_at(c):
-        return "+" if lam[c] == 1 else "-"
-
-    def choose():
-        cols = sorted(col_state)
-        for stage in stages:
-            for p, r in zip(cols, cols[1:]):
-                move = stage.get((sign_at(p), sign_at(r), col_state[p], col_state[r]))
-                if move is not None:
-                    return p, r, move
-        raise GrowthStuck(f"no rule applies to {signs} with {states}")
-
-    stages = _rule_priority(canonical)
+    strands = [(c, WEIGHT_TO_SIGN[lam[c]], j) for c, j in zip(vis, states)]  # left to right
+    ranked = _rule_priority(canonical)
+    slices: list[Slice] = []
+    moves: list[frozenset] = []
     guard = 0
-    while col_state:
+    while strands:
         guard += 1
         if guard > 4 * len(signs) ** 2 + 16:
             raise AssertionError("growth failed to terminate")
-        p, r, (sign, moved, below_p, below_q, _) = choose()
+        best = None
+        for i in range(len(strands) - 1):
+            (_, sp, jp), (_, sq, jq) = strands[i], strands[i + 1]
+            hit = ranked.get((sp, sq, jp, jq))
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best, at = hit, i
+                if hit[0] == 0:
+                    break
+        if best is None:
+            raise GrowthStuck(f"no rule applies to {signs} with {states}")
+        _, sign, moved, below_p, below_q, left = best
+        (p, _, _), (r, _, jr) = strands[at], strands[at + 1]
         for c in range(r, p + 1, -1):
-            transport(c)
-        emit(sign, p, 1, moved)
-        for c, below in ((p, below_p), (p + 1, below_q)):
-            lam[c] = len(below)
-            if lam[c] in (1, 2):
-                col_state[c] = colorset_state(below)
-            else:
-                del col_state[c]
+            hop, hop_moved = _hop(lam[c - 1], lam[c], jr, c)
+            slices.append(hop)
+            moves.append(hop_moved)
+            lam[c - 1], lam[c] = lam[c], lam[c - 1]
+        slices.append(Slice(sign, p + 1, 1))
+        moves.append(moved)
+        lam[p], lam[p + 1] = below_p, below_q
+        strands[at : at + 2] = [(p + offset, s, j) for offset, s, j in left]
 
-    web = LadderWeb(tuple(lam), tuple(s for s, _ in reversed(emitted)))
-    moves = tuple(m for _, m in reversed(emitted))
+    web = LadderWeb(tuple(lam), tuple(reversed(slices)))
+    moves.reverse()
     _, weight = walk_moves(web, moves)
-    return Flow(web, moves, weight, states)
+    return Flow(web, tuple(moves), weight, states)
 
 
 def growth(signs: str, states) -> Flow:

@@ -93,10 +93,12 @@ def step_weight(lam: tuple[int, ...], s: Slice):
     if not 1 <= s.index <= len(lam) - 1:
         raise ValueError(f"slice index out of range: {s}")
     d = s.power if s.sign == "+" else -s.power
-    a, b = lam[c] + d, lam[c + 1] - d
-    if not (0 <= a <= 3 and 0 <= b <= 3):
+    out = list(lam)
+    out[c] += d
+    out[c + 1] -= d
+    if not (0 <= out[c] <= 3 and 0 <= out[c + 1] <= 3):
         return None
-    return lam[:c] + (a, b) + lam[c + 2 :]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,9 @@ class LadderWeb:
     def __post_init__(self):
         object.__setattr__(self, "bottom_weight", tuple(self.bottom_weight))
         object.__setattr__(
-            self, "slices", tuple(Slice(*s) for s in self.slices)
+            self,
+            "slices",
+            tuple(s if type(s) is Slice else Slice(*s) for s in self.slices),
         )
         # walk the levels once to validate everything loudly
         object.__setattr__(self, "top_weight", self.levels()[-1])

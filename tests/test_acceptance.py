@@ -20,6 +20,7 @@ DERIVED_TABLES = (
     growth.canonical_rule_tables,
     growth._h_strategy_keys,
     growth._rule_priority,
+    growth._hop,
     growth.web_space,
     dualcan.dual_canonical_basis,
     howe._basis_vectors,

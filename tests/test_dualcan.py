@@ -1,14 +1,16 @@
 """Tests for dual canonical vectors, the bar involution, and the search."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO
-from webkup.webs import LadderWeb, Slice
-from webkup.flows import expansion, lusztig_form_vec
-from webkup.growth import web_space
+from webkup import dualcan
+from webkup.webs import LadderWeb, Slice, parse_states
+from webkup.flows import count_weight_zero_flows, expansion, lusztig_form_vec
+from webkup.growth import growth, web_space
 from webkup.howe import _basis_vectors
 from webkup.dualcan import (
     SearchReport,
@@ -18,6 +20,7 @@ from webkup.dualcan import (
     is_bar_invariant_vec,
     search_counterexample,
     strictly_below_one,
+    web_is_dual_canonical,
     web_matches_dual_canonical,
 )
 
@@ -152,6 +155,54 @@ def test_no_flow_of_a_basis_web_has_positive_weight():
                 assert exp[J] == ONE, (signs, J)
                 for K, poly in exp.items():
                     assert poly.is_zero() or poly.degree() <= 0, (signs, J, K)
+
+
+def test_search_raises_on_a_flow_of_positive_weight(monkeypatch):
+    # the circle's flows have weights 2, 0 and -2; handed to the search as
+    # the basis web of +-, it breaks the invariant the prefilter rests on
+    circle = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
+
+    def planted(signs, J):
+        return SimpleNamespace(web=circle) if signs == "+-" else growth(signs, J)
+
+    monkeypatch.setattr(dualcan, "growth", planted)
+    with pytest.raises(AssertionError, match="flow of weight 2"):
+        search_counterexample(max_strands=2, budget_s=60)
+
+
+def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
+    """With a prefilter that passes every web, the search reports exactly
+    the webs that web_matches_dual_canonical rejects (none through 6
+    strands); web_is_dual_canonical agrees with it on each web."""
+    expected = []
+    for n in range(2, 7):
+        for signs in ("".join(p) for p in product("+-", repeat=n)):
+            for J, web in web_space(signs).basis.items():
+                full = web_matches_dual_canonical(signs, J)
+                assert web_is_dual_canonical(web, J) == full, (signs, J)
+                if not full:
+                    expected.append((signs, J))
+    monkeypatch.setattr(dualcan, "count_weight_zero_flows", lambda *args, **kwargs: 2)
+    rep = search_counterexample(max_strands=6, budget_s=600)
+    assert rep.completed and rep.found == expected
+
+
+# two of the four 12-strand webs that differ from their dual canonical
+# element (the other two are these rotated by two strands): each has a
+# second weight-zero flow, which puts a q^0 term off the leading state
+@pytest.mark.parametrize(
+    "signs, J, K, coeff",
+    [
+        ("++--++--++--", "11110000mmmm", "11m1m1m1m1mm", {0: 1, -2: 5, -4: 2}),
+        ("+--++--++--+", "1110100m0mmm", "1m1m1m1m1m1m", {0: 1, -2: 7, -4: 11, -6: 2}),
+    ],
+)
+def test_twelve_strand_counterexamples(signs, J, K, coeff):
+    web = growth(signs, parse_states(J)).web
+    assert count_weight_zero_flows(web) == 2
+    assert count_weight_zero_flows(web, stop_at=2, basis=True) == 2
+    assert expansion(web)[parse_states(K)] == LaurentPoly(coeff)
+    assert not web_is_dual_canonical(web, parse_states(J))
 
 
 def test_state_vectors_hold_no_zero():

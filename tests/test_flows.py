@@ -1,7 +1,8 @@
 """Tests for flow state sums: expansions, brackets, forms, calibration."""
 
+import math
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,8 @@ from webkup.flows import (
     FULL,
     PLUS_WEIGHTS,
     _power_transitions,
+    _subsets,
+    _weight_window,
     bracket,
     build_constraints,
     calibrate_weight_table,
@@ -30,6 +33,8 @@ from webkup.flows import (
     verify_frozen_table,
     walk_moves,
 )
+from webkup import flows
+from webkup.growth import dominant_states, growth, web_space
 from webkup.howe import step_weight, word_actions, word_target
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
@@ -120,6 +125,141 @@ def test_flow_counts():
     assert count_weight_zero_flows(CIRCLE) == 1
     assert count_weight_zero_flows(TRIPOD) == 1
     assert count_weight_zero_flows(THETA) == 0  # weights are all odd
+
+
+def _reference_count(web):
+    """Weight-zero flows counted with windows keyed by slice kind only:
+    each ranges over all 64 column-set pairs, so it prunes less."""
+    windows = {}
+    for s in web.slices:
+        if (s.sign, s.power) not in windows:
+            ws = [
+                w
+                for A in _subsets()
+                for B in _subsets()
+                for _, _, _, w in _power_transitions(s.sign, s.power, A, B)
+            ]
+            windows[(s.sign, s.power)] = min(ws), max(ws)
+    slices = web.slices
+    minfut = [0] * (len(slices) + 1)
+    maxfut = [0] * (len(slices) + 1)
+    for i in range(len(slices) - 1, -1, -1):
+        low, high = windows[(slices[i].sign, slices[i].power)]
+        minfut[i] = minfut[i + 1] + low
+        maxfut[i] = maxfut[i + 1] + high
+    count = 0
+
+    def rec(idx, cfg, wsum):
+        nonlocal count
+        if wsum + minfut[idx] > 0 or wsum + maxfut[idx] < 0:
+            return
+        if idx == len(slices):
+            count += 1
+            return
+        s = slices[idx]
+        c = s.index - 1
+        for _, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], wsum + w)
+
+    rec(0, flows.start_config(web.bottom_weight), 0)
+    return count
+
+
+def _plain(n):
+    return ("".join(p) for p in product("+-", repeat=n))
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """Every basis web through 8 strands (one weight-zero flow each), the
+    closures of basis pairs through 5 strands (0, 1, 3 or 4 of them), and
+    the reference count of each."""
+    basis = [growth(s, J).web for n in range(2, 9) for s in _plain(n) for J in dominant_states(s)]
+    closures = [
+        close(u, v)
+        for n in range(2, 6)
+        for s in _plain(n)
+        for u in web_space(s).basis.values()
+        for v in web_space(s).basis.values()
+    ]
+    return basis, closures, {w: _reference_count(w) for w in basis + closures}
+
+
+def _counts_agree(counted) -> bool:
+    basis, closures, reference = counted
+    return all(
+        count_weight_zero_flows(w) == reference[w]
+        and count_weight_zero_flows(w, stop_at=2) == min(reference[w], 2)
+        for w in basis + closures
+    ) and all(count_weight_zero_flows(w, basis=True) == reference[w] for w in basis)
+
+
+def test_counter_matches_the_unkeyed_reference(counted):
+    assert set(counted[2].values()) == {0, 1, 3, 4}
+    assert _counts_agree(counted)
+
+
+# ('+', 1, 0, 3) is the arc, ('-', 1, 1, 0) a '-' slice moving a single
+# strand onto an empty column; some flow reaches the bound narrowed
+@pytest.mark.parametrize("key, shift", [(("+", 1, 0, 3), (0, -1)), (("-", 1, 1, 0), (1, 0))])
+def test_a_narrowed_window_changes_a_count(monkeypatch, counted, key, shift):
+    def narrowed(*args):
+        low, high = _weight_window(*args)
+        return (low + shift[0], high + shift[1]) if args == key else (low, high)
+
+    monkeypatch.setattr(flows, "_weight_window", narrowed)
+    assert not _counts_agree(counted)
+
+
+def test_weight_windows_bound_every_move():
+    for sign, power, a, b in product("+-", (1, 2, 3), range(4), range(4)):
+        low, high = _weight_window(sign, power, a, b)
+        ws = [
+            w
+            for A in _subsets()
+            if len(A) == a
+            for B in _subsets()
+            if len(B) == b
+            for _, _, _, w in _power_transitions(sign, power, A, B)
+        ]
+        assert (low, high) == ((min(ws), max(ws)) if ws else (math.inf, -math.inf))
+    # a move that would overfill a column has no window, which prunes
+    assert _weight_window("+", 1, 3, 0) == (math.inf, -math.inf)
+    assert _weight_window("+", 2, 1, 3) == (0, 0)
+
+
+def test_an_empty_window_prunes(monkeypatch):
+    monkeypatch.setattr(flows, "_weight_window", lambda *args: (math.inf, -math.inf))
+    assert count_weight_zero_flows(CIRCLE) == 0
+
+
+def test_positive_weight_raises_only_on_a_basis_count():
+    # the circle's flows have weights 2, 0 and -2
+    assert count_weight_zero_flows(CIRCLE) == 1
+    with pytest.raises(AssertionError, match="flow of weight 2"):
+        count_weight_zero_flows(CIRCLE, basis=True)
+
+
+@pytest.fixture
+def fresh_transitions():
+    flows._power_transitions.cache_clear()
+    yield
+    flows._power_transitions.cache_clear()
+
+
+def test_transitions_assert_the_column_sizes(monkeypatch, fresh_transitions):
+    real = flows._single_moves
+
+    def keeps_the_color(sign, A, B):  # a '+' move that leaves B whole
+        for x, nA, nB in real(sign, A, B):
+            yield x, nA, (B if sign == "+" else nB)
+
+    monkeypatch.setattr(flows, "_single_moves", keeps_the_color)
+    with pytest.raises(AssertionError, match="wrongly"):
+        _power_transitions("+", 1, frozenset(), frozenset((1,)))
+    assert _power_transitions("-", 1, frozenset((1,)), frozenset()) == (
+        (frozenset((1,)), frozenset(), frozenset((1,)), 0),
+    )
 
 
 def test_divided_power_transitions():
