@@ -1,8 +1,9 @@
 """Re-derive the single-move weight table from its defining constraints.
 
-Prints the gauge report (solution counts with and without the gauge
-conditions), asserts the gauged solution is unique and matches the table
-frozen in webkup.flows, and regenerates docs/derived_rules.md.
+Solves the constraints stated in the webkup.flows docstring and prints
+the gauge report (solution counts with and without the gauge conditions),
+asserts the gauged solution is unique and matches the table frozen in
+webkup.flows, and regenerates docs/derived_rules.md.
 """
 
 from __future__ import annotations
@@ -13,10 +14,239 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webkup import flows
+from webkup.flows import PLUS_WEIGHTS, _key, _single_moves, _subsets
+from webkup.flows import config_states, minus_reflection, start_config
 from webkup.growth import canonical_rule_tables, _h_strategy_keys
+from webkup.qlaurent import qint
+from webkup.webs import LadderWeb, visible_columns
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "derived_rules.md"
+
+
+# ---------------------------------------------------------------------------
+# calibration of the weight table
+# ---------------------------------------------------------------------------
+
+
+class _Constraint:
+    """Polynomial identity sum(q^expr) - sum(q^expr) == rhs, where each
+    expr is a sum of table variables plus a constant."""
+
+    __slots__ = ("plus", "minus", "rhs", "vars", "tag")
+
+    def __init__(self, plus, minus, rhs, tag):
+        self.plus = plus
+        self.minus = minus
+        self.rhs = rhs
+        self.tag = tag
+        vs = set()
+        for keys, _ in plus:
+            vs.update(keys)
+        for keys, _ in minus:
+            vs.update(keys)
+        self.vars = frozenset(vs)
+
+    def check(self, assign) -> bool:
+        acc: dict[int, int] = {}
+        for keys, const in self.plus:
+            e = const + sum(assign[k] for k in keys)
+            acc[e] = acc.get(e, 0) + 1
+        for keys, const in self.minus:
+            e = const + sum(assign[k] for k in keys)
+            acc[e] = acc.get(e, 0) - 1
+        acc = {e: c for e, c in acc.items() if c}
+        return acc == self.rhs
+
+
+def _gauge_webs():
+    # the two arcs and the two three-strand joins, with the state string
+    # of their distinguished (lex largest) flow
+    return [
+        (LadderWeb((0, 3), (("+", 1, 1),)), (1, -1)),
+        (LadderWeb((3, 0), (("-", 1, 1),)), (1, -1)),
+        (LadderWeb((3, 0, 0), (("-", 1, 1), ("-", 2, 1), ("-", 1, 1))), (1, 0, -1)),
+        (LadderWeb((0, 3, 3), (("+", 1, 1), ("+", 2, 1), ("+", 1, 1))), (1, 0, -1)),
+    ]
+
+
+def _symbolic_flows(web: LadderWeb):
+    """All flows of a closed-bottom web as lists of (sign, A, B, moved)."""
+    out = []
+
+    def rec(idx, cfg, refs):
+        if idx == len(web.slices):
+            out.append((cfg, list(refs)))
+            return
+        s = web.slices[idx]
+        assert s.power == 1
+        c = s.index - 1
+        A, B = cfg[c], cfg[c + 1]
+        for x, nA, nB in _single_moves(s.sign, A, B):
+            refs.append((s.sign, A, B, x))
+            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], refs)
+            refs.pop()
+
+    rec(0, start_config(web.bottom_weight), [])
+    return out
+
+
+def _refs_to_term(refs):
+    keys, const = [], 0
+    for sign, A, B, x in refs:
+        if sign == "+":
+            keys.append(_key(A, B, x))
+        else:
+            k, shift = minus_reflection(A, B, x)
+            keys.append(k)
+            const += shift
+    return tuple(keys), const
+
+
+def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
+    cons: list[_Constraint] = []
+    subsets = _subsets()
+
+    # two-column commutation: opposite moves in either order differ by the
+    # quantum integer of the weight gap on the diagonal
+    for A in subsets:
+        for B in subsets:
+            per_target: dict[tuple, tuple[list, list]] = {}
+            for z, A1, B1 in _single_moves("-", A, B):
+                for x, A2, B2 in _single_moves("+", A1, B1):
+                    mk, ms = minus_reflection(A, B, z)
+                    term = ((mk, _key(A1, B1, x)), ms)
+                    per_target.setdefault((A2, B2), ([], []))[0].append(term)
+            for x, A1, B1 in _single_moves("+", A, B):
+                for z, A2, B2 in _single_moves("-", A1, B1):
+                    mk, ms = minus_reflection(A1, B1, z)
+                    term = ((_key(A, B, x), mk), ms)
+                    per_target.setdefault((A2, B2), ([], []))[1].append(term)
+            targets = set(per_target) | {(A, B)}
+            for tgt in sorted(targets, key=lambda t: (sorted(t[0]), sorted(t[1]))):
+                plus, minus = per_target.get(tgt, ([], []))
+                rhs = (
+                    dict(qint(len(A) - len(B)).coeffs)
+                    if tgt == (A, B)
+                    else {}
+                )
+                if plus or minus or rhs:
+                    cons.append(
+                        _Constraint(plus, minus, rhs, f"comm2 {set(A)},{set(B)}")
+                    )
+
+    # three-column commutation: both generators move out of (or into) the
+    # shared middle column, in either order, with equal weights
+    for A in subsets:
+        for B in subsets:
+            for C in subsets:
+                for x, _, Bx in _single_moves("+", A, B):
+                    for z, Bz, _ in _single_moves("-", B, C):
+                        if x == z:
+                            continue
+                        mk1, s1 = minus_reflection(B, C, z)
+                        mk2, s2 = minus_reflection(Bx, C, z)
+                        cons.append(
+                            _Constraint(
+                                [((mk1, _key(A, Bz, x)), s1)],
+                                [((_key(A, B, x), mk2), s2)],
+                                {},
+                                "comm3a",
+                            )
+                        )
+                for z, _, Bz in _single_moves("-", A, B):
+                    for x, Bx, _ in _single_moves("+", B, C):
+                        if x == z:
+                            continue
+                        mk1, s1 = minus_reflection(A, B, z)
+                        mk2, s2 = minus_reflection(A, Bx, z)
+                        cons.append(
+                            _Constraint(
+                                [((mk1, _key(Bz, C, x)), s1)],
+                                [((_key(B, C, x), mk2), s2)],
+                                {},
+                                "comm3b",
+                            )
+                        )
+
+    if with_gauge:
+        for web, states in _gauge_webs():
+            hits = []
+            for cfg, refs in _symbolic_flows(web):
+                if config_states(cfg, visible_columns(web.top_weight)) == states:
+                    hits.append(refs)
+            if len(hits) != 1:
+                raise AssertionError(
+                    f"gauge web should have one distinguished flow, got {len(hits)}"
+                )
+            term = _refs_to_term(hits[0])
+            cons.append(_Constraint([term], [], {0: 1}, "gauge"))
+    return cons
+
+
+def _all_var_keys() -> list[tuple]:
+    out = []
+    for A in _subsets():
+        for B in _subsets():
+            for x in sorted(B - A):
+                out.append(_key(A, B, x))
+    return sorted(out)
+
+
+_CALIBRATION_DOMAIN = range(-6, 7)
+_CALIBRATION_LIMIT = 2000
+
+
+def calibrate_weight_table(with_gauge: bool = True):
+    """Solve the constraint system for the single-move weights.
+
+    Returns every solution with weights in _CALIBRATION_DOMAIN, at most
+    _CALIBRATION_LIMIT of them, each a dict mapping key -> int."""
+    cons = build_constraints(with_gauge)
+    allvars = _all_var_keys()
+
+    # static order: walk constraints from fewest variables up, appending
+    # unseen variables, so equations complete as early as possible
+    order: list[tuple] = []
+    seen = set()
+    for con in sorted(cons, key=lambda c: (len(c.vars), c.tag)):
+        for v in sorted(c for c in con.vars if c not in seen):
+            seen.add(v)
+            order.append(v)
+    for v in allvars:
+        if v not in seen:
+            seen.add(v)
+            order.append(v)
+
+    # each constraint is checked once, when its last variable is assigned
+    position = {v: k for k, v in enumerate(order)}
+    due: list[list[_Constraint]] = [[] for _ in order]
+    for con in cons:
+        due[max(position[v] for v in con.vars)].append(con)
+
+    assign: dict[tuple, int] = {}
+    solutions: list[dict] = []
+
+    def search(k) -> bool:
+        """Extend the assignment from order[k]; True once the limit is hit."""
+        if k == len(order):
+            solutions.append(dict(assign))
+            return len(solutions) >= _CALIBRATION_LIMIT
+        for val in _CALIBRATION_DOMAIN:
+            assign[order[k]] = val
+            if all(con.check(assign) for con in due[k]) and search(k + 1):
+                return True
+        del assign[order[k]]
+        return False
+
+    search(0)
+    return solutions
+
+
+def verify_frozen_table() -> None:
+    """Check the frozen table against every calibration constraint."""
+    for con in build_constraints(with_gauge=True):
+        if not con.check(PLUS_WEIGHTS):
+            raise AssertionError(f"frozen weight table violates {con.tag}")
 
 
 def _fmt_colors(zs) -> str:
@@ -71,12 +301,6 @@ def docs_text(n_free: int, n_gauged: int) -> str:
     return "\n".join(lines)
 
 
-def write_docs(n_free: int, n_gauged: int) -> Path:
-    DOC.parent.mkdir(parents=True, exist_ok=True)
-    DOC.write_text(docs_text(n_free, n_gauged))
-    return DOC
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -86,8 +310,8 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    free = flows.calibrate_weight_table(with_gauge=False)
-    gauged = flows.calibrate_weight_table(with_gauge=True)
+    free = calibrate_weight_table(with_gauge=False)
+    gauged = calibrate_weight_table(with_gauge=True)
     print(f"solutions without gauge: {len(free)}")
     print(f"solutions with gauge:    {len(gauged)}")
     if len(gauged) != 1:
@@ -102,13 +326,13 @@ def main() -> int:
         print("}")
         return 0
 
-    if flows.PLUS_WEIGHTS != table:
+    if PLUS_WEIGHTS != table:
         print("ERROR: frozen PLUS_WEIGHTS differs from the derived table", file=sys.stderr)
         return 1
-    flows.verify_frozen_table()
+    verify_frozen_table()
     print("frozen table matches the derivation and satisfies all constraints")
 
-    write_docs(len(free), len(gauged))
+    DOC.write_text(docs_text(len(free), len(gauged)))
     print("regenerated docs/derived_rules.md")
     return 0
 

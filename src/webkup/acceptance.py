@@ -26,6 +26,7 @@ from .webs import (
     close,
     ell,
     empty_web,
+    format_states,
     signs_of_weight,
     weight_of_signs,
     weights_bounded,
@@ -186,13 +187,11 @@ def criterion_3() -> CriterionResult:
         webs = 0
         for signs in plain_boundaries(6):
             space = web_space(signs)
-            dom = sorted(space.basis)
-            for J in dom:
+            for J in sorted(space.basis):
                 exp = space.expansions[J]
                 if exp.get(J) != ONE:
                     return False, f"diagonal entry at {signs} {J} is not 1"
-                for Jp in dom:
-                    c = exp.get(Jp, ZERO)
+                for Jp, c in exp.items():
                     if Jp > J and not c.is_zero():
                         return False, f"entry above the diagonal at {signs} {J}"
                     if not c.is_nonnegative():
@@ -447,7 +446,7 @@ def criterion_12() -> CriterionResult:
                     f"expected {expected}"
                 )
         if rep.found:
-            head = ", ".join(f"{s} {J}" for s, J in rep.found[:3])
+            head = ", ".join(f"{s} {format_states(J)}" for s, J in rep.found[:3])
             return True, f"found {len(rep.found)} discrepant webs: {head}"
         if rep.completed:
             return True, (

@@ -24,6 +24,7 @@ from itertools import product
 from .qlaurent import LaurentPoly, ONE, add_scaled
 from .flows import count_weight_zero_flows, expansion
 from .growth import dominant_states, growth, web_space
+from .webs import format_states
 
 
 def bar_symmetric_top(p: LaurentPoly) -> LaurentPoly:
@@ -132,7 +133,7 @@ class SearchReport:
         lines = []
         if self.found:
             for signs, J in self.found:
-                lines.append(f"counterexample: boundary {signs} state {J}")
+                lines.append(f"counterexample: boundary {signs} state {format_states(J)}")
         else:
             lines.append("no counterexample found")
         status = "complete" if self.completed else "budget exhausted"

@@ -5,10 +5,13 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 (seconds; default 1800) for the counterexample search.
 """
 
+from collections import Counter
+
 import pytest
 
 from webkup import acceptance, dualcan, flows, growth, howe
-from webkup.qlaurent import LaurentPoly
+from webkup.planar import PlanarWeb
+from webkup.qlaurent import LaurentPoly, add_scaled, qint
 from webkup.webs import Slice
 
 
@@ -234,3 +237,123 @@ def test_criterion_11_fails_on_a_shifted_bar_top(monkeypatch, fresh_tables):
     res = acceptance.CRITERIA[11]()
     assert not res.passed
     assert res.detail.startswith("error: AssertionError('correction failed: ")
+
+
+def _planted_space(monkeypatch, signs, change):
+    """Serve a web space of `signs` whose expansions `change` has edited,
+    to the acceptance checks and to the dual canonical construction."""
+    space = growth.WebSpace(signs)
+    expansions = {J: dict(exp) for J, exp in space.expansions.items()}
+    change(expansions)
+    space.expansions = expansions  # overrides the cached property
+    for module in (acceptance, dualcan):
+        real = module.web_space
+        monkeypatch.setattr(
+            module, "web_space", lambda s, real=real: space if s == signs else real(s)
+        )
+
+
+def test_criterion_03_fails_on_a_negative_entry_off_the_dominant_states(monkeypatch):
+    # the entry sits in a column of a state that is not dominant
+    J, k = (1, 1, -1, -1), (-1, -1, 1, 1)
+
+    def negate(expansions):
+        expansions[J][k] = -expansions[J][k]
+
+    _planted_space(monkeypatch, "+-+-", negate)
+    res = acceptance.CRITERIA[3]()
+    assert not res.passed
+    assert res.detail == f"negative entry at +-+- ({J},{k})"
+
+
+PLANTED_TOP, OTHER = (1, 1, -1, -1), (1, -1, 1, -1)  # the dominant states of +-+-
+
+
+def _top_plus_q_plus_inverse_q_times_other(expansions):
+    add_scaled(expansions[PLANTED_TOP], qint(2), expansions[OTHER])
+
+
+def test_criterion_11_corrects_a_web_that_is_not_dual_canonical(monkeypatch, fresh_tables):
+    # e_top + (q + q^-1) e_other is bar-invariant and unitriangular, and its
+    # dual canonical element is the real e_top, reached by one correction
+    real = {J: dict(exp) for J, exp in growth.WebSpace("+-+-").expansions.items()}
+    _planted_space(monkeypatch, "+-+-", _top_plus_q_plus_inverse_q_times_other)
+    db = dualcan.dual_canonical_basis("+-+-")
+    assert db.d_matrix == {(PLANTED_TOP, OTHER): qint(2)}
+    assert db.elements == real
+    res = acceptance.CRITERIA[11]()
+    assert res.passed, res.line()
+    assert "; 1 correction entries," in res.detail
+
+
+def test_criterion_11_fails_on_a_bar_top_wrong_only_at_nonnegative_exponents(
+    monkeypatch, fresh_tables
+):
+    # real data only ever passes coefficients below q^0, where the top is 0
+    real = dualcan.bar_symmetric_top
+    monkeypatch.setattr(
+        dualcan,
+        "bar_symmetric_top",
+        lambda p: real(p) if dualcan.strictly_below_one(p) else real(p.shift(1)),
+    )
+    _planted_space(monkeypatch, "+-+-", _top_plus_q_plus_inverse_q_times_other)
+    res = acceptance.CRITERIA[11]()
+    assert not res.passed
+    assert res.detail.startswith("error: AssertionError('correction failed: ")
+
+
+def test_criterion_02_fails_on_a_dropped_square_smoothing(monkeypatch):
+    real = PlanarWeb.resolve_square
+    monkeypatch.setattr(
+        PlanarWeb, "resolve_square", lambda self, cyc, which: real(self, cyc, 0)
+    )
+    res = acceptance.CRITERIA[2]()
+    assert not res.passed
+    assert res.detail == "square identity fails on a closure over --+-++"
+
+
+def test_criterion_04_fails_on_a_repeated_dominant_flow(monkeypatch):
+    real = acceptance.enumerate_flows
+    monkeypatch.setattr(
+        acceptance, "enumerate_flows", lambda w, boundary=None: 2 * real(w, boundary)
+    )
+    res = acceptance.CRITERIA[4]()
+    assert not res.passed
+    assert res.detail == "2 flows extend (1, -1) over +-"
+
+
+def test_criterion_07_fails_on_closed_columns_packed_left_to_right(monkeypatch):
+    # packing the leftmost column first runs it into the columns still to move
+    def left_to_right(web):
+        bot = web.bottom_weight
+        targets = [i for i, v in enumerate(bot) if v == 3]
+        word = [Slice("-", c + 1, 3) for j, t in enumerate(targets) for c in range(j, t)]
+        return tuple(word) + tuple(web.slices), howe.standard_weight(len(bot), sum(bot))
+
+    monkeypatch.setattr(acceptance, "inverse_growth", left_to_right)
+    res = acceptance.CRITERIA[7]()
+    assert not res.passed
+    assert res.detail == "roundtrip fails at weight (0, 0, 0, 0, 3, 3) state ()"
+
+
+def test_criterion_09_fails_on_a_dropped_block(monkeypatch):
+    real = acceptance.flow_census
+
+    def drop_top(signs):
+        census = Counter(real(signs))
+        if signs == "+-+-":
+            del census[max(census)]
+        return census
+
+    monkeypatch.setattr(acceptance, "flow_census", drop_top)
+    res = acceptance.CRITERIA[9]()
+    assert not res.passed
+    assert res.detail == "block count differs from center dimension at +-+-"
+
+
+def test_criterion_12_writes_found_states_as_state_strings(monkeypatch):
+    found = [("++--++--++--", (1, 1, 1, 1, 0, 0, 0, 0, -1, -1, -1, -1))]
+    report = dualcan.SearchReport(found, 3, "++--++--++--", False, 0.0)
+    monkeypatch.setattr(acceptance, "search_counterexample", lambda **kw: report)
+    res = acceptance.CRITERIA[12]()
+    assert res.detail == "found 1 discrepant webs: ++--++--++-- 11110000mmmm"

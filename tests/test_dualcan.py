@@ -144,6 +144,20 @@ def test_search_small_complete():
     assert "complete" in rep.summary()
 
 
+def test_search_writes_a_hit_as_a_state_string(monkeypatch):
+    # plant a hit: +- has one basis web, at state 1m
+    real = dualcan.count_weight_zero_flows
+
+    def second_flow_on_plus_minus(web, stop_at, **kw):
+        return 2 if web.top_signs() == "+-" else real(web, stop_at, **kw)
+
+    monkeypatch.setattr(dualcan, "count_weight_zero_flows", second_flow_on_plus_minus)
+    monkeypatch.setattr(dualcan, "web_is_dual_canonical", lambda web, J: False)
+    rep = search_counterexample(max_strands=2, budget_s=120)
+    assert rep.found == [("+-", (1, -1))]
+    assert rep.summary().splitlines()[0] == "counterexample: boundary +- state 1m"
+
+
 def test_no_flow_of_a_basis_web_has_positive_weight():
     """The invariant behind the search prefilter: every flow adds q^weight
     to its boundary's coefficient, so no exponent above 0 means no flow

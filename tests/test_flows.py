@@ -1,6 +1,9 @@
 """Tests for flow state sums: expansions, brackets, forms, calibration."""
 
+import ast
 import math
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations, product
 
@@ -17,8 +20,6 @@ from webkup.flows import (
     _subsets,
     _weight_window,
     bracket,
-    build_constraints,
-    calibrate_weight_table,
     colorset_for,
     colorset_state,
     config_vector,
@@ -30,7 +31,6 @@ from webkup.flows import (
     minus_weight,
     plus_weight,
     sweep,
-    verify_frozen_table,
     walk_moves,
 )
 from webkup import flows
@@ -55,15 +55,15 @@ def test_colorset_state():
     assert colorset_for(2, -1) == frozenset((0, -1))
 
 
-def test_frozen_weight_table_satisfies_constraints():
-    verify_frozen_table()
+def test_frozen_weight_table_satisfies_constraints(calibration):
+    calibration.verify_frozen_table()
 
 
 @pytest.mark.parametrize("key", sorted(PLUS_WEIGHTS))
-def test_frozen_table_check_catches_one_wrong_entry(monkeypatch, key):
+def test_frozen_table_check_catches_one_wrong_entry(monkeypatch, calibration, key):
     monkeypatch.setitem(PLUS_WEIGHTS, key, PLUS_WEIGHTS[key] + 1)
     with pytest.raises(AssertionError):
-        verify_frozen_table()
+        calibration.verify_frozen_table()
 
 
 def test_cup_weights():
@@ -298,8 +298,8 @@ def test_bracket_reflection_invariant():
         assert bracket(w.reflect()) == bracket(w)
 
 
-def test_calibration_is_unique_with_gauge():
-    assert calibrate_weight_table(with_gauge=True) == [PLUS_WEIGHTS]
+def test_calibration_is_unique_with_gauge(calibration):
+    assert calibration.calibrate_weight_table(with_gauge=True) == [PLUS_WEIGHTS]
 
 
 def _relabeled(table, perm):
@@ -309,9 +309,9 @@ def _relabeled(table, perm):
     return {(colors(A), colors(B), perm[x]): w for (A, B, x), w in table.items()}
 
 
-def test_calibration_six_solutions_without_gauge():
+def test_calibration_six_solutions_without_gauge(calibration):
     # the color-relabeling orbit
-    sols = calibrate_weight_table(with_gauge=False)
+    sols = calibration.calibrate_weight_table(with_gauge=False)
     assert len(sols) == 6
     orbit = {
         frozenset(_relabeled(PLUS_WEIGHTS, dict(zip(COLORS, p))).items())
@@ -320,9 +320,23 @@ def test_calibration_six_solutions_without_gauge():
     assert {frozenset(sol.items()) for sol in sols} == orbit
 
 
-def test_constraint_count_sane():
-    cons = build_constraints(with_gauge=True)
-    assert len(cons) > len(build_constraints(with_gauge=False))
+def test_constraint_count_sane(calibration):
+    cons = calibration.build_constraints(with_gauge=True)
+    assert len(cons) > len(calibration.build_constraints(with_gauge=False))
+
+
+def test_calibration_script_runs_as_a_script(calibration):
+    doc = calibration.DOC.read_bytes()
+    run = subprocess.run(
+        [sys.executable, calibration.__file__, "--print-literal"],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    counts, literal = run.stdout.split("PLUS_WEIGHTS = ")
+    assert counts == "solutions without gauge: 6\nsolutions with gauge:    1\n"
+    assert ast.literal_eval(literal) == PLUS_WEIGHTS
+    assert calibration.DOC.read_bytes() == doc
 
 
 @given(st.integers(1, 3), st.integers(0, 2))

@@ -1,8 +1,6 @@
 """Tests for the growth algorithm and the web basis."""
 
-import importlib.util
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,18 +31,12 @@ def test_derived_rule_tables():
     assert _h_strategy_keys("-", "+") == {(1, 0): 1, (-1, 0): -1}
 
 
-def test_derived_rules_doc_is_current():
+def test_derived_rules_doc_is_current(calibration):
     """docs/derived_rules.md is what the calibration script writes from
     today's rule tables (6 solutions, 1 after the gauge): every
     weight-zero move, exchanges included, is pinned by the committed
     file.  The script is loaded, not run, so no calibration happens."""
-    root = Path(__file__).resolve().parent.parent
-    path = root / "scripts" / "calibrate_weights.py"
-    spec = importlib.util.spec_from_file_location("calibrate_weights", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    committed = (root / "docs" / "derived_rules.md").read_text()
-    assert script.docs_text(6, 1) == committed
+    assert calibration.docs_text(6, 1) == calibration.DOC.read_text()
 
 
 def test_dominance_examples():
