@@ -183,15 +183,6 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
     return cons
 
 
-def _all_var_keys() -> list[tuple]:
-    out = []
-    for A in _subsets():
-        for B in _subsets():
-            for x in sorted(B - A):
-                out.append(_key(A, B, x))
-    return sorted(out)
-
-
 _CALIBRATION_DOMAIN = range(-6, 7)
 _CALIBRATION_LIMIT = 2000
 
@@ -202,20 +193,17 @@ def calibrate_weight_table(with_gauge: bool = True):
     Returns every solution with weights in _CALIBRATION_DOMAIN, at most
     _CALIBRATION_LIMIT of them, each a dict mapping key -> int."""
     cons = build_constraints(with_gauge)
-    allvars = _all_var_keys()
 
     # static order: walk constraints from fewest variables up, appending
-    # unseen variables, so equations complete as early as possible
+    # unseen variables, so equations complete as early as possible; every
+    # table key is in some constraint, so the order holds them all
     order: list[tuple] = []
     seen = set()
     for con in sorted(cons, key=lambda c: (len(c.vars), c.tag)):
         for v in sorted(c for c in con.vars if c not in seen):
             seen.add(v)
             order.append(v)
-    for v in allvars:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
+    assert set(PLUS_WEIGHTS) <= seen, "a table key is in no constraint"
 
     # each constraint is checked once, when its last variable is assigned
     position = {v: k for k, v in enumerate(order)}

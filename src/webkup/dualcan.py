@@ -128,6 +128,7 @@ class SearchReport:
     last_boundary: str | None
     completed: bool
     elapsed: float
+    stopped_at_first: bool = False  # stop_at_first ended the search at a hit
 
     def summary(self) -> str:
         lines = []
@@ -137,6 +138,8 @@ class SearchReport:
         else:
             lines.append("no counterexample found")
         status = "complete" if self.completed else "budget exhausted"
+        if self.stopped_at_first:
+            status = "stopped at first counterexample"
         lines.append(
             f"{status}: {self.checked_webs} webs checked, "
             f"last boundary {self.last_boundary}, {self.elapsed:.1f}s"
@@ -161,15 +164,16 @@ def search_counterexample(
 ) -> SearchReport:
     """Scan plain boundaries by size for a basis web with more than one
     weight-zero flow, then confirm from its expansion that it is not its
-    dual canonical element (web_is_dual_canonical).
+    dual canonical element (web_is_dual_canonical).  With stop_at_first
+    the search ends at its first counterexample (stopped_at_first).
 
     The prefilter is complete only because no flow of a basis web has
     positive weight: every expansion coefficient has exponents <= 0 and
     the leading one is exactly 1, so a web with a single weight-zero
     flow has every off-leading exponent <= -1, needs no correction and
     is its dual canonical element.  The prefilter's walk checks that
-    invariant on every web it visits (count_weight_zero_flows with
-    basis=True raises on a flow of positive weight)."""
+    invariant on every web it visits (count_weight_zero_flows raises on
+    a flow of positive weight)."""
     budget = default_budget() if budget_s is None else budget_s
     t0 = time.time()
     found = []
@@ -183,11 +187,11 @@ def search_counterexample(
             for J in dominant_states(signs):
                 web = growth(signs, J).web
                 checked += 1
-                if count_weight_zero_flows(web, stop_at=2, basis=True) > 1:
+                if count_weight_zero_flows(web, stop_at=2) > 1:
                     if not web_is_dual_canonical(web, J):
                         found.append((signs, J))
                         if stop_at_first:
                             return SearchReport(
-                                found, checked, last, False, time.time() - t0
+                                found, checked, last, False, time.time() - t0, True
                             )
     return SearchReport(found, checked, last, True, time.time() - t0)

@@ -333,36 +333,23 @@ def walk_moves(web: LadderWeb, moves) -> tuple[list[tuple[frozenset, ...]], int]
     return cfgs, weight
 
 
-def flow_configs(flow: Flow) -> list[tuple[frozenset, ...]]:
-    """Color configurations of a flow at every level, bottom first."""
-    return walk_moves(flow.web, flow.moves)[0]
+def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
+    """Number of weight-zero flows of a basis web, by branch and bound;
+    pass stop_at to return early once that many are found.
 
-
-def count_weight_zero_flows(
-    web: LadderWeb, stop_at: int | None = None, *, basis: bool = False
-) -> int:
-    """Number of weight-zero flows, with branch and bound pruning.
-
-    Pruning uses per-slice weight windows, keyed by the weights of the two
-    columns below the slice: if the weight so far plus the least or
-    greatest achievable remainder cannot reach zero, the branch dies.
-    Pass stop_at to return early once that many flows are found.
-
-    With basis=True the web must be a basis web, on which no flow has
-    positive weight: the walk then prunes on the upper bound only, so it
-    reaches every flow of weight >= 0, counts those of weight 0 and raises
-    AssertionError on one of positive weight.
+    No flow of a basis web has positive weight, so the walk prunes on the
+    upper bound only, with per-slice windows keyed by the weights of the
+    two columns below the slice: it reaches every flow of weight >= 0,
+    counts those of weight 0 and raises AssertionError on one of
+    positive weight.
     """
-    # each slice with the least and greatest weight the slices above it
-    # can add; the least is -inf when only the upper bound prunes
+    # each slice with the greatest weight the slices above it can add
     steps = []
-    low, high = (-math.inf if basis else 0), 0
+    high = 0
     for (sign, index, power), lam in zip(reversed(web.slices), web.levels()[-2::-1]):
-        steps.append((sign, power, index - 1, low, high))
-        least, greatest = _weight_window(sign, power, lam[index - 1], lam[index])
-        low += least
-        high += greatest
-    if low > 0 or high < 0:
+        steps.append((sign, power, index - 1, high))
+        high += _weight_window(sign, power, lam[index - 1], lam[index])
+    if high < 0:
         return 0
     steps.reverse()
     n = len(steps)
@@ -376,11 +363,11 @@ def count_weight_zero_flows(
                 raise AssertionError(f"basis web has a flow of weight {wsum}: {web}")
             count += 1
             return
-        sign, power, c, low, high = steps[idx]
+        sign, power, c, high = steps[idx]
         A, B = cfg[c], cfg[c + 1]
         for _, nA, nB, w in _power_transitions(sign, power, A, B):
             w += wsum
-            if w + low > 0 or w + high < 0:
+            if w + high < 0:
                 continue
             cfg[c], cfg[c + 1] = nA, nB
             rec(idx + 1, w)
@@ -401,10 +388,10 @@ def _subsets() -> tuple[frozenset, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weight_window(sign: str, power: int, a: int, b: int) -> tuple:
-    """Least and greatest weight of a move of one slice kind on columns of
-    weights a and b, i.e. on color sets of sizes a and b; (inf, -inf),
-    which prunes every branch, if the slice has no move there."""
+def _weight_window(sign: str, power: int, a: int, b: int) -> float:
+    """Greatest weight of a move of one slice kind on columns of weights
+    a and b, i.e. on color sets of sizes a and b; -inf, which prunes
+    every branch, if the slice has no move there."""
     ws = [
         w
         for A in _subsets()
@@ -413,7 +400,7 @@ def _weight_window(sign: str, power: int, a: int, b: int) -> tuple:
         if len(B) == b
         for _, _, _, w in _power_transitions(sign, power, A, B)
     ]
-    return (min(ws), max(ws)) if ws else (math.inf, -math.inf)
+    return max(ws, default=-math.inf)
 
 
 # ---------------------------------------------------------------------------

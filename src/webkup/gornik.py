@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .webs import LadderWeb
 from .planar import PlanarWeb
-from .tableaux import enumerate_fillings, filling_to_state
 
 
 def coloring_count(web: LadderWeb) -> int:
@@ -60,7 +59,3 @@ def coloring_count(web: LadderWeb) -> int:
 
     return extend(0) * 3**pw.loops
 
-
-def block_states(signs: str) -> list[tuple[int, ...]]:
-    """Balanced state strings, one block each."""
-    return [filling_to_state(signs, f) for f in enumerate_fillings(signs)]

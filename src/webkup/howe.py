@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, ZERO, add_scaled, qfact, qint, qbinom
+from .qlaurent import LaurentPoly, ONE, ZERO, add_scaled, qint, qbinom
 from .webs import (
     LadderWeb,
     Slice,
@@ -171,25 +171,6 @@ def verify_relations(n: int, d: int) -> int:
                 assert _vanishes(act, terms), f"relation {name} fails on {lam}"
         checked += len(instances)
     return checked
-
-
-# ---------------------------------------------------------------------------
-# divided powers two ways
-# ---------------------------------------------------------------------------
-
-
-def divided_power_consistent(signs: str, i: int, sign: str, a: int) -> bool:
-    """The a-fold single rung equals [a]! times the power-a rung, checked
-    as one residue on every basis web of the boundary."""
-    lam = weight_of_signs(signs)
-    direct, repeated = (Slice(sign, i, a),), (Slice(sign, i),) * a
-    target = word_target(lam, direct)
-    if target != word_target(lam, repeated):
-        return False  # the two words must be killed, or land, together
-    terms = [(ONE, repeated), (-qfact(a), direct)]
-    return target is None or all(
-        _vanishes(word_actions(vec), terms) for vec in _basis_vectors(signs).values()
-    )
 
 
 # ---------------------------------------------------------------------------

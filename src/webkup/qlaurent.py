@@ -40,17 +40,10 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
 
     def degree(self) -> int:
         """Largest exponent with nonzero coefficient.  Error on zero."""
@@ -63,9 +56,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no valuation")
         return min(self.coeffs)
-
-    def coeff(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
 
     def is_monomial_coeff_one(self) -> bool:
         return len(self.coeffs) == 1 and next(iter(self.coeffs.values())) == 1

@@ -14,7 +14,7 @@ in a fixed order with fixed formatting, so files are byte-reproducible.
 from __future__ import annotations
 
 from .webs import LadderWeb
-from .flows import Flow, flow_configs
+from .flows import Flow, walk_moves
 
 COL_W = 60
 ROW_H = 40
@@ -69,7 +69,7 @@ def render(web: LadderWeb, flow: Flow | None = None) -> str:
     if flow is not None and flow.web != web:
         raise ValueError("flow belongs to a different web")
     levels = web.levels()
-    cfgs = flow_configs(flow) if flow is not None else None
+    cfgs = walk_moves(flow.web, flow.moves)[0] if flow is not None else None
     n = web.n_cols
     m = len(web.slices)
     width = 2 * MARGIN + (n - 1) * COL_W

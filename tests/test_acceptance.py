@@ -150,7 +150,7 @@ def test_criterion_06_fails_on_a_wrong_coefficient(monkeypatch):
         for k, (name, terms) in enumerate(out):
             if not planted and name.startswith("adjust") and terms:
                 (coeff, word), *rest = terms
-                out[k] = (name, [(coeff * LaurentPoly.monomial(1), word)] + rest)
+                out[k] = (name, [(coeff * LaurentPoly({1: 1}), word)] + rest)
                 planted.append((name, lam))
         return out
 
@@ -192,7 +192,7 @@ def test_criterion_06_fails_on_a_term_with_another_target(monkeypatch):
 def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch):
     # the diagonal form value must match the closed-web route too
     real = acceptance.bracket
-    monkeypatch.setattr(acceptance, "bracket", lambda w: real(w) * LaurentPoly.monomial(1))
+    monkeypatch.setattr(acceptance, "bracket", lambda w: real(w) * LaurentPoly({1: 1}))
     res = acceptance.CRITERIA[8]()
     assert not res.passed
     assert res.detail == "diagonal form value differs at +- (1, -1)"

@@ -148,14 +148,25 @@ def test_search_writes_a_hit_as_a_state_string(monkeypatch):
     # plant a hit: +- has one basis web, at state 1m
     real = dualcan.count_weight_zero_flows
 
-    def second_flow_on_plus_minus(web, stop_at, **kw):
-        return 2 if web.top_signs() == "+-" else real(web, stop_at, **kw)
+    def second_flow_on_plus_minus(web, stop_at):
+        return 2 if web.top_signs() == "+-" else real(web, stop_at)
 
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", second_flow_on_plus_minus)
     monkeypatch.setattr(dualcan, "web_is_dual_canonical", lambda web, J: False)
     rep = search_counterexample(max_strands=2, budget_s=120)
     assert rep.found == [("+-", (1, -1))]
     assert rep.summary().splitlines()[0] == "counterexample: boundary +- state 1m"
+
+
+def test_stop_at_first_says_the_search_stopped_at_its_hit(monkeypatch):
+    # every web is a planted hit, so the search stops at the first, +-
+    monkeypatch.setattr(dualcan, "count_weight_zero_flows", lambda *args, **kwargs: 2)
+    monkeypatch.setattr(dualcan, "web_is_dual_canonical", lambda web, J: False)
+    rep = search_counterexample(max_strands=4, budget_s=120, stop_at_first=True)
+    assert rep.found == [("+-", (1, -1))]
+    assert (rep.checked_webs, rep.last_boundary, rep.completed) == (1, "+-", False)
+    status = rep.summary().splitlines()[1]
+    assert status.startswith("stopped at first counterexample: 1 webs checked, last boundary +-,")
 
 
 def test_no_flow_of_a_basis_web_has_positive_weight():
@@ -214,7 +225,7 @@ def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
 def test_twelve_strand_counterexamples(signs, J, K, coeff):
     web = growth(signs, parse_states(J)).web
     assert count_weight_zero_flows(web) == 2
-    assert count_weight_zero_flows(web, stop_at=2, basis=True) == 2
+    assert count_weight_zero_flows(web, stop_at=2) == 2
     assert expansion(web)[parse_states(K)] == LaurentPoly(coeff)
     assert not web_is_dual_canonical(web, parse_states(J))
 

@@ -8,8 +8,8 @@ import pytest
 from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import enumerate_flows
 from webkup.growth import flow_census, web_space
-from webkup.tableaux import center_dim, satisfies_conds
-from webkup.gornik import block_states, coloring_count
+from webkup.tableaux import center_dim, enumerate_fillings, filling_to_state, satisfies_conds
+from webkup.gornik import coloring_count
 from webkup.planar import PlanarWeb
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
@@ -48,20 +48,14 @@ def test_root_relations_on_basis_closures():
 
 def test_block_count_equals_center_dim():
     for signs in ("+-", "+++", "++--", "+-+-", "o+x-", "++-+--", "+++---"):
-        assert len(block_states(signs)) == center_dim(signs)
-
-
-def test_block_states_are_balanced():
-    for J in block_states("++--"):
-        assert satisfies_conds("++--", J)
+        assert len(flow_census(signs)) == center_dim(signs)
     assert center_dim("++--") == 15
 
 
 def test_state_multiplicity_positive_iff_balanced():
     for signs in ("+++", "++--"):
-        k = len(block_states(signs)[0])
         census = flow_census(signs)
-        for J in product((1, 0, -1), repeat=k):
+        for J in product((1, 0, -1), repeat=len(signs)):
             assert (census[J] > 0) == satisfies_conds(signs, J)
 
 
@@ -99,10 +93,10 @@ def test_pairwise_counts_decompose_by_boundary():
             assert coloring_count(close(u, v)) == total
 
 
-def test_flow_census_and_block_states_match_references():
+def test_flow_census_and_balanced_fillings_match_references():
     """On every plain boundary of 2 to 6 strands, the census is the flow
-    enumeration bucketed by boundary, and the block states (read from the
-    balanced fillings) are the balanced strings among all 3^k, in order."""
+    enumeration bucketed by boundary, and the states of the balanced
+    fillings are the balanced strings among all 3^k, in order."""
     boundaries = [
         "".join(p) for n in range(2, 7) for p in product("+-", repeat=n)
     ]
@@ -116,4 +110,5 @@ def test_flow_census_and_block_states_match_references():
             for J in product((1, 0, -1), repeat=len(signs))
             if satisfies_conds(signs, J)
         ]
-        assert block_states(signs) == balanced, signs
+        fillings = [filling_to_state(signs, f) for f in enumerate_fillings(signs)]
+        assert fillings == balanced, signs

@@ -1,6 +1,7 @@
 """Tests for the quantum gl_n rung action on web spaces."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from webkup.webs import LadderWeb, Slice, empty_web, weight_of_signs
 from webkup.flows import expansion
 from webkup.howe import (
     adjunction_holds,
-    divided_power_consistent,
     format_word,
     inverse_growth,
     phi_word,
@@ -49,23 +49,26 @@ def test_relations_small_spaces():
     assert verify_relations(4, 3) > 0
 
 
-def test_divided_power_two_routes():
-    # +-xo has one basis web, and (3, "-", 3) lands on it
-    for signs in ("+-o", "ox+", "++--", "+-xo"):
-        n = len(signs)
-        for i in range(1, n):
-            for sign in "+-":
-                for a in (1, 2, 3):
-                    assert divided_power_consistent(signs, i, sign, a)
-
-
+# divpow1 is E^(b) E^(a) = [a+b choose a] E^(a+b); with that coefficient
+# times q, on a raise to a power-2 rung or a lower to a power-3 rung, the
+# relation check must fail
 @pytest.mark.parametrize(
-    "signs, i, sign, a", [("+-o", 1, "+", 2), ("+-xo", 3, "-", 3)], ids=["raise-2", "lower-3"]
+    "name", ["divpow1 +1 1,1", "divpow1 -1 1,2"], ids=["raise-2", "lower-3"]
 )
-def test_divided_power_fails_on_a_wrong_factorial(monkeypatch, signs, i, sign, a):
-    real = howe.qfact
-    monkeypatch.setattr(howe, "qfact", lambda k: real(k) * LaurentPoly.monomial(1))
-    assert not divided_power_consistent(signs, i, sign, a)
+def test_divided_power_fails_on_a_wrong_factorial(monkeypatch, name):
+    real = howe.relation_instances
+
+    def planted(lam):
+        return [
+            (n, terms[:1] + [(c * LaurentPoly({1: 1}), w) for c, w in terms[1:]])
+            if n == name
+            else (n, terms)
+            for n, terms in real(lam)
+        ]
+
+    monkeypatch.setattr(howe, "relation_instances", planted)
+    with pytest.raises(AssertionError, match=re.escape(f"relation {name} fails")):
+        verify_relations(3, 3)
 
 
 def test_tripod_word():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webkup.qlaurent import qint
+from webkup.qlaurent import ONE, qint
 from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import bracket
 from webkup.planar import PlanarWeb, rewrite_bracket
@@ -26,7 +26,7 @@ def test_theta_value():
 
 
 def test_empty_value():
-    assert rewrite_bracket(EMPTY).is_one()
+    assert rewrite_bracket(EMPTY) == ONE
 
 
 def test_circle_is_one_loop():
