@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from webkup.flows import PLUS_WEIGHTS, _key, _single_moves, _subsets
 from webkup.flows import config_states, minus_reflection, start_config
-from webkup.growth import canonical_rule_tables, _h_strategy_keys
+from webkup.growth import _rule_moves, _rule_priority
 from webkup.qlaurent import qint
 from webkup.webs import LadderWeb, visible_columns
 
@@ -267,15 +267,23 @@ def docs_text(n_free: int, n_gauged: int) -> str:
         "",
     ]
     names = {"arc": "Arc", "y": "Y", "h": "Exchange"}
-    for (kind, sp, sq), entry in canonical_rule_tables().items():
+    ranked = _rule_priority(True)
+    for (kind, sp, sq), table in _rule_moves().items():
         header = "weight-zero moves" if kind == "h" else "move"
         lines += [f"### {names[kind]} rule, signs ({sp}, {sq})", ""]
         lines += [f"| states above | {header} |", "|---|---|"]
-        for states in sorted(entry, reverse=True):
-            colors = [z for _, moved, *_ in entry[states] for z in moved]
-            lines.append(f"| ({states[0]},{states[1]}) | {_fmt_colors(colors)} |")
+        for states in sorted(table, reverse=True):
+            # each move carries one color: no color, no weight-zero move
+            colors = [z for _, moved, _, _, w in table[states] if w == 0 for z in moved]
+            if colors:
+                lines.append(f"| ({states[0]},{states[1]}) | {_fmt_colors(colors)} |")
         if kind == "h":
-            strategy = _h_strategy_keys(sp, sq)
+            # the rank-2 entries of the ranked table are the exchanges growth makes
+            strategy = {
+                (a, b): z
+                for (p, q, a, b), (rank, _, (z,), *_) in ranked.items()
+                if rank == 2 and (p, q) == (sp, sq)
+            }
             lines.append("")
             lines.append(
                 "Engine strategy keys (pairs where growth applies the"

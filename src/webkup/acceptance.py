@@ -453,10 +453,8 @@ def criterion_12() -> CriterionResult:
                 f"complete through 10 strands: {rep.checked_webs} webs, none found, "
                 f"{rep.elapsed:.0f}s"
             )
-        return True, (
-            f"inconclusive at budget {budget:.0f}s: {rep.checked_webs} webs, "
-            f"frontier {rep.last_boundary}"
-        )
+        where = f"frontier {rep.last_boundary}" if rep.last_boundary else "no boundary started"
+        return True, f"inconclusive at budget {budget:.0f}s: {rep.checked_webs} webs, {where}"
 
     return _result(12, "counterexample search", check)
 

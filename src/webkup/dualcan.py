@@ -140,10 +140,9 @@ class SearchReport:
         status = "complete" if self.completed else "budget exhausted"
         if self.stopped_at_first:
             status = "stopped at first counterexample"
-        lines.append(
-            f"{status}: {self.checked_webs} webs checked, "
-            f"last boundary {self.last_boundary}, {self.elapsed:.1f}s"
-        )
+        last = self.last_boundary
+        where = f"last boundary {last}" if last else "no boundary started"
+        lines.append(f"{status}: {self.checked_webs} webs checked, {where}, {self.elapsed:.1f}s")
         return "\n".join(lines)
 
 

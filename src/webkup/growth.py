@@ -81,58 +81,35 @@ def _rule_moves():
 
 
 @lru_cache(maxsize=None)
-def canonical_rule_tables():
-    """The weight-zero moves of each rule, keyed like _rule_moves()."""
-    tables: dict[tuple, dict] = {}
-    for rule, table in _rule_moves().items():
-        tables[rule] = {}
-        for above, moves in table.items():
-            zero = tuple(m for m in moves if m[4] == 0)
-            if zero:
-                tables[rule][above] = zero
-    return tables
-
-
-# the exchange strategy only ever moves a 0 state to the left
-@lru_cache(maxsize=None)
-def _h_strategy_keys(sp: str, sq: str):
-    table = canonical_rule_tables()[("h", sp, sq)]
-    out = {}
-    for k, moves in table.items():
-        if k[1] == 0 and k[0] != 0:
-            assert len(moves) == 1, f"ambiguous weight-zero exchange at {k}"
-            (z,) = moves[0][1]
-            out[k] = z
-    return out
-
-
-@lru_cache(maxsize=None)
 def _rule_priority(canonical: bool) -> dict:
     """The moves growth may make: (sp, sq, state p, state q) -> (rank,
     slice sign, moved set, weights below p and q, strands left below).
 
     The rank is the first stage that offers the move; the stages in order
-    are weight-zero arcs, joins and the exchange strategy, and
-    construct_flow then also any arc, then any join.  The strands left
-    below are (offset from p, sign, state) of the columns that stay
-    visible."""
-    order = [(canonical_rule_tables(), kind) for kind in ("arc", "y", "h")]
+    are weight-zero arcs, joins and exchanges, and construct_flow then
+    also any arc, then any join.  The exchange strategy only walks a 0
+    state left past a nonzero one.  The strands left below are (offset
+    from p, sign, state) of the columns that stay visible."""
+    stages = [("arc", True), ("y", True), ("h", True)]
     if not canonical:
-        order += [(_rule_moves(), kind) for kind in ("arc", "y")]
+        stages += [("arc", False), ("y", False)]
     ranked: dict[tuple, tuple] = {}
-    for rank, (tables, kind) in enumerate(order):
-        for (k, sp, sq), table in tables.items():
-            for above, moves in table.items():
-                if k == kind and (k != "h" or above in _h_strategy_keys(sp, sq)):
-                    assert len(moves) == 1, f"ambiguous {k} move at {sp}{sq} {above}"
-                    sign, moved, below_p, below_q, _ = moves[0]
-                    left = tuple(
-                        (offset, WEIGHT_TO_SIGN[len(below)], colorset_state(below))
-                        for offset, below in enumerate((below_p, below_q))
-                        if len(below) in (1, 2)
-                    )
-                    entry = (rank, sign, moved, len(below_p), len(below_q), left)
-                    ranked.setdefault((sp, sq) + above, entry)
+    for rank, (kind, zero) in enumerate(stages):
+        for (k, sp, sq), table in _rule_moves().items():
+            for (jp, jq), moves in table.items():
+                if zero:
+                    moves = tuple(m for m in moves if m[4] == 0)
+                if k != kind or not moves or (k == "h" and (jp == 0 or jq != 0)):
+                    continue
+                assert len(moves) == 1, f"ambiguous {k} move at {sp}{sq} {(jp, jq)}"
+                sign, moved, below_p, below_q, _ = moves[0]
+                left = tuple(
+                    (offset, WEIGHT_TO_SIGN[len(below)], colorset_state(below))
+                    for offset, below in enumerate((below_p, below_q))
+                    if len(below) in (1, 2)
+                )
+                entry = (rank, sign, moved, len(below_p), len(below_q), left)
+                ranked.setdefault((sp, sq, jp, jq), entry)
     return ranked
 
 

@@ -20,14 +20,29 @@ DERIVED_TABLES = (
     flows._power_transitions,
     flows._weight_window,
     growth._rule_moves,
-    growth.canonical_rule_tables,
-    growth._h_strategy_keys,
     growth._rule_priority,
     growth._hop,
     growth.web_space,
     dualcan.dual_canonical_basis,
     howe._basis_vectors,
+    howe._generator_relations,
 )
+
+# caches that read no derived table
+PLAIN_CACHES = {"qbinom", "_subsets"}
+
+
+def test_every_cache_of_a_derived_table_is_cleared():
+    # a cache missing from DERIVED_TABLES would keep a planted fault's table
+    caches = {
+        obj.__name__: obj
+        for module in (flows, growth, howe, dualcan)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear")
+    }
+    assert PLAIN_CACHES <= set(caches)
+    missing = [n for n, f in caches.items() if n not in PLAIN_CACHES and f not in DERIVED_TABLES]
+    assert not missing, f"caches missing from DERIVED_TABLES: {missing}"
 
 
 @pytest.fixture
@@ -174,19 +189,34 @@ def test_criterion_06_fails_on_a_dropped_instance(monkeypatch):
     assert res.detail == "three-column relation count changed: 535"
 
 
-def test_criterion_06_fails_on_a_term_with_another_target(monkeypatch):
-    # every live word of an instance must land on one weight
+def test_criterion_06_fails_on_a_term_with_another_target(monkeypatch, fresh_tables):
+    # every live word of an instance must land on one weight; generator
+    # 1's own instances are built on its two columns
     real = howe.word_target
     stray = (Slice("-", 1), Slice("+", 1))  # the first word of schur 11
 
     def one_stray(lam, word):
         target = real(lam, word)
-        return (0, 2, 1) if (lam, word) == ((1, 1, 1), stray) else target
+        return (0, 2) if (lam, word) == ((1, 1), stray) else target
 
     monkeypatch.setattr(howe, "word_target", one_stray)
     res = acceptance.CRITERIA[6]()
     assert not res.passed
-    assert "relation schur 11 mixes target weights on (1, 1, 1)" in res.detail
+    assert "relation schur 11 mixes target weights on columns (1, 1)" in res.detail
+
+
+def test_criterion_06_fails_on_a_commutator_with_one_live_word(monkeypatch, fresh_tables):
+    # on (1, 1, 1) both words of schur 21 reach (0, 3, 0); kill one
+    real = howe.word_target
+    lower_first = (Slice("-", 1), Slice("+", 2))
+
+    def one_killed(lam, word):
+        return None if (lam, word) == ((1, 1, 1), lower_first) else real(lam, word)
+
+    monkeypatch.setattr(howe, "word_target", one_killed)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    assert "relation schur 21 maps its words to None and (0, 3, 0) on (1, 1, 1)" in res.detail
 
 
 def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch):
@@ -349,6 +379,15 @@ def test_criterion_09_fails_on_a_dropped_block(monkeypatch):
     res = acceptance.CRITERIA[9]()
     assert not res.passed
     assert res.detail == "block count differs from center dimension at +-+-"
+
+
+def test_criterion_12_names_its_frontier_or_says_none_was_started(monkeypatch):
+    monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "0")
+    for last, where in (("+-", "frontier +-"), (None, "no boundary started")):
+        report = dualcan.SearchReport([], 0, last, False, 0.0)
+        monkeypatch.setattr(acceptance, "search_counterexample", lambda **kw: report)
+        res = acceptance.CRITERIA[12]()
+        assert res.detail == f"inconclusive at budget 0s: 0 webs, {where}"
 
 
 def test_criterion_12_writes_found_states_as_state_strings(monkeypatch):

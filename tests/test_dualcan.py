@@ -169,6 +169,11 @@ def test_stop_at_first_says_the_search_stopped_at_its_hit(monkeypatch):
     assert status.startswith("stopped at first counterexample: 1 webs checked, last boundary +-,")
 
 
+def test_search_stopped_before_its_first_boundary_says_so():
+    status = dualcan.SearchReport([], 0, None, False, 0.0).summary().splitlines()[1]
+    assert status == "budget exhausted: 0 webs checked, no boundary started, 0.0s"
+
+
 def test_no_flow_of_a_basis_web_has_positive_weight():
     """The invariant behind the search prefilter: every flow adds q^weight
     to its boundary's coefficient, so no exponent above 0 means no flow

@@ -10,8 +10,7 @@ from webkup.webs import LadderWeb, Slice
 from webkup.flows import count_weight_zero_flows, expansion
 from webkup.growth import (
     GrowthStuck,
-    _h_strategy_keys,
-    canonical_rule_tables,
+    _rule_priority,
     construct_flow,
     dominant_states,
     growth,
@@ -21,14 +20,28 @@ from webkup.oracles import invariant_dim
 
 
 def test_derived_rule_tables():
-    t = canonical_rule_tables()
-    assert set(t[("arc", "+", "-")]) == {(1, -1)}
-    assert set(t[("arc", "-", "+")]) == {(1, -1)}
-    assert set(t[("y", "+", "+")]) == {(1, 0), (1, -1), (0, -1)}
-    assert set(t[("y", "-", "-")]) == {(1, 0), (1, -1), (0, -1)}
+    def stage(ranked, rank):
+        """(sp, sq) -> {(state p, state q): moved colors} of one rank."""
+        out = {}
+        for (sp, sq, jp, jq), (r, _, moved, *_) in ranked.items():
+            if r == rank:
+                out.setdefault((sp, sq), {})[(jp, jq)] = set(moved)
+        return out
+
+    canonical, any_move = _rule_priority(True), _rule_priority(False)
+    assert (len(canonical), len(any_move)) == (12, 22)
+    # construct_flow makes every growth move first, at the same rank
+    assert {k: v for k, v in any_move.items() if v[0] < 3} == canonical
+    assert set(stage(canonical, 0)) == {("+", "-"), ("-", "+")}
+    assert all(set(t) == {(1, -1)} for t in stage(canonical, 0).values())
+    joins = stage(canonical, 1)
+    assert set(joins) == {("+", "+"), ("-", "-")}
+    assert all(set(t) == {(1, 0), (1, -1), (0, -1)} for t in joins.values())
     # the exchange strategy only walks a 0 state left past a nonzero one
-    assert _h_strategy_keys("+", "-") == {(1, 0): -1, (-1, 0): 1}
-    assert _h_strategy_keys("-", "+") == {(1, 0): 1, (-1, 0): -1}
+    assert stage(canonical, 2) == {
+        ("+", "-"): {(1, 0): {-1}, (-1, 0): {1}},
+        ("-", "+"): {(1, 0): {1}, (-1, 0): {-1}},
+    }
 
 
 def test_derived_rules_doc_is_current(calibration):

@@ -2,13 +2,14 @@
 
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup import howe
-from webkup.qlaurent import LaurentPoly, ONE
-from webkup.webs import LadderWeb, Slice, empty_web, weight_of_signs
+from webkup.qlaurent import LaurentPoly, ONE, ZERO, qbinom, qint
+from webkup.webs import LadderWeb, Slice, empty_web, weight_of_signs, weights_bounded
 from webkup.flows import expansion
 from webkup.howe import (
     adjunction_holds,
@@ -49,6 +50,73 @@ def test_relations_small_spaces():
     assert verify_relations(4, 3) > 0
 
 
+def _reference_instances(lam):
+    """Every relation instance built afresh on the whole weight, with each
+    coefficient made before its word is tested: the table that
+    relation_instances builds per generator and column pair."""
+    n = len(lam)
+    out = []
+    E = Slice
+
+    def rel(name, *terms):
+        live = []
+        targets = set()
+        for coeff, *slices in terms:
+            word = tuple(s for s in slices if s.power > 0)
+            target = word_target(lam, word)
+            if target is not None and not coeff.is_zero():
+                targets.add(target)
+                live.append((coeff, word))
+        assert len(targets) <= 1
+        out.append((name, live))
+
+    for i in range(1, n):
+        bl = lam[i - 1] - lam[i]
+        for j in range(1, n):
+            rel(
+                f"schur {i}{j}",
+                (ONE, E("-", j), E("+", i)),
+                (-ONE, E("+", i), E("-", j)),
+                (-qint(bl) if i == j else ZERO,),
+            )
+        for a, b in ((1, 1), (1, 2), (2, 1)):
+            for sign in "+-":
+                rel(
+                    f"divpow1 {sign}{i} {a},{b}",
+                    (ONE, E(sign, i, b), E(sign, i, a)),
+                    (-qbinom(a + b, a), E(sign, i, a + b)),
+                )
+        for a, b in product((1, 2, 3), repeat=2):
+            js = range(min(a, b) + 1)
+            rel(
+                f"divpow2 {i} {a},{b}",
+                (ONE, E("-", i, b), E("+", i, a)),
+                *((-qbinom(a - b + bl, j), E("+", i, a - j), E("-", i, b - j)) for j in js),
+            )
+            rel(
+                f"divpow3 {i} {a},{b}",
+                (ONE, E("+", i, b), E("-", i, a)),
+                *((-qbinom(a - b - bl, j), E("-", i, a - j), E("+", i, b - j)) for j in js),
+            )
+        pa, pb = lam[i - 1], lam[i]
+        if pa == 0 and pb > 0:
+            rel(f"adjust1 {i}", (ONE, E("+", i, pb), E("-", i, pb)), (-ONE,))
+        if pb == 0 and pa > 0:
+            rel(f"adjust1' {i}", (ONE, E("-", i, pa), E("+", i, pa)), (-ONE,))
+        if pb == 3 and pa < 3:
+            rel(f"adjust2 {i}", (ONE, E("+", i, 3 - pa), E("-", i, 3 - pa)), (-ONE,))
+        if pa == 3 and pb < 3:
+            rel(f"adjust2' {i}", (ONE, E("-", i, 3 - pb), E("+", i, 3 - pb)), (-ONE,))
+    return out
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (6, 6)])
+def test_relation_table_equals_the_per_weight_reference(n, d):
+    for lam in weights_bounded(n, d):
+        got = [(name, list(terms)) for name, terms in howe.relation_instances(lam)]
+        assert got == _reference_instances(lam), lam
+
+
 # divpow1 is E^(b) E^(a) = [a+b choose a] E^(a+b); with that coefficient
 # times q, on a raise to a power-2 rung or a lower to a power-3 rung, the
 # relation check must fail
@@ -60,7 +128,7 @@ def test_divided_power_fails_on_a_wrong_factorial(monkeypatch, name):
 
     def planted(lam):
         return [
-            (n, terms[:1] + [(c * LaurentPoly({1: 1}), w) for c, w in terms[1:]])
+            (n, terms[:1] + tuple((c * LaurentPoly({1: 1}), w) for c, w in terms[1:]))
             if n == name
             else (n, terms)
             for n, terms in real(lam)
