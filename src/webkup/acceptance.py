@@ -27,6 +27,7 @@ from .webs import (
     ell,
     empty_web,
     format_states,
+    plain_boundaries,
     signs_of_weight,
     weight_of_signs,
     weights_bounded,
@@ -55,7 +56,7 @@ from .tableaux import (
     enumerate_fillings,
     filling_to_state,
     hat_weights,
-    satisfies_conds,
+    is_balanced,
     state_to_filling,
 )
 from .dualcan import (
@@ -91,12 +92,6 @@ def _result(number, name, fn) -> CriterionResult:
     return CriterionResult(number, name, passed, detail, time.time() - t0)
 
 
-def plain_boundaries(max_strands: int = 6, min_strands: int = 2):
-    for n in range(min_strands, max_strands + 1):
-        for tup in product("+-", repeat=n):
-            yield "".join(tup)
-
-
 # -- 1: the two evaluators agree --------------------------------------------
 
 
@@ -119,22 +114,6 @@ def criterion_1() -> CriterionResult:
 
 
 # -- 2: ground-truth relations of the evaluation -----------------------------
-
-
-def _square_faces(pw: PlanarWeb):
-    out = []
-    for cyc in pw.faces():
-        if len(cyc) != 4:
-            continue
-        info = pw._face_info(cyc)
-        eids = {e for e, _ in info}
-        verts = [v for _, v in info]
-        if len(eids) != 4 or len(set(verts)) != 4:
-            continue
-        kinds = [pw.nodes[v].kind for v in verts]
-        if all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
-            out.append(cyc)
-    return out
 
 
 def criterion_2() -> CriterionResult:
@@ -162,7 +141,7 @@ def criterion_2() -> CriterionResult:
             pw = PlanarWeb.from_ladder(w)
             if not pw.nodes:
                 continue
-            squares = _square_faces(pw)
+            squares = pw.square_faces()
             if not squares:
                 continue
             sq = min(squares, key=lambda c: min(e for e, _ in c))
@@ -192,7 +171,7 @@ def criterion_3() -> CriterionResult:
                 if exp.get(J) != ONE:
                     return False, f"diagonal entry at {signs} {J} is not 1"
                 for Jp, c in exp.items():
-                    if Jp > J and not c.is_zero():
+                    if Jp > J:
                         return False, f"entry above the diagonal at {signs} {J}"
                     if not c.is_nonnegative():
                         return False, f"negative entry at {signs} ({J},{Jp})"
@@ -420,8 +399,7 @@ def criterion_11() -> CriterionResult:
                 for K in keys:
                     f = lusztig_form_vec(db.elements[J], db.elements[K])
                     delta = ONE if J == K else ZERO
-                    diff = f - delta
-                    if not (diff.is_zero() or strictly_below_one(diff)):
+                    if not strictly_below_one(f - delta):
                         return False, f"pairing off delta at {signs} ({J},{K})"
         return True, (
             f"{elements} elements bar-invariant and below-leading; "
@@ -465,12 +443,7 @@ def criterion_12() -> CriterionResult:
 def _small_weight_signs():
     """Sign strings whose visible weights sum to at most 6, plus a few
     padded variants with inert label-0 and label-3 strands."""
-    out = []
-    for n in range(1, 7):
-        for tup in product("+-", repeat=n):
-            signs = "".join(tup)
-            if sum(hat_weights(signs)) <= 6:
-                out.append(signs)
+    out = [s for s in plain_boundaries(6, 1) if sum(hat_weights(s)) <= 6]
     out.extend(["o+x-", "+o-", "x++o--"])
     return out
 
@@ -487,7 +460,7 @@ def criterion_13() -> CriterionResult:
                 if filling_to_state(signs, f) != J:
                     return False, f"roundtrip fails at {signs} {J}"
                 roundtrips += 1
-                ok = satisfies_conds(signs, J)
+                ok = is_balanced(f)
                 if ok != (J in realized):
                     return False, f"flow existence mismatch at {signs} {J}"
                 if ok and construct_flow(signs, J).boundary != J:

@@ -23,7 +23,7 @@ from .flows import bracket, expansion
 from .planar import rewrite_bracket
 from .growth import dominant_states, flow_census, growth, web_space
 from .howe import inverse_growth, format_word, verify_relations
-from .tableaux import is_balanced, is_semistandard, state_to_filling
+from .tableaux import center_dim, is_balanced, is_semistandard, state_to_filling
 from .dualcan import default_budget, dual_canonical_basis, search_counterexample
 from .render import render
 from .cache import Workspace
@@ -70,6 +70,14 @@ def _emit(doc) -> None:
 
 def _poly_out(p: LaurentPoly, q1: bool):
     return p.eval_at_one() if q1 else str(p)
+
+
+def _rows_at_one(table: dict) -> dict:
+    """A cached {row: {col: Laurent string}} table read back at q = 1."""
+    return {
+        J: {k: LaurentPoly.parse(v).eval_at_one() for k, v in row.items()}
+        for J, row in table.items()
+    }
 
 
 # -- per-boundary artifact payloads (also the cached representations) --------
@@ -171,12 +179,7 @@ def cmd_expand(args) -> int:
         raise UsageError("expand needs a web file or --boundary, not both")
     if args.boundary is not None:
         payload = _artifact(args, "expansions", args.boundary)
-        if args.q1:
-            payload = {
-                J: {k: LaurentPoly.parse(v).eval_at_one() for k, v in row.items()}
-                for J, row in payload.items()
-            }
-        _emit(payload)
+        _emit(_rows_at_one(payload) if args.q1 else payload)
         return 0
     web = _read_web(args.web)
     if not web.has_closed_bottom():
@@ -189,13 +192,7 @@ def cmd_expand(args) -> int:
 def cmd_dualcan(args) -> int:
     payload = _artifact(args, "dualcan", args.signs)
     if args.q1:
-        payload = {
-            part: {
-                J: {k: LaurentPoly.parse(v).eval_at_one() for k, v in row.items()}
-                for J, row in table.items()
-            }
-            for part, table in payload.items()
-        }
+        payload = {part: _rows_at_one(table) for part, table in payload.items()}
     _emit(payload)
     return 0
 
@@ -214,8 +211,6 @@ def cmd_howe_verify(args) -> int:
 
 
 def cmd_center_dim(args) -> int:
-    from .tableaux import center_dim
-
     print(center_dim(args.signs))
     return 0
 

@@ -19,12 +19,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 from .qlaurent import LaurentPoly, ONE, add_scaled
 from .flows import count_weight_zero_flows, expansion
 from .growth import dominant_states, growth, web_space
-from .webs import format_states
+from .webs import format_states, plain_boundaries
 
 
 def bar_symmetric_top(p: LaurentPoly) -> LaurentPoly:
@@ -91,8 +90,7 @@ def apply_bar(signs: str, vec: dict) -> dict:
 
 
 def is_bar_invariant_vec(signs: str, vec: dict) -> bool:
-    clean = {k: v for k, v in vec.items() if not v.is_zero()}
-    return apply_bar(signs, clean) == clean
+    return apply_bar(signs, vec) == vec
 
 
 def web_matches_dual_canonical(signs: str, J: tuple[int, ...]) -> bool:
@@ -178,19 +176,18 @@ def search_counterexample(
     found = []
     checked = 0
     last = None
-    for n in range(2, max_strands + 1):
-        for signs in ("".join(p) for p in product("+-", repeat=n)):
-            if time.time() - t0 > budget:
-                return SearchReport(found, checked, last, False, time.time() - t0)
-            last = signs
-            for J in dominant_states(signs):
-                web = growth(signs, J).web
-                checked += 1
-                if count_weight_zero_flows(web, stop_at=2) > 1:
-                    if not web_is_dual_canonical(web, J):
-                        found.append((signs, J))
-                        if stop_at_first:
-                            return SearchReport(
-                                found, checked, last, False, time.time() - t0, True
-                            )
+    for signs in plain_boundaries(max_strands):
+        if time.time() - t0 > budget:
+            return SearchReport(found, checked, last, False, time.time() - t0)
+        last = signs
+        for J in dominant_states(signs):
+            web = growth(signs, J).web
+            checked += 1
+            if count_weight_zero_flows(web, stop_at=2) > 1:
+                if not web_is_dual_canonical(web, J):
+                    found.append((signs, J))
+                    if stop_at_first:
+                        return SearchReport(
+                            found, checked, last, False, time.time() - t0, True
+                        )
     return SearchReport(found, checked, last, True, time.time() - t0)

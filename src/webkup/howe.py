@@ -278,8 +278,7 @@ def format_word(word: Word, lam0: tuple[int, ...]) -> str:
     for s in word:
         lam = step_weight(lam, s)
         assert lam is not None
-        sub = f"{s.sign}{s.index}" if s.sign == "-" else f"+{s.index}"
-        tok = f"E_{{{sub}}}"
+        tok = f"E_{{{s.sign}{s.index}}}"
         if s.power > 1:
             tok += f"^({s.power})"
         parts.append(tok)

@@ -51,7 +51,6 @@ class PlanarWeb:
     def from_ladder(cls, web: LadderWeb) -> "PlanarWeb":
         if not web.is_closed():
             raise ValueError("planar evaluation needs a closed web")
-        levels = web.levels()
         pw = cls()
         raw_inc: dict[tuple, dict] = {}  # node key -> {angle: (eid, endkind)}
 
@@ -66,45 +65,28 @@ class PlanarWeb:
             pw.edges[eid] = _Edge(tail=None, head=None)
             add_end(n_tail_key, tail_angle, eid, "tail")
             add_end(n_head_key, head_angle, eid, "head")
-            return eid
 
-        n = web.n_cols
-        # vertical edges between consecutive slices touching a column
-        for i in range(n):
-            events = [
-                k for k, s in enumerate(web.slices) if s.index - 1 in (i - 1, i)
-            ]
-            for k1, k2 in zip(events, events[1:]):
-                w = levels[k1 + 1][i]
-                if w in (0, 3):
-                    continue
-                lo, hi = (k1, i), (k2, i)
-                if w == 1:  # single strands point up
-                    add_edge(lo, 90, hi, 270)
-                else:  # double strands point down
-                    add_edge(hi, 270, lo, 90)
-            # closed web: the outer spans must be invisible
-            if events:
-                assert levels[0][i] in (0, 3) and levels[-1][i] in (0, 3)
+        # vertical edges: visible runs, single strands up, double strands down
+        for col, lo, hi, w in web.runs():
+            if w in (0, 3):
+                continue
+            # closed web: a visible run ends at a slice on both sides
+            assert lo is not None and hi is not None, "visible strand reaches the boundary"
+            if w == 1:
+                add_edge((lo, col), 90, (hi, col), 270)
+            else:
+                add_edge((hi, col), 270, (lo, col), 90)
 
         # rung edges
         for k, s in enumerate(web.slices):
             if s.power == 3:
                 continue
-            c = s.index - 1
-            left, right = (k, c), (k, c + 1)
-            to_left = s.sign == "+"
-            if s.power == 2:
-                to_left = not to_left
-            if to_left:
-                add_edge(right, 180, left, 0)
-            else:
-                add_edge(left, 0, right, 180)
+            tail, head = s.rung()
+            out = 0 if head > tail else 180
+            add_edge((k, tail), out, (k, head), 180 - out)
 
         # materialize nodes with counterclockwise incidence order
-        for nkey, slot in raw_inc.items():
-            if not slot:
-                continue
+        for slot in raw_inc.values():
             nid = len(pw.nodes)
             inc = [slot[a] for a in sorted(slot)]
             pw.nodes[nid] = _Node(inc=inc)
@@ -230,14 +212,22 @@ class PlanarWeb:
 
     # -- rewriting -------------------------------------------------------
 
-    def _face_info(self, cyc):
-        """Cyclic (edge, vertex-entered) pairs for a face dart cycle."""
-        info = []
+    def _corners(self, cyc):
+        """The nodes a face's darts enter, in face order, or None unless
+        its edges and corners are distinct and sink and source alternate
+        around it: the faces the rewriting rules may cut."""
+        corners = []
         for eid, kind in cyc:
-            other = "head" if kind == "tail" else "tail"
-            vid = getattr(self.edges[eid], other)
-            info.append((eid, vid))
-        return info
+            corners.append(getattr(self.edges[eid], "head" if kind == "tail" else "tail"))
+        kinds = [self.nodes[v].kind for v in corners]
+        distinct = len({eid for eid, _ in cyc}) == len(set(corners)) == len(cyc)
+        if distinct and all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
+            return corners
+        return None
+
+    def square_faces(self) -> list[list[tuple]]:
+        """The 4-faces resolve_square may cut, in faces() order."""
+        return [cyc for cyc in self.faces() if len(cyc) == 4 and self._corners(cyc)]
 
     def _external_end(self, vid, face_edges):
         node = self.nodes[vid]
@@ -252,43 +242,33 @@ class PlanarWeb:
         for eid, endkind in (enda, endb):
             setattr(self.edges[eid], endkind, nid)
 
-    def contract_digon(self, cyc) -> None:
-        info = self._face_info(cyc)
-        face_edges = {eid for eid, _ in info}
-        verts = {vid for _, vid in info}
-        assert len(face_edges) == 2 and len(verts) == 2, "degenerate 2-face"
-        kinds = {self.nodes[v].kind for v in verts}
-        assert kinds == {"sink", "source"}, "2-face corners must be sink+source"
-        ends = [self._external_end(v, face_edges) for v in verts]
+    def _cut_face(self, cyc, pairs) -> None:
+        """Delete a face and its corners, then join the corners' external
+        ends in the given pairs of face positions."""
+        assert len(cyc) == 2 * len(pairs), (
+            f"cannot join the ends of a {len(cyc)}-face in {len(pairs)} pairs"
+        )
+        corners = self._corners(cyc)
+        assert corners is not None, (
+            f"cannot cut a {len(cyc)}-face: its edges or corners repeat, "
+            "or sink and source do not alternate around it"
+        )
+        face_edges = {eid for eid, _ in cyc}
+        ends = [self._external_end(v, face_edges) for v in corners]
         for eid in face_edges:
             del self.edges[eid]
-        for vid in verts:
+        for vid in corners:
             del self.nodes[vid]
-        self._join(*ends)
-        self.digons += 1
+        for a, b in pairs:
+            self._join(ends[a], ends[b])
         self._normalize()
 
+    def contract_digon(self, cyc) -> None:
+        self._cut_face(cyc, [(0, 1)])
+        self.digons += 1
+
     def resolve_square(self, cyc, which: int) -> None:
-        info = self._face_info(cyc)
-        face_edges = {eid for eid, _ in info}
-        verts = [vid for _, vid in info]
-        assert len(face_edges) == 4 and len(set(verts)) == 4, "degenerate 4-face"
-        for va, vb in zip(verts, verts[1:] + verts[:1]):
-            assert self.nodes[va].kind != self.nodes[vb].kind, (
-                "4-face corners must alternate sink/source"
-            )
-        ends = [self._external_end(v, face_edges) for v in verts]
-        for eid in face_edges:
-            del self.edges[eid]
-        for vid in verts:
-            del self.nodes[vid]
-        if which == 0:
-            self._join(ends[0], ends[1])
-            self._join(ends[2], ends[3])
-        else:
-            self._join(ends[1], ends[2])
-            self._join(ends[3], ends[0])
-        self._normalize()
+        self._cut_face(cyc, [(0, 1), (2, 3)] if which == 0 else [(1, 2), (3, 0)])
 
     def clone_bare(self) -> "PlanarWeb":
         dup = copy.deepcopy(self)

@@ -68,7 +68,6 @@ class _Doc:
 def render(web: LadderWeb, flow: Flow | None = None) -> str:
     if flow is not None and flow.web != web:
         raise ValueError("flow belongs to a different web")
-    levels = web.levels()
     cfgs = walk_moves(flow.web, flow.moves)[0] if flow is not None else None
     n = web.n_cols
     m = len(web.slices)
@@ -85,46 +84,37 @@ def render(web: LadderWeb, flow: Flow | None = None) -> str:
     def y_rung(k):
         return y_level(k) - ROW_H / 2
 
-    # vertical runs per column, cut at the slices touching the column
-    for col in range(n):
-        events = [
-            k for k, s in enumerate(web.slices) if s.index - 1 in (col - 1, col)
-        ]
-        cuts = [("bot", 0)] + [("rung", k) for k in events] + [("top", m)]
-        for (ka, a), (kb, b) in zip(cuts, cuts[1:]):
-            lvl = b if kb == "rung" else m  # any level inside the run
-            w = levels[lvl][col]
-            if w not in (1, 2):
-                continue
-            y_lo = y_level(0) if ka == "bot" else y_rung(a)
-            y_hi = y_level(m) if kb == "top" else y_rung(b)
-            x = x_of(col)
-            if w == 1:  # single strand, oriented up
-                doc.line(x, y_lo, x, y_hi, "e1", arrow=True)
-            else:  # double strand, oriented down
-                doc.line(x - 2, y_hi, x - 2, y_lo, "e2", arrow=True)
-                doc.line(x + 2, y_lo, x + 2, y_hi, "e2")
-            if cfgs is not None:
-                for color in sorted(cfgs[lvl][col], reverse=True):
-                    doc.line(
-                        x + FLOW_DX[color],
-                        y_lo,
-                        x + FLOW_DX[color],
-                        y_hi,
-                        "fl",
-                        stroke=FLOW_STROKE[color],
-                    )
+    # vertical runs, cut at the slices touching their column
+    for col, lo, hi, w in web.runs():
+        if w not in (1, 2):
+            continue
+        y_lo = y_level(0) if lo is None else y_rung(lo)
+        y_hi = y_level(m) if hi is None else y_rung(hi)
+        x = x_of(col)
+        if w == 1:  # single strand, oriented up
+            doc.line(x, y_lo, x, y_hi, "e1", arrow=True)
+        else:  # double strand, oriented down
+            doc.line(x - 2, y_hi, x - 2, y_lo, "e2", arrow=True)
+            doc.line(x + 2, y_lo, x + 2, y_hi, "e2")
+        if cfgs is not None:
+            lvl = m if hi is None else hi  # a level inside the run
+            for color in sorted(cfgs[lvl][col], reverse=True):
+                doc.line(
+                    x + FLOW_DX[color],
+                    y_lo,
+                    x + FLOW_DX[color],
+                    y_hi,
+                    "fl",
+                    stroke=FLOW_STROKE[color],
+                )
 
     # rungs
     for k, s in enumerate(web.slices):
         if s.power == 3:
             continue
-        c = s.index - 1
         y = y_rung(k)
-        to_left = s.sign == "+"
-        if s.power == 2:
-            to_left = not to_left
-        xa, xb = (x_of(c + 1), x_of(c)) if to_left else (x_of(c), x_of(c + 1))
+        tail, head = s.rung()
+        xa, xb = x_of(tail), x_of(head)
         if s.power == 1:
             doc.line(xa, y, xb, y, "e1", arrow=True)
         else:
@@ -143,8 +133,8 @@ def render(web: LadderWeb, flow: Flow | None = None) -> str:
 
     # boundary markers: top always, bottom only when the web is open there
     for col in range(n):
-        doc.text(x_of(col), y_level(m) - 10, MARKER[levels[-1][col]])
+        doc.text(x_of(col), y_level(m) - 10, MARKER[web.top_weight[col]])
     if not web.has_closed_bottom():
         for col in range(n):
-            doc.text(x_of(col), y_level(0) + 20, MARKER[levels[0][col]])
+            doc.text(x_of(col), y_level(0) + 20, MARKER[web.bottom_weight[col]])
     return doc.finish()

@@ -34,19 +34,6 @@ def hat_weights(signs: str) -> tuple[int, ...]:
     return tuple(v for v in weight_of_signs(signs) if v in (1, 2))
 
 
-def satisfies_conds(signs: str, states) -> bool:
-    """Every color used equally often across the boundary."""
-    counts = {c: 0 for c in COLOR_ORDER}
-    mus = hat_weights(signs)
-    states = tuple(states)
-    if len(states) != len(mus):
-        raise ValueError("state string length must match visible strands")
-    for mu, j in zip(mus, states):
-        for c in colorset_for(mu, j):
-            counts[c] += 1
-    return len(set(counts.values())) == 1
-
-
 def state_to_filling(signs: str, states) -> Filling:
     mus = hat_weights(signs)
     states = tuple(states)

@@ -14,6 +14,7 @@ State characters for flow boundary values:  1, 0, m  (for +1, 0, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, NamedTuple
 
 SIGN_TO_WEIGHT = {"o": 0, "+": 1, "-": 2, "x": 3}
@@ -63,6 +64,14 @@ def format_states(states: tuple[int, ...]) -> str:
     return "".join(STATE_TO_CHAR[s] for s in states)
 
 
+def plain_boundaries(max_strands: int, min_strands: int = 2) -> Iterator[str]:
+    """Every sign string over + and - of min_strands to max_strands
+    strands, shortest first."""
+    for n in range(min_strands, max_strands + 1):
+        for tup in product("+-", repeat=n):
+            yield "".join(tup)
+
+
 def weights_bounded(n: int, total: int) -> Iterator[tuple[int, ...]]:
     """All weight vectors of length n, entries 0..3, summing to total."""
     if n == 0:
@@ -85,6 +94,14 @@ class Slice(NamedTuple):
 
     def reflected(self) -> "Slice":
         return Slice("-" if self.sign == "+" else "+", self.index, self.power)
+
+    def rung(self) -> tuple[int, int]:
+        """The rung's (tail, head) columns, 0-based: a power-1 rung points
+        the way the slice moves weight, a power-2 rung the other way.  A
+        power-3 rung is invisible, and callers skip it."""
+        left, right = self.index - 1, self.index
+        to_left = (self.sign == "+") != (self.power == 2)
+        return (right, left) if to_left else (left, right)
 
 
 def step_weight(lam: tuple[int, ...], s: Slice):
@@ -139,6 +156,17 @@ class LadderWeb:
                 raise ValueError(f"slice {s} leaves the weight range 0..3 above {out[-1]}")
             out.append(lam)
         return out
+
+    def runs(self) -> Iterator[tuple[int, int | None, int | None, int]]:
+        """Each column's vertical runs, bottom to top, as (column, lower
+        slice index, upper slice index, weight).  A run ends at every slice touching
+        its column; None stands for the bottom or the top.  Runs of weight
+        0 and 3 are included: they are invisible, not absent."""
+        levels = self.levels()
+        for col in range(self.n_cols):
+            ends = [k for k, s in enumerate(self.slices) if s.index - 1 in (col - 1, col)]
+            for lo, hi in zip([None, *ends], [*ends, None]):
+                yield col, lo, hi, levels[0 if lo is None else lo + 1][col]
 
     def top_signs(self) -> str:
         return signs_of_weight(self.top_weight)

@@ -8,7 +8,13 @@ import pytest
 from webkup.webs import LadderWeb, Slice, close
 from webkup.flows import enumerate_flows
 from webkup.growth import flow_census, web_space
-from webkup.tableaux import center_dim, enumerate_fillings, filling_to_state, satisfies_conds
+from webkup.tableaux import (
+    center_dim,
+    enumerate_fillings,
+    filling_to_state,
+    is_balanced,
+    state_to_filling,
+)
 from webkup.gornik import coloring_count
 from webkup.planar import PlanarWeb
 
@@ -56,7 +62,7 @@ def test_state_multiplicity_positive_iff_balanced():
     for signs in ("+++", "++--"):
         census = flow_census(signs)
         for J in product((1, 0, -1), repeat=len(signs)):
-            assert (census[J] > 0) == satisfies_conds(signs, J)
+            assert (census[J] > 0) == is_balanced(state_to_filling(signs, J))
 
 
 def test_sum_of_squares_identity():
@@ -108,7 +114,7 @@ def test_flow_census_and_balanced_fillings_match_references():
         balanced = [
             J
             for J in product((1, 0, -1), repeat=len(signs))
-            if satisfies_conds(signs, J)
+            if is_balanced(state_to_filling(signs, J))
         ]
         fillings = [filling_to_state(signs, f) for f in enumerate_fillings(signs)]
         assert fillings == balanced, signs

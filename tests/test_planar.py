@@ -43,6 +43,42 @@ def test_theta_graph_shape():
     assert kinds == ["sink", "source"]
 
 
+def test_contract_digon_leaves_a_loop():
+    pw = PlanarWeb.from_ladder(THETA)
+    pw.contract_digon(pw.faces()[0])
+    assert (pw.loops, pw.digons, pw.nodes, pw.edges) == (1, 1, {}, {})
+
+
+def test_face_cut_rejects_a_face_of_the_wrong_size():
+    pw = PlanarWeb.from_ladder(THETA)
+    face = pw.faces()[0]
+    assert len(face) == 2
+    with pytest.raises(AssertionError, match="2-face in 2 pairs"):
+        pw.resolve_square(face, 0)
+
+
+def test_face_cut_rejects_corners_that_do_not_alternate():
+    pw = PlanarWeb.from_ladder(THETA)
+    for node in pw.nodes.values():
+        node.kind = "sink"
+    with pytest.raises(AssertionError, match="do not alternate"):
+        pw.contract_digon(pw.faces()[0])
+
+
+def test_square_faces():
+    space = web_space("+++---")
+    pw = PlanarWeb.from_ladder(close(space.basis[(1, 0, 1, 0, -1, -1)],
+                                     space.basis[(1, 1, 0, -1, 0, -1)]))
+    # the cube: eight corners, six square faces
+    assert len(pw.nodes) == 8
+    assert len(pw.square_faces()) == len(pw.faces()) == 6
+    # two squares and two digons: only the squares are listed
+    u = web_space("++--").basis[(1, 0, 0, -1)]
+    pw = PlanarWeb.from_ladder(close(u, u))
+    assert sorted(len(c) for c in pw.faces()) == [2, 2, 4, 4]
+    assert len(pw.square_faces()) == 2
+
+
 def test_open_web_rejected():
     arc = LadderWeb((0, 3), (Slice("+", 1),))
     with pytest.raises(ValueError):

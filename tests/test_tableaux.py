@@ -14,7 +14,6 @@ from webkup.tableaux import (
     hat_weights,
     is_balanced,
     is_semistandard,
-    satisfies_conds,
     state_to_filling,
 )
 
@@ -52,14 +51,6 @@ def test_roundtrip_all_small():
         for J in all_states(signs):
             f = state_to_filling(signs, J)
             assert filling_to_state(signs, f) == J
-
-
-def test_balanced_iff_conds():
-    for signs in ("+-", "+++", "++--", "+-+-", "+++---"):
-        for J in all_states(signs):
-            assert is_balanced(state_to_filling(signs, J)) == satisfies_conds(
-                signs, J
-            )
 
 
 def test_semistandard_iff_dominant():
@@ -123,7 +114,7 @@ def test_enumerate_matches_conds_filter():
         by_filter = sorted(
             state_to_filling(signs, J)
             for J in all_states(signs)
-            if satisfies_conds(signs, J)
+            if is_balanced(state_to_filling(signs, J))
         )
         assert sorted(enumerate_fillings(signs)) == by_filter
 
@@ -147,4 +138,4 @@ def test_flow_exists_iff_conds():
             n = sum(
                 len(enumerate_flows(w, boundary=J)) for w in space.basis.values()
             )
-            assert (n > 0) == satisfies_conds(signs, J)
+            assert (n > 0) == is_balanced(state_to_filling(signs, J))

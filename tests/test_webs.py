@@ -12,6 +12,7 @@ from webkup.webs import (
     format_states,
     hat,
     parse_states,
+    plain_boundaries,
     signs_of_weight,
     visible_columns,
     weight_of_signs,
@@ -56,6 +57,49 @@ def test_ladder_levels():
     assert w.levels() == [(0, 3), (1, 2)]
     assert w.top_weight == (1, 2)
     assert w.top_signs() == "+-"
+
+
+def test_runs_cut_at_every_touching_slice():
+    # (column, lower slice, upper slice, weight), bottom to top per column;
+    # None is the bottom or the top, and weights 0 and 3 are kept
+    arc = LadderWeb((0, 3), (Slice("+", 1),))
+    assert list(arc.runs()) == [
+        (0, None, 0, 0),
+        (0, 0, None, 1),
+        (1, None, 0, 3),
+        (1, 0, None, 2),
+    ]
+    tripod = LadderWeb((3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1)))
+    assert list(tripod.runs()) == [
+        (0, None, 0, 3),
+        (0, 0, 2, 2),
+        (0, 2, None, 1),
+        (1, None, 0, 0),
+        (1, 0, 1, 1),
+        (1, 1, 2, 0),
+        (1, 2, None, 1),
+        (2, None, 1, 0),
+        (2, 1, None, 1),
+    ]
+    assert list(empty_web((0, 3)).runs()) == [(0, None, None, 0), (1, None, None, 3)]
+
+
+def test_rung_direction():
+    # power 1 points the way weight moves ('+' toward the smaller index),
+    # power 2 the other way; columns are 0-based
+    assert Slice("+", 2, 1).rung() == (2, 1)
+    assert Slice("-", 2, 1).rung() == (1, 2)
+    assert Slice("+", 2, 2).rung() == (1, 2)
+    assert Slice("-", 2, 2).rung() == (2, 1)
+
+
+def test_plain_boundaries():
+    assert list(plain_boundaries(3)) == [
+        "++", "+-", "-+", "--",
+        "+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---",
+    ]
+    assert list(plain_boundaries(1, 1)) == ["+", "-"]
+    assert list(plain_boundaries(1)) == []
 
 
 def test_ladder_validation():
