@@ -414,17 +414,9 @@ def kuperberg_form(u: LadderWeb, v: LadderWeb) -> LaurentPoly:
     return bracket(close(u, v)).shift(ell(sig))
 
 
-def lusztig_form(u: LadderWeb, v: LadderWeb) -> LaurentPoly:
-    """Normalized pairing: the boundary-coefficient dot product.
-
-    Computed from the expansions; tests check it against the closed-web
-    route q^(-strand count) * bracket(close(u, v)).
-    """
-    return lusztig_form_vec(expansion(u), expansion(v))
-
-
 def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:
-    """Coordinatewise pairing of two state-coefficient vectors."""
+    """Normalized pairing of two state-coefficient vectors, coordinatewise; on
+    two expansions it is q^(-strand count) * bracket(close(u, v))."""
     out = LaurentPoly.zero()
     for k, a in u.items():
         b = v.get(k)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, qint
-from webkup.webs import LadderWeb, Slice, close, ell
+from webkup.webs import LadderWeb, Slice, close, ell, plain_boundaries
 from webkup.flows import (
     COLORS,
     FULL,
@@ -27,14 +27,15 @@ from webkup.flows import (
     enumerate_flows,
     expansion,
     kuperberg_form,
-    lusztig_form,
+    lusztig_form_vec,
     minus_weight,
     plus_weight,
     sweep,
     walk_moves,
 )
 from webkup import flows
-from webkup.growth import dominant_states, growth
+from webkup.acceptance import _closure_values
+from webkup.growth import dominant_states, growth, web_space
 from webkup.howe import step_weight, word_actions, word_target
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
@@ -265,14 +266,26 @@ def test_kuperberg_form_values():
 
 
 def test_lusztig_form_values():
-    assert lusztig_form(ARC, ARC) == P([(0, 1), (-2, 1), (-4, 1)])
-    assert lusztig_form(TRIPOD, TRIPOD) == P([(0, 1), (-2, 2), (-4, 2), (-6, 1)])
+    arc, tripod = expansion(ARC), expansion(TRIPOD)
+    assert lusztig_form_vec(arc, arc) == P([(0, 1), (-2, 1), (-4, 1)])
+    assert lusztig_form_vec(tripod, tripod) == P([(0, 1), (-2, 2), (-4, 2), (-6, 1)])
 
 
 def test_form_normalizations_agree():
     for u in (ARC, TRIPOD):
         n = ell(u.top_signs())
-        assert kuperberg_form(u, u) == lusztig_form(u, u).shift(2 * n)
+        exp = expansion(u)
+        assert kuperberg_form(u, u) == lusztig_form_vec(exp, exp).shift(2 * n)
+    # the whole graded Cartan matrix through 6 strands is D^T D, with D the
+    # expansion matrix: each closed value is the dot product of expansions
+    pairs = 0
+    for signs in plain_boundaries(6):
+        n = ell(signs)
+        expansions = web_space(signs).expansions
+        for (J, K), value in _closure_values(signs).items():
+            assert value.shift(-n) == lusztig_form_vec(expansions[J], expansions[K]), (signs, J, K)
+            pairs += 1
+    assert pairs == 888
 
 
 def test_closed_values_bar_invariant():

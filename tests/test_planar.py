@@ -1,13 +1,16 @@
 """Tests for the independent relation-rewriting evaluator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import ONE, qint
-from webkup.webs import LadderWeb, Slice, close
+from webkup.webs import LadderWeb, Slice, close, plain_boundaries
 from webkup.flows import bracket
+from webkup.gornik import coloring_count
 from webkup.planar import PlanarWeb, rewrite_bracket
-from webkup.growth import web_space
+from webkup.growth import dominant_states, growth, web_space
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 CIRCLE2 = LadderWeb((3, 0), (Slice("-", 1), Slice("+", 1)))
@@ -108,3 +111,18 @@ def test_routes_agree(idx):
 @settings(max_examples=15, deadline=None)
 def test_rewrite_value_bar_invariant(web):
     assert rewrite_bracket(web).is_bar_invariant()
+
+
+def test_three_routes_agree_past_six_strands():
+    # a seeded sample of basis closures on 7 to 10 strands, where the
+    # planar graphs are far larger than any that selftest rewrites
+    rng = random.Random(20260816)
+    boundaries = [s for s in plain_boundaries(10, 7) if dominant_states(s)]
+    for _ in range(300):
+        signs = rng.choice(boundaries)
+        states = dominant_states(signs)
+        J, K = rng.choice(states), rng.choice(states)
+        w = close(growth(signs, J).web, growth(signs, K).web)
+        value = bracket(w)
+        assert rewrite_bracket(w) == value, (signs, J, K)
+        assert coloring_count(w) == value.eval_at_one(), (signs, J, K)
