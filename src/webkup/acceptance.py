@@ -153,7 +153,7 @@ def criterion_2() -> CriterionResult:
             squares = pw.square_faces()
             if not squares:
                 continue
-            sq = min(squares, key=lambda c: min(e for e, _ in c))
+            sq = min(squares, key=min)
             pre = (qint(3) ** pw.loops) * (qint(2) ** pw.digons)
             a = pw.clone_bare()
             a.resolve_square(sq, 0)

@@ -22,27 +22,29 @@ from .planar import PlanarWeb
 def coloring_count(web: LadderWeb) -> int:
     """Number of Tait colorings of a closed web."""
     pw = PlanarWeb.from_ladder(web)
-    # depth-first edge order: every edge after a component's first meets
-    # an earlier one, so a bad partial coloring is cut early
+    nxt, twin = pw.nxt, pw.twin
+    # depth-first edge order, one dart per edge: every edge after a
+    # component's first meets an earlier one, so a bad partial coloring
+    # is cut early
     order: list[int] = []
-    seen: set[int] = set()
-    for start in pw.nodes:
+    pos: dict[int, int] = {}  # dart -> position of its edge
+    for start in nxt:
         stack = [start]
         while stack:
-            for eid, _ in pw.nodes[stack.pop()].inc:
-                if eid not in seen:
-                    seen.add(eid)
-                    order.append(eid)
-                    stack += (pw.edges[eid].tail, pw.edges[eid].head)
-    pos = {eid: i for i, eid in enumerate(order)}
+            d = stack.pop()
+            for e in (d, nxt[d], nxt[nxt[d]]):
+                if e not in pos:
+                    pos[e] = pos[twin[e]] = len(order)
+                    order.append(e)
+                    stack.append(twin[e])
     earlier = [
         [
             pos[other]
-            for nid in (pw.edges[eid].tail, pw.edges[eid].head)
-            for other, _ in pw.nodes[nid].inc
+            for end in (e, twin[e])
+            for other in (nxt[end], nxt[nxt[end]])
             if pos[other] < i
         ]
-        for i, eid in enumerate(order)
+        for i, e in enumerate(order)
     ]
     colors = [0] * len(order)
 

@@ -9,6 +9,11 @@ which can smooth a single strand into a double strand; orientation
 consistency at every smoothing is asserted, so a convention error would
 crash rather than give wrong numbers.
 
+The graph is a rotation system on integer darts, one dart per end of an
+edge: `twin` maps each dart to the dart at the other end of its edge,
+`nxt` to the next dart counterclockwise around its node, and `out`
+holds the darts whose edge leaves their node.
+
 The value is computed by the closed-web rewriting rules: a free loop
 contributes the quantum integer [3]; a 2-sided face contracts and
 contributes [2]; a 4-sided face splits into the sum of its two parallel
@@ -18,7 +23,6 @@ exists while vertices remain, and faces are even, so this terminates.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .qlaurent import LaurentPoly, ONE, qint
@@ -26,24 +30,12 @@ from .webs import LadderWeb
 
 
 @dataclass
-class _Edge:
-    tail: int | None  # node the edge leaves
-    head: int | None  # node the edge enters
-
-
-@dataclass
-class _Node:
-    inc: list  # (eid, endkind) pairs; endkind 'head' means the edge arrives
-    kind: str = ""  # 'sink' | 'source' once classified
-
-
-@dataclass
 class PlanarWeb:
-    nodes: dict[int, _Node] = field(default_factory=dict)
-    edges: dict[int, _Edge] = field(default_factory=dict)
+    twin: dict[int, int] = field(default_factory=dict)
+    nxt: dict[int, int] = field(default_factory=dict)
+    out: set[int] = field(default_factory=set)
     loops: int = 0
     digons: int = 0
-    _next_eid: int = 0
 
     # -- construction ----------------------------------------------------
 
@@ -52,19 +44,17 @@ class PlanarWeb:
         if not web.is_closed():
             raise ValueError("planar evaluation needs a closed web")
         pw = cls()
-        raw_inc: dict[tuple, dict] = {}  # node key -> {angle: (eid, endkind)}
-
-        def add_end(nkey, angle, eid, endkind):
-            slot = raw_inc.setdefault(nkey, {})
-            assert angle not in slot, f"two edges share an angle at {nkey}"
-            slot[angle] = (eid, endkind)
+        points: dict[tuple, dict] = {}  # (slice, column) -> {angle: dart}
 
         def add_edge(n_tail_key, tail_angle, n_head_key, head_angle):
-            eid = pw._next_eid
-            pw._next_eid += 1
-            pw.edges[eid] = _Edge(tail=None, head=None)
-            add_end(n_tail_key, tail_angle, eid, "tail")
-            add_end(n_head_key, head_angle, eid, "head")
+            d = len(pw.twin)
+            pw.twin[d], pw.twin[d + 1] = d + 1, d
+            pw.out.add(d)
+            ends = ((n_tail_key, tail_angle, d), (n_head_key, head_angle, d + 1))
+            for nkey, angle, dart in ends:
+                slot = points.setdefault(nkey, {})
+                assert angle not in slot, f"two edges share an angle at {nkey}"
+                slot[angle] = dart
 
         # vertical edges: visible runs, single strands up, double strands down
         for col, lo, hi, w in web.runs():
@@ -82,130 +72,82 @@ class PlanarWeb:
             if s.power == 3:
                 continue
             tail, head = s.rung()
-            out = 0 if head > tail else 180
-            add_edge((k, tail), out, (k, head), 180 - out)
+            angle = 0 if head > tail else 180
+            add_edge((k, tail), angle, (k, head), 180 - angle)
 
-        # materialize nodes with counterclockwise incidence order
-        for slot in raw_inc.values():
-            nid = len(pw.nodes)
-            inc = [slot[a] for a in sorted(slot)]
-            pw.nodes[nid] = _Node(inc=inc)
-            for eid, endkind in inc:
-                setattr(pw.edges[eid], endkind, nid)
-        for nid, node in pw.nodes.items():
-            if len(node.inc) == 1:
+        # link each point's darts counterclockwise; smooth the 2-valent ones
+        for nkey, slot in points.items():
+            darts = [slot[a] for a in sorted(slot)]
+            if len(darts) == 1:
                 raise AssertionError("dangling edge in closed web")
-
-        pw._classify()
-        pw._normalize()
+            for a, b in zip(darts, darts[1:] + darts[:1]):
+                pw.nxt[a] = b
+            if len(darts) == 2:
+                pw._smooth(*darts)
+            elif len({d in pw.out for d in darts}) != 1:
+                raise AssertionError(f"mixed orientation at trivalent node {nkey}")
         return pw
 
-    def _classify(self) -> None:
-        for nid, node in self.nodes.items():
-            if len(node.inc) != 3:
-                continue
-            kinds = {endkind for _, endkind in node.inc}
-            if kinds == {"head"}:
-                node.kind = "sink"
-            elif kinds == {"tail"}:
-                node.kind = "source"
-            else:
-                raise AssertionError(f"mixed orientation at trivalent node {nid}")
+    def _smooth(self, a: int, b: int) -> None:
+        """Remove the 2-valent node {a, b}: splice the far ends of its two
+        edges into one edge, or count a free loop if they are one edge."""
+        assert (a in self.out) != (b in self.out), (
+            f"orientation clash while smoothing darts {a}, {b}"
+        )
+        ta, tb = self.twin.pop(a), self.twin.pop(b)
+        if ta == b:
+            self.loops += 1
+        else:
+            self.twin[ta], self.twin[tb] = tb, ta
+        del self.nxt[a], self.nxt[b]
+        self.out -= {a, b}
 
-    def _normalize(self) -> None:
-        """Smooth all 2-valent nodes, collecting free loops."""
-        todo = [nid for nid, nd in self.nodes.items() if len(nd.inc) != 3]
-        while todo:
-            nid = todo.pop()
-            node = self.nodes.get(nid)
-            if node is None or len(node.inc) == 3:
-                continue
-            if len(node.inc) == 0:
-                del self.nodes[nid]
-                continue
-            assert len(node.inc) == 2, "dangling edge while smoothing"
-            (e1, k1), (e2, k2) = node.inc
-            if e1 == e2:
-                # both ends of one edge meet here: a free loop
-                self.loops += 1
-                del self.edges[e1]
-                del self.nodes[nid]
-                continue
-            assert {k1, k2} == {"head", "tail"}, (
-                f"orientation clash while smoothing node {nid}"
-            )
-            e_in, e_out = (e1, e2) if k1 == "head" else (e2, e1)
-            new = self._next_eid
-            self._next_eid += 1
-            tail, head = self.edges[e_in].tail, self.edges[e_out].head
-            self.edges[new] = _Edge(tail=tail, head=head)
-            self._replace_ref(tail, e_in, "tail", new)
-            self._replace_ref(head, e_out, "head", new)
-            del self.edges[e_in]
-            del self.edges[e_out]
-            del self.nodes[nid]
-        for node in self.nodes.values():
-            assert len(node.inc) == 3
-
-    def _replace_ref(self, nid, old_eid, endkind, new_eid) -> None:
-        node = self.nodes[nid]
-        for pos, (eid, kind) in enumerate(node.inc):
-            if eid == old_eid and kind == endkind:
-                node.inc[pos] = (new_eid, endkind)
-                return
-        raise AssertionError("missing incidence reference")
+    @property
+    def nodes(self) -> list[tuple[int, int, int]]:
+        """Each node's three darts, counterclockwise."""
+        nxt, seen, nodes = self.nxt, set(), []
+        for d in nxt:
+            if d not in seen:
+                node = (d, nxt[d], nxt[nxt[d]])
+                seen.update(node)
+                nodes.append(node)
+        return nodes
 
     # -- faces -----------------------------------------------------------
 
-    def faces(self) -> list[list[tuple]]:
-        """Faces as dart cycles; a dart (eid, endkind) sits at the node
-        holding that end.  Faces are orbits of: twin, then next dart
-        counterclockwise around the node."""
-        darts = []
-        for eid in self.edges:
-            darts.append((eid, "tail"))
-            darts.append((eid, "head"))
-        pos_at = {}
-        for nid, node in self.nodes.items():
-            for pos, ref in enumerate(node.inc):
-                pos_at[ref] = (nid, pos)
-
-        def step(d):
-            eid, kind = d
-            twin = (eid, "head" if kind == "tail" else "tail")
-            nid, pos = pos_at[twin]
-            node = self.nodes[nid]
-            return node.inc[(pos + 1) % len(node.inc)]
-
+    def faces(self) -> list[list[int]]:
+        """Faces as dart cycles: each dart is followed by the dart after
+        its twin counterclockwise, d -> nxt[twin[d]]."""
         seen = set()
-        out = []
-        for d in darts:
-            if d in seen:
-                continue
+        faces = []
+        for d in self.twin:
             cyc = []
-            cur = d
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                cur = step(cur)
-            out.append(cyc)
-        return out
+            while d not in seen:
+                seen.add(d)
+                cyc.append(d)
+                d = self.nxt[self.twin[d]]
+            if cyc:
+                faces.append(cyc)
+        return faces
 
     def euler_check(self) -> None:
-        """V - E + F must equal twice the component count."""
-        parent = {nid: nid for nid in self.nodes}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in self.edges.values():
-            ra, rb = find(e.tail), find(e.head)
-            parent[ra] = rb
-        comps = len({find(nid) for nid in self.nodes})
-        v, e, f = len(self.nodes), len(self.edges), len(self.faces())
+        """Every node is trivalent, and V - E + F equals twice the
+        component count."""
+        nxt, twin = self.nxt, self.twin
+        assert all(nxt[nxt[nxt[d]]] == d for d in nxt), "a node is not trivalent"
+        seen: set[int] = set()
+        comps = 0
+        for start in nxt:
+            if start in seen:
+                continue
+            comps += 1
+            stack = [start]
+            while stack:
+                d = stack.pop()
+                if d not in seen:
+                    seen.add(d)
+                    stack += (nxt[d], twin[d])
+        v, e, f = len(nxt) // 3, len(twin) // 2, len(self.faces())
         if v == 0:
             return
         assert v - e + f == 2 * comps, f"euler check failed: {v}-{e}+{f} != 2*{comps}"
@@ -213,38 +155,28 @@ class PlanarWeb:
     # -- rewriting -------------------------------------------------------
 
     def _corners(self, cyc):
-        """The nodes a face's darts enter, in face order, or None unless
-        its edges and corners are distinct and sink and source alternate
-        around it: the faces the rewriting rules may cut."""
-        corners = []
-        for eid, kind in cyc:
-            corners.append(getattr(self.edges[eid], "head" if kind == "tail" else "tail"))
-        kinds = [self.nodes[v].kind for v in corners]
-        distinct = len({eid for eid, _ in cyc}) == len(set(corners)) == len(cyc)
+        """The darts by which a face enters its corners, in face order, or
+        None unless its edges and corners are distinct and sink and source
+        alternate around it: the faces the rewriting rules may cut."""
+        nxt = self.nxt
+        corners = [self.twin[d] for d in cyc]
+        distinct = (
+            len(set(cyc) | set(corners)) == 2 * len(cyc)
+            # a node is named by its least dart
+            and len({min(t, nxt[t], nxt[nxt[t]]) for t in corners}) == len(cyc)
+        )
+        kinds = [t in self.out for t in corners]
         if distinct and all(a != b for a, b in zip(kinds, kinds[1:] + kinds[:1])):
             return corners
         return None
 
-    def square_faces(self) -> list[list[tuple]]:
+    def square_faces(self) -> list[list[int]]:
         """The 4-faces resolve_square may cut, in faces() order."""
         return [cyc for cyc in self.faces() if len(cyc) == 4 and self._corners(cyc)]
 
-    def _external_end(self, vid, face_edges):
-        node = self.nodes[vid]
-        ext = [(eid, kind) for eid, kind in node.inc if eid not in face_edges]
-        assert len(ext) == 1, "face corner without a unique external edge"
-        return ext[0]
-
-    def _join(self, enda, endb) -> None:
-        """Connect two external edge ends through a fresh 2-valent node."""
-        nid = max(self.nodes, default=-1) + 1
-        self.nodes[nid] = _Node(inc=[enda, endb])
-        for eid, endkind in (enda, endb):
-            setattr(self.edges[eid], endkind, nid)
-
     def _cut_face(self, cyc, pairs) -> None:
         """Delete a face and its corners, then join the corners' external
-        ends in the given pairs of face positions."""
+        darts in the given pairs of face positions."""
         assert len(cyc) == 2 * len(pairs), (
             f"cannot join the ends of a {len(cyc)}-face in {len(pairs)} pairs"
         )
@@ -253,15 +185,14 @@ class PlanarWeb:
             f"cannot cut a {len(cyc)}-face: its edges or corners repeat, "
             "or sink and source do not alternate around it"
         )
-        face_edges = {eid for eid, _ in cyc}
-        ends = [self._external_end(v, face_edges) for v in corners]
-        for eid in face_edges:
-            del self.edges[eid]
-        for vid in corners:
-            del self.nodes[vid]
+        ext = [self.nxt[self.nxt[t]] for t in corners]
+        for d in cyc + corners:
+            del self.twin[d], self.nxt[d]
+            self.out.discard(d)
         for a, b in pairs:
-            self._join(ends[a], ends[b])
-        self._normalize()
+            x_a, x_b = ext[a], ext[b]
+            self.nxt[x_a], self.nxt[x_b] = x_b, x_a
+            self._smooth(x_a, x_b)
 
     def contract_digon(self, cyc) -> None:
         self._cut_face(cyc, [(0, 1)])
@@ -271,10 +202,7 @@ class PlanarWeb:
         self._cut_face(cyc, [(0, 1), (2, 3)] if which == 0 else [(1, 2), (3, 0)])
 
     def clone_bare(self) -> "PlanarWeb":
-        dup = copy.deepcopy(self)
-        dup.loops = 0
-        dup.digons = 0
-        return dup
+        return PlanarWeb(dict(self.twin), dict(self.nxt), set(self.out))
 
     def evaluate(self) -> LaurentPoly:
         """Consume the graph, returning its closed-web value."""
@@ -283,12 +211,9 @@ class PlanarWeb:
             acc = acc * (qint(3) ** self.loops) * (qint(2) ** self.digons)
             self.loops = 0
             self.digons = 0
-            if not self.nodes:
+            if not self.nxt:
                 return acc
-            faces = sorted(
-                self.faces(), key=lambda c: (len(c), min(e for e, _ in c))
-            )
-            smallest = faces[0]
+            smallest = min(self.faces(), key=lambda c: (len(c), min(c)))
             assert len(smallest) % 2 == 0, "odd face in a sink/source graph"
             if len(smallest) == 2:
                 self.contract_digon(smallest)

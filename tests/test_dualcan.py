@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO
 from webkup import dualcan
-from webkup.webs import LadderWeb, Slice, parse_states
-from webkup.flows import count_weight_zero_flows, expansion, lusztig_form_vec
+from webkup.webs import LadderWeb, Slice, close, parse_states
+from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec
+from webkup.planar import rewrite_bracket
 from webkup.growth import growth, web_space
 from webkup.howe import _basis_vectors
 from webkup.dualcan import (
@@ -231,8 +232,17 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff):
     web = growth(signs, parse_states(J)).web
     assert count_weight_zero_flows(web) == 2
     assert count_weight_zero_flows(web, stop_at=2) == 2
-    assert expansion(web)[parse_states(K)] == LaurentPoly(coeff)
+    exp = expansion(web)
+    assert exp[parse_states(K)] == LaurentPoly(coeff)
     assert not web_is_dual_canonical(web, parse_states(J))
+    # planar certificate: off the leading state a dual canonical pairing has
+    # no constant term, and the rewriting evaluator finds one without flows
+    other = growth(signs, parse_states(K)).web
+    value = rewrite_bracket(close(web, other))
+    assert value == bracket(close(web, other))
+    form = value.shift(-12)
+    assert form == lusztig_form_vec(exp, expansion(other))
+    assert form.degree() == 0 and form.coeffs[0] == 1
 
 
 def test_state_vectors_hold_no_zero():
