@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qlaurent import LaurentPoly, ONE, qfact
-from .webs import LadderWeb, close, ell, visible_columns
+from .webs import LadderWeb, visible_columns
 
 COLORS = (-1, 0, 1)
 FULL = frozenset(COLORS)
@@ -233,15 +233,23 @@ def start_config(lam: tuple[int, ...]) -> tuple[frozenset, ...]:
     return tuple(cfg)
 
 
-def sweep(vec: dict, slices) -> dict:
-    """Apply ladder slices in order to a vector over color configurations,
-    on raw {exponent: coeff} dicts wrapped once at the end.  Coefficients
-    must be nonzero and in N[q, q^-1] (checked), so no sum cancels and the
-    output holds no zero without a filter."""
+def raw_vector(vec: dict) -> dict:
+    """A vector {cfg: LaurentPoly} as raw {cfg: {exponent: coeff}} dicts,
+    checked to hold only nonzero coefficients in N[q, q^-1]: the entry
+    condition of sweep_raw."""
     raw = {cfg: poly.coeffs for cfg, poly in vec.items()}
     for coeffs in raw.values():
         if min(coeffs.values(), default=0) <= 0:
             raise ValueError(f"sweep needs nonzero coefficients in N[q, q^-1]: {coeffs}")
+    return raw
+
+
+def sweep_raw(raw: dict, slices) -> dict:
+    """The ladder-sweep kernel: apply slices in order to a vector of raw
+    {exponent: coeff} dicts over color configurations.  The input must
+    pass raw_vector's check; then no sum cancels and the output holds no
+    zero without a filter.  The input is not mutated, and it is returned
+    as is when there is no slice."""
     for sign, index, power in slices:
         c = index - 1
         out: dict[tuple, dict[int, int]] = {}
@@ -251,7 +259,15 @@ def sweep(vec: dict, slices) -> dict:
                 for e, k in coeffs.items():
                     acc[e + w] = acc.get(e + w, 0) + k
         raw = out
-    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in raw.items()}
+    return raw
+
+
+def sweep(vec: dict, slices) -> dict:
+    """Apply ladder slices in order to a vector {cfg: LaurentPoly}, whose
+    coefficients must be nonzero and in N[q, q^-1] (checked): sweep_raw
+    on its raw dicts, each result wrapped once."""
+    out = sweep_raw(raw_vector(vec), slices)
+    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in out.items()}
 
 
 def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
@@ -406,12 +422,6 @@ def _weight_window(sign: str, power: int, a: int, b: int) -> float:
 # ---------------------------------------------------------------------------
 # pairings
 # ---------------------------------------------------------------------------
-
-
-def kuperberg_form(u: LadderWeb, v: LadderWeb) -> LaurentPoly:
-    """Pairing by closing: q^(strand count) times the closed-web value."""
-    sig = u.top_signs()
-    return bracket(close(u, v)).shift(ell(sig))
 
 
 def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:

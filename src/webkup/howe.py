@@ -16,16 +16,18 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, add_scaled, qbinom
+from .qlaurent import LaurentPoly, ONE, _add_product, qbinom
 from .webs import (
     LadderWeb,
     Slice,
+    ell,
+    mirror,
     signs_of_weight,
     step_weight,
     weight_of_signs,
     weights_bounded,
 )
-from .flows import config_vector, kuperberg_form, sweep
+from .flows import config_vector, raw_vector, sweep_raw
 from .growth import web_space
 
 Word = tuple[Slice, ...]
@@ -58,17 +60,19 @@ def _basis_vectors(signs: str):
 
 
 def word_actions(vec):
-    """The action of live words on one vector, memoized: a word maps to
-    its one-slice-shorter prefix's vector swept by its last slice, so
-    words sharing a prefix sweep it once.  Only words that word_target
-    keeps alive may be asked for; a prefix of a live word is live.  That
-    equals sweeping the whole word (asserted by
+    """The action of live words on one vector, memoized as raw
+    {exponent: coeff} dicts (flows.sweep_raw's form): a word maps to its
+    one-slice-shorter prefix's vector swept by its last slice, so words
+    sharing a prefix sweep it once.  The vector is converted and checked
+    for coefficients in N[q, q^-1] once, here.  Only words that
+    word_target keeps alive may be asked for; a prefix of a live word is
+    live.  That equals sweeping the whole word (asserted by
     tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
-    memo = {(): vec}
+    memo = {(): raw_vector(vec)}
 
     def act(word: Word):
         if word not in memo:
-            memo[word] = sweep(act(word[:-1]), word[-1:])
+            memo[word] = sweep_raw(act(word[:-1]), word[-1:])
         return memo[word]
 
     return act
@@ -160,10 +164,15 @@ def relation_instances(lam: tuple[int, ...]):
 
 
 def _vanishes(act, terms) -> bool:
-    """Whether the sum of coeff * act(word) over the terms is zero."""
+    """Whether the sum of coeff * act(word) over the terms is zero, summed
+    on raw dicts; an entry that cancels is deleted."""
     residue: dict = {}
     for coeff, word in terms:
-        add_scaled(residue, coeff, act(word))
+        for cfg, coeffs in act(word).items():
+            acc = residue.setdefault(cfg, {})
+            _add_product(acc, coeff.coeffs, coeffs)
+            if not acc:
+                del residue[cfg]
     return not residue
 
 
@@ -216,27 +225,33 @@ def tau_word(word: Word, source: tuple[int, ...]):
 
 
 def adjunction_holds(signs: str, word: Word) -> bool:
-    """Kuperberg-form adjointness of a word and its tau image, tested on
-    all pairs of basis webs of the two boundaries involved."""
-    space = web_space(signs)
+    """Kuperberg-form adjointness of a word x and its tau image, tested on
+    all pairs (u, v) of basis webs of the two boundaries involved:
+    <xu, v> == scalar * <u, tau(x) v>, each form being q^(strand count
+    of its first web's top) times the value of a closure.
+
+    Both closures are one web, v's slices, then tau's reversed mirrored
+    word, then the mirror of u.  So the check compares tau's scalar with
+    the strand-count normalization, q^(l_target - l_source), on every pair
+    whose closed value is nonzero.  Each target basis vector is swept
+    through tau's word once and then through each source web's mirror."""
     lam = weight_of_signs(signs)
     target = word_target(lam, word)
     if target is None:
         return True  # the map is zero and so is its partner
     tsigns = signs_of_weight(target)
-    tspace = web_space(tsigns)
     scalar, back = tau_word(word, lam)
-    for u in space.basis.values():
-        xu = phi_word(word, u)
-        for v in tspace.basis.values():
-            lhs = kuperberg_form(xu, v) if xu is not None else LaurentPoly.zero()
-            tv = phi_word(back, v)
-            rhs = (
-                scalar * kuperberg_form(u, tv)
-                if tv is not None
-                else LaurentPoly.zero()
-            )
-            if lhs != rhs:
+    # close(xu, v) and close(u, tau(x) v) both read v, back, mirror(u)
+    assert back == mirror(word), back
+    ell_s, ell_t = ell(signs), ell(tsigns)
+    mirrors = [mirror(u.slices) for u in web_space(signs).basis.values()]
+    for vec in _basis_vectors(tsigns).values():
+        tv = sweep_raw(raw_vector(vec), back)
+        for slices in mirrors:
+            closed = sweep_raw(tv, slices)
+            assert len(closed) <= 1, "a closed web has one top configuration"
+            b = LaurentPoly._trusted(*closed.values()) if closed else LaurentPoly.zero()
+            if b.shift(ell_t) != scalar * b.shift(ell_s):
                 return False
     return True
 

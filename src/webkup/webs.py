@@ -104,6 +104,11 @@ class Slice(NamedTuple):
         return (right, left) if to_left else (left, right)
 
 
+def mirror(slices) -> tuple[Slice, ...]:
+    """The slices of a ladder read top to bottom, each rung reflected."""
+    return tuple(s.reflected() for s in reversed(slices))
+
+
 def step_weight(lam: tuple[int, ...], s: Slice):
     """Weight after one rung, or None if it leaves 0..3."""
     c = s.index - 1
@@ -179,10 +184,7 @@ class LadderWeb:
 
     def reflect(self) -> "LadderWeb":
         """Flip the web upside down (the star / mirror web)."""
-        return LadderWeb(
-            self.top_weight,
-            tuple(s.reflected() for s in reversed(self.slices)),
-        )
+        return LadderWeb(self.top_weight, mirror(self.slices))
 
     def stack(self, upper: "LadderWeb") -> "LadderWeb":
         if self.top_weight != upper.bottom_weight:

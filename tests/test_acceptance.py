@@ -251,6 +251,22 @@ def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch, fresh_tables):
     assert res.detail == "diagonal form value differs at +- (1, -1)"
 
 
+def test_criterion_08_fails_on_a_wrong_tau_scalar(monkeypatch):
+    # tau's scalar times q breaks adjointness; acceptance binds no tau_word
+    # of its own and reaches it through howe.adjunction_holds
+    assert not hasattr(acceptance, "tau_word")
+    real = howe.tau_word
+
+    def planted(word, source):
+        scalar, back = real(word, source)
+        return scalar * LaurentPoly({1: 1}), back
+
+    monkeypatch.setattr(howe, "tau_word", planted)
+    res = acceptance.CRITERIA[8]()
+    assert not res.passed
+    assert res.detail == "adjunction fails for a word on +-"
+
+
 def test_criteria_01_08_10_evaluate_each_closure_once(monkeypatch, fresh_tables):
     # the 888 basis closures through 6 strands go through one table
     real = acceptance.bracket

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, qint
-from webkup.webs import LadderWeb, Slice, close, ell, plain_boundaries
+from webkup.webs import LadderWeb, Slice, close, ell, plain_boundaries, weight_of_signs
 from webkup.flows import (
     COLORS,
     FULL,
@@ -26,11 +26,11 @@ from webkup.flows import (
     count_weight_zero_flows,
     enumerate_flows,
     expansion,
-    kuperberg_form,
     lusztig_form_vec,
     minus_weight,
     plus_weight,
     sweep,
+    sweep_raw,
     walk_moves,
 )
 from webkup import flows
@@ -260,9 +260,14 @@ def test_divided_power_transitions():
     assert full == [(FULL, 0)]
 
 
+def _kuperberg_form(u, v):
+    """Pairing by closing: q^(strand count) times the closed-web value."""
+    return bracket(close(u, v)).shift(ell(u.top_signs()))
+
+
 def test_kuperberg_form_values():
-    assert kuperberg_form(ARC, ARC) == P([(4, 1), (2, 1), (0, 1)])
-    assert kuperberg_form(TRIPOD, TRIPOD) == P([(6, 1), (4, 2), (2, 2), (0, 1)])
+    assert _kuperberg_form(ARC, ARC) == P([(4, 1), (2, 1), (0, 1)])
+    assert _kuperberg_form(TRIPOD, TRIPOD) == P([(6, 1), (4, 2), (2, 2), (0, 1)])
 
 
 def test_lusztig_form_values():
@@ -275,7 +280,7 @@ def test_form_normalizations_agree():
     for u in (ARC, TRIPOD):
         n = ell(u.top_signs())
         exp = expansion(u)
-        assert kuperberg_form(u, u) == lusztig_form_vec(exp, exp).shift(2 * n)
+        assert _kuperberg_form(u, u) == lusztig_form_vec(exp, exp).shift(2 * n)
     # the whole graded Cartan matrix through 6 strands is D^T D, with D the
     # expansion matrix: each closed value is the dot product of expansions
     pairs = 0
@@ -426,16 +431,21 @@ def test_sweep_matches_flow_census(web):
     assert all(poly.coeffs and 0 not in poly.coeffs.values() for poly in vec.values())
 
 
+def _raw(vec):
+    return {cfg: poly.coeffs for cfg, poly in vec.items()}
+
+
 def _check_act(web, word):
-    """The memoized action of a live word equals sweeping the whole word,
-    and the vector of the web with the word stacked on top.  Returns the
-    word's target weight, None when the word kills the web."""
+    """The memoized action of a live word, a vector of raw dicts, equals
+    sweeping the whole word and the vector of the web with the word
+    stacked on top.  Returns the word's target weight, None when the word
+    kills the web."""
     lam, vec = web.top_weight, config_vector(web)
     target = word_target(lam, word)
     if target is not None:
         whole = word_actions(vec)(word)
-        assert whole == sweep(vec, word)
-        assert whole == config_vector(LadderWeb(web.bottom_weight, web.slices + word))
+        assert whole == _raw(sweep(vec, word))
+        assert whole == _raw(config_vector(LadderWeb(web.bottom_weight, web.slices + word)))
     return target
 
 
@@ -450,6 +460,32 @@ def test_act_power_words():
     assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("-", 2, 2))) == (0, 0, 3)
     assert _check_act(POWER_WEBS[0], (Slice("-", 1), Slice("+", 1, 3))) is None
     assert _check_act(POWER_WEBS[1], (Slice("+", 2), Slice("-", 2, 2))) == (2, 1, 3)
+
+
+def test_word_actions_rejects_coefficients_outside_n_q():
+    # the memo holds raw dicts, checked once on entry
+    for bad in (-ONE, LaurentPoly.zero(), LaurentPoly({1: 1, 0: -1})):
+        with pytest.raises(ValueError, match="N\\[q, q\\^-1\\]"):
+            word_actions({(frozenset(), FULL): bad})
+
+
+@pytest.mark.parametrize("signs", ["++--", "+-+-"])
+def test_sweep_raw_equals_sweep(signs):
+    # each basis vector through each live single rung and each closure
+    space = web_space(signs)
+    lam = weight_of_signs(signs)
+    rungs = [
+        (Slice(sign, i),)
+        for sign in "+-"
+        for i in range(1, len(lam))
+        if word_target(lam, (Slice(sign, i),)) is not None
+    ]
+    mirrors = [u.reflect().slices for u in space.basis.values()]
+    assert rungs and mirrors
+    for web in space.basis.values():
+        vec = config_vector(web)
+        for slices in rungs + mirrors:
+            assert sweep_raw(_raw(vec), slices) == _raw(sweep(vec, slices))
 
 
 def test_sweep_rejects_coefficients_outside_n_q():

@@ -9,8 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from webkup import howe
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, qbinom, qint
-from webkup.webs import LadderWeb, Slice, empty_web, weight_of_signs, weights_bounded
-from webkup.flows import expansion
+from webkup.webs import (
+    LadderWeb,
+    Slice,
+    close,
+    ell,
+    empty_web,
+    signs_of_weight,
+    weight_of_signs,
+    weights_bounded,
+)
+from webkup.flows import bracket, expansion
+from webkup.growth import web_space
 from webkup.howe import (
     adjunction_holds,
     format_word,
@@ -180,9 +190,45 @@ def test_adjunction_small():
     assert adjunction_holds("o+x-", (Slice("+", 1), Slice("-", 3)))
 
 
+def _kuperberg_form(u, v):
+    return bracket(close(u, v)).shift(ell(u.top_signs()))
+
+
+def _reference_adjunction(signs, word):
+    """Adjointness evaluated as stated: <xu, v> and scalar * <u, tau(x) v>,
+    two closures swept on their own for every pair of basis webs."""
+    lam = weight_of_signs(signs)
+    target = word_target(lam, word)
+    if target is None:
+        return True
+    scalar, back = howe.tau_word(word, lam)
+    for u in web_space(signs).basis.values():
+        xu = phi_word(word, u)
+        for v in web_space(signs_of_weight(target)).basis.values():
+            tv = phi_word(back, v)
+            assert close(xu, v) == close(u, tv)  # the one web adjunction_holds sweeps
+            if _kuperberg_form(xu, v) != scalar * _kuperberg_form(u, tv):
+                return False
+    return True
+
+
+def _plant_tau_times_q(mp):
+    """tau's scalar multiplied by q: adjointness must fail."""
+    real = howe.tau_word
+
+    def planted(word, source):
+        scalar, back = real(word, source)
+        return scalar * LaurentPoly({1: 1}), back
+
+    mp.setattr(howe, "tau_word", planted)
+
+
 @given(st.sampled_from(["+-", "+++", "++--", "+-+-"]), st.data())
 @settings(max_examples=25, deadline=None)
 def test_adjunction_random_words(signs, data):
+    # the one-sweep check agrees with the reference, which evaluates the
+    # two closures of every pair apart, also under a wrong tau scalar;
+    # every boundary here has a nonzero closed value, so the fault shows
     lam = weight_of_signs(signs)
     n = len(lam)
     k = data.draw(st.integers(1, 3))
@@ -190,5 +236,11 @@ def test_adjunction_random_words(signs, data):
         Slice(data.draw(st.sampled_from("+-")), data.draw(st.integers(1, n - 1)))
         for _ in range(k)
     )
-    if word_target(lam, word) is not None:
-        assert adjunction_holds(signs, word)
+    if word_target(lam, word) is None:
+        return
+    assert adjunction_holds(signs, word)
+    assert _reference_adjunction(signs, word)
+    with pytest.MonkeyPatch.context() as mp:
+        _plant_tau_times_q(mp)
+        assert not adjunction_holds(signs, word)
+        assert not _reference_adjunction(signs, word)
