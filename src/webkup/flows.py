@@ -244,17 +244,39 @@ def raw_vector(vec: dict) -> dict:
     return raw
 
 
+class _SliceTable(dict):
+    """(A, B) -> ((new left set, new right set, weight), ...) for one slice
+    kind: _power_transitions without the moved sets, each pair filled on
+    first read, so a pair no sweep reaches is never built."""
+
+    def __init__(self, sign: str, power: int):
+        super().__init__()
+        self.kind = sign, power
+
+    def __missing__(self, pair):
+        moves = tuple((nA, nB, w) for _, nA, nB, w in _power_transitions(*self.kind, *pair))
+        self[pair] = moves
+        return moves
+
+
+@lru_cache(maxsize=None)
+def _slice_table(sign: str, power: int) -> _SliceTable:
+    return _SliceTable(sign, power)
+
+
 def sweep_raw(raw: dict, slices) -> dict:
     """The ladder-sweep kernel: apply slices in order to a vector of raw
-    {exponent: coeff} dicts over color configurations.  The input must
-    pass raw_vector's check; then no sum cancels and the output holds no
-    zero without a filter.  The input is not mutated, and it is returned
-    as is when there is no slice."""
+    {exponent: coeff} dicts over color configurations, reading each
+    slice's moves from its _slice_table.  The input must pass
+    raw_vector's check; then no sum cancels and the output holds no zero
+    without a filter.  The input is not mutated, and it is returned as is
+    when there is no slice."""
     for sign, index, power in slices:
         c = index - 1
+        table = _slice_table(sign, power)
         out: dict[tuple, dict[int, int]] = {}
         for cfg, coeffs in raw.items():
-            for _, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[c + 1]):
+            for nA, nB, w in table[cfg[c], cfg[c + 1]]:
                 acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
                 for e, k in coeffs.items():
                     acc[e + w] = acc.get(e + w, 0) + k

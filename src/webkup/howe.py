@@ -88,12 +88,32 @@ def _bar_lam(lam, i):
     return lam[i - 1] - lam[i]
 
 
+def _sides(name: str, terms, where) -> tuple:
+    """Split the live terms (coeff, word) of a relation sum(coeff * word)
+    = 0 by coefficient sign into two positive sides (lhs, rhs), each a
+    tuple of (raw {exponent: coeff} dict, word) with lhs = rhs.  Every
+    coefficient must be nonzero with all its coefficients of one sign
+    (asserted): then each side is a sum of products of positive
+    polynomials, which never cancels (see _vanishes)."""
+    lhs, rhs = [], []
+    for coeff, word in terms:
+        signs = {c > 0 for c in coeff.coeffs.values()}
+        assert len(signs) == 1, f"relation {name} has a coefficient {coeff} of mixed signs on {where}"
+        if signs == {True}:
+            lhs.append((coeff.coeffs, word))
+        else:
+            rhs.append(((-coeff).coeffs, word))
+    return tuple(lhs), tuple(rhs)
+
+
 @lru_cache(maxsize=None)
 def _generator_relations(i: int, pa: int, pb: int):
     """Generator i's own relation instances (schur i i, divpow1-3 and
-    adjust) on columns i and i+1 of weights pa and pb.  A term (sign, top,
-    bot, *slices) is its word times sign * qbinom(top, bot), so (1, 0, 0)
-    is 1; the coefficient is made only once the word is found live."""
+    adjust) on columns i and i+1 of weights pa and pb, as (name, (lhs,
+    rhs)) in _sides' form.  A term (sign, top, bot, *slices) is its word
+    times sign * qbinom(top, bot), so (1, 0, 0) is 1; the coefficient is
+    made only once the word is found live, and a zero one drops the
+    term."""
     cols = (0,) * (i - 1) + (pa, pb)  # the words read columns i and i+1 only
     out = []
     E = Slice
@@ -107,7 +127,7 @@ def _generator_relations(i: int, pa: int, pb: int):
                 targets.add(target)
                 live.append((coeff if sign > 0 else -coeff, word))
         assert len(targets) <= 1, f"relation {name} mixes target weights on columns {(pa, pb)}"
-        out.append((name, tuple(live)))
+        out.append((name, _sides(name, live, f"columns {(pa, pb)}")))
 
     bl = pa - pb
     rel(
@@ -143,11 +163,12 @@ def _generator_relations(i: int, pa: int, pb: int):
 
 
 def relation_instances(lam: tuple[int, ...]):
-    """The relation instances on one weight space, as (name, terms) with
-    terms lhs minus rhs as ((coeff, word), ...) over the live words only
-    (() if none is); the live words share one target weight (asserted).
-    The commutators schur i j, j != i, are built here, the rest per
-    generator and column pair."""
+    """The relation instances on one weight space, as (name, (lhs, rhs)):
+    two sides of positive terms (raw coeff, word) over the live words
+    only (((), ()) if none is), built by _sides; the live words share one
+    target weight (asserted).  The commutators schur i j, j != i, are
+    built here with coefficients +1 and -1, the rest per generator and
+    column pair."""
     out = []
     for i in range(1, len(lam)):
         own = _generator_relations(i, lam[i - 1], lam[i])
@@ -155,32 +176,46 @@ def relation_instances(lam: tuple[int, ...]):
             if j == i:
                 out.append(own[0])
                 continue
+            name = f"schur {i}{j}"
             words = (Slice("-", j), Slice("+", i)), (Slice("+", i), Slice("-", j))
             t1, t2 = (word_target(lam, w) for w in words)
-            assert t1 == t2, f"relation schur {i}{j} maps its words to {t1} and {t2} on {lam}"
-            out.append((f"schur {i}{j}", tuple(zip((ONE, -ONE), words)) if t1 is not None else ()))
+            assert t1 == t2, f"relation {name} maps its words to {t1} and {t2} on {lam}"
+            live = tuple(zip((ONE, -ONE), words)) if t1 is not None else ()
+            out.append((name, _sides(name, live, lam)))
         out.extend(own[1:])
     return out
 
 
-def _vanishes(act, terms) -> bool:
-    """Whether the sum of coeff * act(word) over the terms is zero, summed
-    on raw dicts; an entry that cancels is deleted."""
-    residue: dict = {}
+def _side(act, terms) -> dict:
+    """sum(coeff * act(word)) over one side's terms, on raw dicts; a lone
+    word with coefficient 1 is the memo's own dict, not a copy."""
+    if len(terms) == 1 and terms[0][0] == ONE.coeffs:
+        return act(terms[0][1])
+    out: dict = {}
     for coeff, word in terms:
         for cfg, coeffs in act(word).items():
-            acc = residue.setdefault(cfg, {})
-            _add_product(acc, coeff.coeffs, coeffs)
-            if not acc:
-                del residue[cfg]
-    return not residue
+            _add_product(out.setdefault(cfg, {}), coeff, coeffs)
+    return out
+
+
+def _vanishes(act, sides) -> bool:
+    """Whether a relation lhs = rhs holds on one vector: the two sides,
+    each built by _side, compared as dicts.  That is exact: act's vectors
+    hold only nonzero coefficients in N[q, q^-1] (raw_vector checks the
+    input and sweep_raw keeps it so), every coefficient of a side is
+    positive (_sides asserts it), and a sum of products of positive
+    polynomials never cancels, so neither side holds a zero entry and
+    equal vectors are equal dicts."""
+    lhs, rhs = sides
+    return _side(act, lhs) == _side(act, rhs)
 
 
 def verify_relations(n: int, d: int) -> int:
     """Check the schur, divpow1-3 and adjust instances on every weight
-    space of n columns and total weight d; the quantum Serre relations and
-    the commutation of like-signed generators at distance >= 2 are not
-    checked yet.  Returns the number of instances checked."""
+    space of n columns and total weight d, each on every basis vector as
+    the equality of its two positive sides (_vanishes); the quantum Serre
+    relations and the commutation of like-signed generators at distance
+    >= 2 are not checked yet.  Returns the number of instances checked."""
     checked = 0
     for lam in weights_bounded(n, d):
         vecs = _basis_vectors(signs_of_weight(lam))
@@ -190,8 +225,8 @@ def verify_relations(n: int, d: int) -> int:
         for vec in vecs.values():
             # one vector's memo at a time keeps memory at one vector's words
             act = word_actions(vec)
-            for name, terms in instances:
-                assert _vanishes(act, terms), f"relation {name} fails on {lam}"
+            for name, sides in instances:
+                assert _vanishes(act, sides), f"relation {name} fails on {lam}"
         checked += len(instances)
     return checked
 

@@ -21,6 +21,7 @@ from webkup.webs import Slice
 DERIVED_TABLES = (
     acceptance._closure_values,
     flows._power_transitions,
+    flows._slice_table,
     flows._weight_window,
     growth._rule_moves,
     growth._rule_priority,
@@ -185,10 +186,10 @@ def test_criterion_06_fails_on_a_wrong_coefficient(monkeypatch):
 
     def one_wrong(lam):
         out = real(lam)
-        for k, (name, terms) in enumerate(out):
-            if not planted and name.startswith("adjust") and terms:
-                (coeff, word), *rest = terms
-                out[k] = (name, [(coeff * LaurentPoly({1: 1}), word)] + rest)
+        for k, (name, (lhs, rhs)) in enumerate(out):
+            if not planted and name.startswith("adjust") and lhs:
+                (coeff, word), *rest = lhs
+                out[k] = (name, (((LaurentPoly(coeff).shift(1).coeffs, word), *rest), rhs))
                 planted.append((name, lam))
         return out
 
@@ -240,6 +241,21 @@ def test_criterion_06_fails_on_a_commutator_with_one_live_word(monkeypatch, fres
     res = acceptance.CRITERIA[6]()
     assert not res.passed
     assert "relation schur 21 maps its words to None and (0, 3, 0) on (1, 1, 1)" in res.detail
+
+
+def test_criterion_06_fails_on_a_coefficient_of_mixed_signs(monkeypatch, fresh_tables):
+    # [2] = q + q^-1 becomes 1 - q: the two sides of a relation must each
+    # hold positive coefficients, or their equality proves nothing
+    real = howe.qbinom
+
+    def one_mixed(top, bot):
+        return LaurentPoly({0: 1, 1: -1}) if (top, bot) == (2, 1) else real(top, bot)
+
+    monkeypatch.setattr(howe, "qbinom", one_mixed)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    name = "divpow1 +2 1,1"
+    assert f"relation {name} has a coefficient q - 1 of mixed signs on columns (0, 3)" in res.detail
 
 
 def test_criterion_08_fails_on_a_scaled_closed_value(monkeypatch, fresh_tables):

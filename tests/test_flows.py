@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -494,3 +495,46 @@ def test_sweep_rejects_coefficients_outside_n_q():
     for bad in (-ONE, LaurentPoly.zero(), LaurentPoly({1: 1, 0: -1})):
         with pytest.raises(ValueError):
             sweep({(frozenset(), FULL): bad}, (Slice("+", 1),))
+
+
+def _reference_sweep(raw, slices):
+    """The kernel with one _power_transitions call per configuration, as it
+    was before it read one slice table per slice."""
+    for sign, index, power in slices:
+        c = index - 1
+        out = {}
+        for cfg, coeffs in raw.items():
+            for _, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[c + 1]):
+                acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
+                for e, k in coeffs.items():
+                    acc[e + w] = acc.get(e + w, 0) + k
+        raw = out
+    return raw
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_raw_equals_the_per_configuration_loop(seed):
+    # five columns of any color sets, coefficients with several exponents;
+    # every slice kind at the first, a middle and the last column pair,
+    # so cfg[:c] and cfg[c + 2:] are each empty once; an empty column
+    # beside a full one at each pair lets the power-3 slices move
+    rng = random.Random(seed)
+    subsets = _subsets()
+    cfgs = [[rng.choice(subsets) for _ in range(5)] for _ in range(46)]
+    for cfg, c, pair in zip(cfgs, (0, 2, 3) * 2, [(frozenset(), FULL)] * 3 + [(FULL, frozenset())] * 3):
+        cfg[c : c + 2] = pair
+    raw = {
+        tuple(cfg): {e: rng.randint(1, 5) for e in rng.sample(range(-4, 5), rng.randint(2, 4))}
+        for cfg in cfgs
+    }
+    before = {cfg: dict(coeffs) for cfg, coeffs in raw.items()}
+    kinds = [Slice(sign, index, power) for sign in "+-" for power in (1, 2, 3) for index in (1, 3, 4)]
+    moved = 0
+    for s in kinds:
+        got = sweep_raw(raw, (s,))
+        assert got == _reference_sweep(raw, (s,)), s
+        moved += bool(got)
+    assert moved == len(kinds)
+    word = tuple(rng.sample(kinds, 6))
+    assert sweep_raw(raw, word) == _reference_sweep(raw, word)
+    assert raw == before

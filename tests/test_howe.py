@@ -2,13 +2,14 @@
 
 import random
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup import howe
-from webkup.qlaurent import LaurentPoly, ONE, ZERO, qbinom, qint
+from webkup.qlaurent import LaurentPoly, ONE, ZERO, _add_product, qbinom, qint
 from webkup.webs import (
     LadderWeb,
     Slice,
@@ -120,11 +121,85 @@ def _reference_instances(lam):
     return out
 
 
+def _reference_sides(live):
+    """Signed terms (coeff, word) as the two positive sides (lhs, rhs) of
+    raw (coeff, word) terms, each coefficient all of one sign."""
+    lhs = tuple((c.coeffs, w) for c, w in live if min(c.coeffs.values()) > 0)
+    rhs = tuple(((-c).coeffs, w) for c, w in live if max(c.coeffs.values()) < 0)
+    assert len(lhs) + len(rhs) == len(live)
+    return lhs, rhs
+
+
+def _signed(sides):
+    """The two sides (lhs, rhs) back as signed terms lhs minus rhs."""
+    lhs, rhs = sides
+    return [(LaurentPoly(c), w) for c, w in lhs] + [(-LaurentPoly(c), w) for c, w in rhs]
+
+
 @pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (6, 6)])
 def test_relation_table_equals_the_per_weight_reference(n, d):
+    # same names, order, coefficients and live words, split by sign
     for lam in weights_bounded(n, d):
-        got = [(name, list(terms)) for name, terms in howe.relation_instances(lam)]
-        assert got == _reference_instances(lam), lam
+        got = howe.relation_instances(lam)
+        want = [(name, _reference_sides(live)) for name, live in _reference_instances(lam)]
+        assert got == want, lam
+
+
+def _reference_vanishes(act, terms) -> bool:
+    """The residue check on signed terms: sum coeff * act(word) term by
+    term, deleting an entry that cancels, and test for zero."""
+    residue: dict = {}
+    for coeff, word in terms:
+        for cfg, coeffs in act(word).items():
+            acc = residue.setdefault(cfg, {})
+            _add_product(acc, coeff.coeffs, coeffs)
+            if not acc:
+                del residue[cfg]
+    return not residue
+
+
+def _times_q(side):
+    return tuple(({e + 1: c for e, c in coeff.items()}, w) for coeff, w in side)
+
+
+# (4, 4) holds no invariant vector (total weight 4 is not 0 mod 3), so
+# these checks run on (4, 6)
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 6)])
+def test_two_sided_check_equals_the_residue(n, d):
+    # on every (instance, basis vector); a divpow1 coefficient times q
+    # fails both wherever the instance has a live word
+    scaled = 0
+    for lam in weights_bounded(n, d):
+        instances = howe.relation_instances(lam)
+        for vec in howe._basis_vectors(signs_of_weight(lam)).values():
+            act = howe.word_actions(vec)
+            for name, (lhs, rhs) in instances:
+                assert howe._vanishes(act, (lhs, rhs))
+                assert _reference_vanishes(act, _signed((lhs, rhs)))
+                if name.startswith("divpow1") and lhs:
+                    wrong = (lhs, _times_q(rhs))
+                    assert not howe._vanishes(act, wrong), (name, lam)
+                    assert not _reference_vanishes(act, _signed(wrong)), (name, lam)
+                    scaled += 1
+    assert scaled
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 6)])
+def test_every_instance_is_checked_on_every_basis_vector(monkeypatch, n, d):
+    real = howe._vanishes
+    calls = Counter()
+
+    def counted(act, sides):
+        calls["vanishes"] += 1
+        return real(act, sides)
+
+    monkeypatch.setattr(howe, "_vanishes", counted)
+    verify_relations(n, d)
+    checks = sum(
+        len(howe.relation_instances(lam)) * len(web_space(signs_of_weight(lam)).basis)
+        for lam in weights_bounded(n, d)
+    )
+    assert checks and calls["vanishes"] == checks
 
 
 # divpow1 is E^(b) E^(a) = [a+b choose a] E^(a+b); with that coefficient
@@ -138,10 +213,8 @@ def test_divided_power_fails_on_a_wrong_factorial(monkeypatch, name):
 
     def planted(lam):
         return [
-            (n, terms[:1] + tuple((c * LaurentPoly({1: 1}), w) for c, w in terms[1:]))
-            if n == name
-            else (n, terms)
-            for n, terms in real(lam)
+            (n, (lhs, _times_q(rhs)) if n == name else (lhs, rhs))
+            for n, (lhs, rhs) in real(lam)
         ]
 
     monkeypatch.setattr(howe, "relation_instances", planted)
