@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webkup.flows import PLUS_WEIGHTS, _key, _single_moves, _subsets
+from webkup.flows import PLUS_WEIGHTS, SUBSETS, _key, transitions
 from webkup.flows import config_states, minus_reflection, start_config
 from webkup.growth import _rule_moves, _rule_priority
 from webkup.qlaurent import qint
@@ -81,7 +81,7 @@ def _symbolic_flows(web: LadderWeb):
         assert s.power == 1
         c = s.index - 1
         A, B = cfg[c], cfg[c + 1]
-        for x, nA, nB in _single_moves(s.sign, A, B):
+        for (x,), nA, nB, _ in transitions(s.sign, 1)[A, B]:
             refs.append((s.sign, A, B, x))
             rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], refs)
             refs.pop()
@@ -104,20 +104,19 @@ def _refs_to_term(refs):
 
 def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
     cons: list[_Constraint] = []
-    subsets = _subsets()
 
     # two-column commutation: opposite moves in either order differ by the
     # quantum integer of the weight gap on the diagonal
-    for A in subsets:
-        for B in subsets:
+    for A in SUBSETS:
+        for B in SUBSETS:
             per_target: dict[tuple, tuple[list, list]] = {}
-            for z, A1, B1 in _single_moves("-", A, B):
-                for x, A2, B2 in _single_moves("+", A1, B1):
+            for (z,), A1, B1, _ in transitions("-", 1)[A, B]:
+                for (x,), A2, B2, _ in transitions("+", 1)[A1, B1]:
                     mk, ms = minus_reflection(A, B, z)
                     term = ((mk, _key(A1, B1, x)), ms)
                     per_target.setdefault((A2, B2), ([], []))[0].append(term)
-            for x, A1, B1 in _single_moves("+", A, B):
-                for z, A2, B2 in _single_moves("-", A1, B1):
+            for (x,), A1, B1, _ in transitions("+", 1)[A, B]:
+                for (z,), A2, B2, _ in transitions("-", 1)[A1, B1]:
                     mk, ms = minus_reflection(A1, B1, z)
                     term = ((_key(A, B, x), mk), ms)
                     per_target.setdefault((A2, B2), ([], []))[1].append(term)
@@ -136,11 +135,11 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
 
     # three-column commutation: both generators move out of (or into) the
     # shared middle column, in either order, with equal weights
-    for A in subsets:
-        for B in subsets:
-            for C in subsets:
-                for x, _, Bx in _single_moves("+", A, B):
-                    for z, Bz, _ in _single_moves("-", B, C):
+    for A in SUBSETS:
+        for B in SUBSETS:
+            for C in SUBSETS:
+                for (x,), _, Bx, _ in transitions("+", 1)[A, B]:
+                    for (z,), Bz, _, _ in transitions("-", 1)[B, C]:
                         if x == z:
                             continue
                         mk1, s1 = minus_reflection(B, C, z)
@@ -153,8 +152,8 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
                                 "comm3a",
                             )
                         )
-                for z, _, Bz in _single_moves("-", A, B):
-                    for x, Bx, _ in _single_moves("+", B, C):
+                for (z,), _, Bz, _ in transitions("-", 1)[A, B]:
+                    for (x,), Bx, _, _ in transitions("+", 1)[B, C]:
                         if x == z:
                             continue
                         mk1, s1 = minus_reflection(A, B, z)

@@ -60,7 +60,7 @@ def _read_web(path: str) -> LadderWeb:
         raise UsageError(f"cannot read {path}: {exc}")
     try:
         return LadderWeb.from_json(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a ladder web: {exc}")
 
 

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qlaurent import LaurentPoly, ONE, qfact
+from .qlaurent import LaurentPoly, qfact
 from .webs import LadderWeb, visible_columns
 
 COLORS = (-1, 0, 1)
@@ -163,57 +163,61 @@ def _single_moves(sign: str, A: frozenset, B: frozenset):
             yield z, A - {z}, B | {z}
 
 
+SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
+
+
 @lru_cache(maxsize=None)
-def _power_transitions(sign: str, power: int, A: frozenset, B: frozenset):
-    """The transition table of one slice on column sets (A, B): a tuple of
-    (moved set X, new left set, new right set, weight), sorted by X.
+def transitions(sign: str, power: int) -> dict:
+    """The transition table of one slice kind: each of the 64 pairs (A, B)
+    of column color sets maps to its moves (moved set X, new left set,
+    new right set, weight), sorted by X.
 
-    A power-a slice is the a-fold single slice divided by the quantum
-    factorial [a]!; every entry of that matrix must come out as a plain
-    power of q (checked loudly), which is the flow weight of the move.
-    Every move must also carry `power` colors from one column to the
-    other (checked once per table), so a column's color set always has
-    as many colors as its weight; the weight windows rely on that.
+    Power 1 holds the single moves with their weights.  Power a is power 1
+    applied a times and divided by the quantum factorial [a]!; each entry
+    must come out as a plain power of q, the flow weight of the move.
+    That, and that every move carries `power` colors across (so a column's
+    color set always has as many colors as its weight, which the weight
+    windows rely on), are checked loudly on every pair.
     """
-    weight = plus_weight if sign == "+" else minus_weight
     if power == 1:
-        out = [
-            (frozenset((x,)), nA, nB, weight(A, B, x))
-            for x, nA, nB in _single_moves(sign, A, B)
-        ]
-    else:
-        out = _divided_power(sign, power, A, B, weight)
-    d = power if sign == "+" else -power
-    for X, nA, nB, _ in out:
-        if len(X) != power or len(nA) != len(A) + d or len(nB) != len(B) - d:
-            raise AssertionError(f"{sign}^{power} on {set(A)},{set(B)} moves {set(X)} wrongly")
-    return tuple(out)
-
-
-def _divided_power(sign: str, power: int, A: frozenset, B: frozenset, weight) -> list:
-    paths: dict[frozenset, Counter] = {}  # moved set -> path count by weight
-    ends: dict[frozenset, tuple[frozenset, frozenset]] = {}
-
-    def rec(curA, curB, moved, wsum, depth):
-        if depth == power:
-            paths.setdefault(moved, Counter())[wsum] += 1
-            ends[moved] = (curA, curB)
-            return
-        for x, nA, nB in _single_moves(sign, curA, curB):
-            rec(nA, nB, moved | {x}, wsum + weight(curA, curB, x), depth + 1)
-
-    rec(A, B, frozenset(), 0, 0)
-    out = []
-    fact = qfact(power)
-    for X, counts in sorted(paths.items(), key=lambda kv: tuple(sorted(kv[0]))):
-        mono = LaurentPoly(counts).exact_div(fact)
-        if not mono.is_monomial_coeff_one():
-            raise AssertionError(
-                f"divided power entry is not a plain q power: {sign}^{power} "
-                f"on {set(A)},{set(B)} moving {set(X)} gave {mono}"
+        weight = plus_weight if sign == "+" else minus_weight
+        table = {
+            (A, B): tuple(
+                (frozenset((x,)), nA, nB, weight(A, B, x)) for x, nA, nB in _single_moves(sign, A, B)
             )
-        out.append((X, *ends[X], mono.degree()))
-    return out
+            for A in SUBSETS
+            for B in SUBSETS
+        }
+    else:
+        one, fact, table = transitions(sign, 1), qfact(power), {}
+        for A, B in one:
+            # moved set -> (new left set, new right set, path count by weight)
+            paths = {frozenset(): (A, B, Counter({0: 1}))}
+            for _ in range(power):
+                longer: dict[frozenset, tuple] = {}
+                for moved, (curA, curB, counts) in paths.items():
+                    for X, nA, nB, w in one[curA, curB]:
+                        acc = longer.setdefault(moved | X, (nA, nB, Counter()))[2]
+                        for e, k in counts.items():
+                            acc[e + w] += k
+                paths = longer
+            moves = []
+            for X in sorted(paths, key=sorted):
+                nA, nB, counts = paths[X]
+                mono = LaurentPoly(counts).exact_div(fact)
+                if not mono.is_monomial_coeff_one():
+                    raise AssertionError(
+                        f"divided power entry is not a plain q power: {sign}^{power} "
+                        f"on {set(A)},{set(B)} moving {set(X)} gave {mono}"
+                    )
+                moves.append((X, nA, nB, mono.degree()))
+            table[A, B] = tuple(moves)
+    d = power if sign == "+" else -power
+    for (A, B), moves in table.items():
+        for X, nA, nB, _ in moves:
+            if len(X) != power or len(nA) != len(A) + d or len(nB) != len(B) - d:
+                raise AssertionError(f"{sign}^{power} on {set(A)},{set(B)} moves {set(X)} wrongly")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -244,39 +248,19 @@ def raw_vector(vec: dict) -> dict:
     return raw
 
 
-class _SliceTable(dict):
-    """(A, B) -> ((new left set, new right set, weight), ...) for one slice
-    kind: _power_transitions without the moved sets, each pair filled on
-    first read, so a pair no sweep reaches is never built."""
-
-    def __init__(self, sign: str, power: int):
-        super().__init__()
-        self.kind = sign, power
-
-    def __missing__(self, pair):
-        moves = tuple((nA, nB, w) for _, nA, nB, w in _power_transitions(*self.kind, *pair))
-        self[pair] = moves
-        return moves
-
-
-@lru_cache(maxsize=None)
-def _slice_table(sign: str, power: int) -> _SliceTable:
-    return _SliceTable(sign, power)
-
-
 def sweep_raw(raw: dict, slices) -> dict:
     """The ladder-sweep kernel: apply slices in order to a vector of raw
     {exponent: coeff} dicts over color configurations, reading each
-    slice's moves from its _slice_table.  The input must pass
+    slice's moves from its transitions table.  The input must pass
     raw_vector's check; then no sum cancels and the output holds no zero
     without a filter.  The input is not mutated, and it is returned as is
     when there is no slice."""
     for sign, index, power in slices:
         c = index - 1
-        table = _slice_table(sign, power)
+        table = transitions(sign, power)
         out: dict[tuple, dict[int, int]] = {}
         for cfg, coeffs in raw.items():
-            for nA, nB, w in table[cfg[c], cfg[c + 1]]:
+            for _, nA, nB, w in table[cfg[c], cfg[c + 1]]:
                 acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
                 for e, k in coeffs.items():
                     acc[e + w] = acc.get(e + w, 0) + k
@@ -284,18 +268,11 @@ def sweep_raw(raw: dict, slices) -> dict:
     return raw
 
 
-def sweep(vec: dict, slices) -> dict:
-    """Apply ladder slices in order to a vector {cfg: LaurentPoly}, whose
-    coefficients must be nonzero and in N[q, q^-1] (checked): sweep_raw
-    on its raw dicts, each result wrapped once."""
-    out = sweep_raw(raw_vector(vec), slices)
-    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in out.items()}
-
-
 def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
     """Top color configurations of a closed-bottom web with their exact
     Laurent coefficients, swept slice by slice from the bottom."""
-    return sweep({start_config(web.bottom_weight): ONE}, web.slices)
+    raw = sweep_raw({start_config(web.bottom_weight): {0: 1}}, web.slices)
+    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in raw.items()}
 
 
 def config_states(cfg, cols) -> tuple[int, ...]:
@@ -343,7 +320,7 @@ def enumerate_flows(web: LadderWeb, boundary=None) -> list[Flow]:
             return
         s = web.slices[idx]
         c = s.index - 1
-        for X, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+        for X, nA, nB, w in transitions(s.sign, s.power)[cfg[c], cfg[c + 1]]:
             moves.append(X)
             rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], moves, wsum + w)
             moves.pop()
@@ -360,7 +337,7 @@ def walk_moves(web: LadderWeb, moves) -> tuple[list[tuple[frozenset, ...]], int]
     weight = 0
     for (sign, index, power), X in zip(web.slices, moves):
         c = index - 1
-        for Y, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[index]):
+        for Y, nA, nB, w in transitions(sign, power)[cfg[c], cfg[index]]:
             if Y == X:
                 break
         else:
@@ -381,11 +358,11 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
     counts those of weight 0 and raises AssertionError on one of
     positive weight.
     """
-    # each slice with the greatest weight the slices above it can add
+    # per slice: its table, its left column and the most the slices above add
     steps = []
     high = 0
     for (sign, index, power), lam in zip(reversed(web.slices), web.levels()[-2::-1]):
-        steps.append((sign, power, index - 1, high))
+        steps.append((transitions(sign, power), index - 1, high))
         high += _weight_window(sign, power, lam[index - 1], lam[index])
     if high < 0:
         return 0
@@ -401,9 +378,9 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
                 raise AssertionError(f"basis web has a flow of weight {wsum}: {web}")
             count += 1
             return
-        sign, power, c, high = steps[idx]
+        table, c, high = steps[idx]
         A, B = cfg[c], cfg[c + 1]
-        for _, nA, nB, w in _power_transitions(sign, power, A, B):
+        for _, nA, nB, w in table[A, B]:
             w += wsum
             if w + high < 0:
                 continue
@@ -417,14 +394,6 @@ def count_weight_zero_flows(web: LadderWeb, stop_at: int | None = None) -> int:
     return count
 
 
-@lru_cache(maxsize=1)
-def _subsets() -> tuple[frozenset, ...]:
-    out = []
-    for mask in range(8):
-        out.append(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _weight_window(sign: str, power: int, a: int, b: int) -> float:
     """Greatest weight of a move of one slice kind on columns of weights
@@ -432,11 +401,9 @@ def _weight_window(sign: str, power: int, a: int, b: int) -> float:
     every branch, if the slice has no move there."""
     ws = [
         w
-        for A in _subsets()
-        if len(A) == a
-        for B in _subsets()
-        if len(B) == b
-        for _, _, _, w in _power_transitions(sign, power, A, B)
+        for (A, B), moves in transitions(sign, power).items()
+        if (len(A), len(B)) == (a, b)
+        for _, _, _, w in moves
     ]
     return max(ws, default=-math.inf)
 

@@ -32,10 +32,10 @@ from .flows import (
     COLORS,
     FULL,
     Flow,
-    _power_transitions,
     colorset_for,
     colorset_state,
     expansion,
+    transitions,
     walk_moves,
 )
 from .tableaux import semistandard_states
@@ -73,7 +73,7 @@ def _rule_moves():
         table: dict[tuple, list] = {}
         for A, B in product(combinations(COLORS, a), combinations(COLORS, b)):
             A, B = frozenset(A), frozenset(B)
-            for X, nA, nB, w in _power_transitions(sign, 1, A, B):
+            for X, nA, nB, w in transitions(sign, 1)[A, B]:
                 above = (colorset_state(nA), colorset_state(nB))
                 table.setdefault(above, []).append((sign, X, A, B, w))
         tables[(kind, sp, sq)] = {k: tuple(v) for k, v in table.items()}
@@ -120,7 +120,7 @@ def _hop(e: int, s: int, state: int, c: int) -> tuple[Slice, frozenset]:
     of weight e."""
     assert e in (0, 3) and s in (1, 2)
     sign, power, other = ("-", s, frozenset()) if e == 0 else ("+", 3 - s, FULL)
-    ((moved, _, _, _),) = _power_transitions(sign, power, colorset_for(s, state), other)
+    ((moved, _, _, _),) = transitions(sign, power)[colorset_for(s, state), other]
     return Slice(sign, c, power), moved
 
 

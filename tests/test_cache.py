@@ -98,7 +98,7 @@ def test_fetch_computes_once(tmp_path):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"payload"', "{"])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"payload"', "{", pytest.param("[" * 100_000, id="nested")])
 def test_file_that_is_not_a_json_object_misses(tmp_path, text):
     ws = Workspace(tmp_path)
     path = ws.artifact_path("blocks", "+-")

@@ -97,6 +97,14 @@ def test_eval_rejects_a_malformed_web(tmp_path, doc):
     assert "is not a ladder web" in err
 
 
+def test_eval_rejects_a_file_nested_too_deep_to_parse(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run("eval", "--closed", str(p))
+    assert (code, out) == (2, "")
+    assert "is not a ladder web" in err
+
+
 def test_expand_web_file(tmp_path):
     p = tmp_path / "tripod.json"
     p.write_text(json.dumps(TRIPOD.to_json()))
@@ -318,7 +326,7 @@ def test_cache_flag_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "dualcan" / "S_++--.json").exists()
 
 
-@pytest.mark.parametrize("corrupt", [b"[1, 2]", b"null", b"\xff\xfe", b"{"])
+@pytest.mark.parametrize("corrupt", [b"[1, 2]", b"null", b"\xff\xfe", b"{", pytest.param(b"[" * 100_000, id="nested")])
 def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
     path = tmp_path / "blocks" / "S_++--.json"

@@ -219,13 +219,16 @@ def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
 
 
 # two of the four 12-strand webs that differ from their dual canonical
-# element (the other two are these rotated by two strands): each has a
-# second weight-zero flow, which puts a q^0 term off the leading state
+# element (the other two are these rotated by two strands), and two at 13
+# strands: each has a second weight-zero flow, which puts a q^0 term off
+# the leading state
 @pytest.mark.parametrize(
     "signs, J, K, coeff",
     [
         ("++--++--++--", "11110000mmmm", "11m1m1m1m1mm", {0: 1, -2: 5, -4: 2}),
         ("+--++--++--+", "1110100m0mmm", "1m1m1m1m1m1m", {0: 1, -2: 7, -4: 11, -6: 2}),
+        ("++++-++--++--", "111010000mmmm", "110m1m1m1m1mm", {0: 1, -2: 5, -4: 2}),
+        ("+++-+++--++--", "111100000mmmm", "11000m1m1m1mm", {0: 1, -2: 6, -4: 4}),
     ],
 )
 def test_twelve_strand_counterexamples(signs, J, K, coeff):
@@ -240,7 +243,7 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff):
     other = growth(signs, parse_states(K)).web
     value = rewrite_bracket(close(web, other))
     assert value == bracket(close(web, other))
-    form = value.shift(-12)
+    form = value.shift(-len(signs))
     assert form == lusztig_form_vec(exp, expansion(other))
     assert form.degree() == 0 and form.coeffs[0] == 1
 

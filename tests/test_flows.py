@@ -11,14 +11,13 @@ from itertools import permutations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from webkup.qlaurent import LaurentPoly, ONE, qint
+from webkup.qlaurent import LaurentPoly, ONE, qfact, qint
 from webkup.webs import LadderWeb, Slice, close, ell, plain_boundaries, weight_of_signs
 from webkup.flows import (
     COLORS,
     FULL,
     PLUS_WEIGHTS,
-    _power_transitions,
-    _subsets,
+    SUBSETS,
     _weight_window,
     bracket,
     colorset_for,
@@ -30,8 +29,9 @@ from webkup.flows import (
     lusztig_form_vec,
     minus_weight,
     plus_weight,
-    sweep,
+    raw_vector,
     sweep_raw,
+    transitions,
     walk_moves,
 )
 from webkup import flows
@@ -134,12 +134,7 @@ def _reference_count(web):
     windows = {}
     for s in web.slices:
         if (s.sign, s.power) not in windows:
-            ws = [
-                w
-                for A in _subsets()
-                for B in _subsets()
-                for _, _, _, w in _power_transitions(s.sign, s.power, A, B)
-            ]
+            ws = [w for moves in transitions(s.sign, s.power).values() for _, _, _, w in moves]
             windows[(s.sign, s.power)] = min(ws), max(ws)
     slices = web.slices
     minfut = [0] * (len(slices) + 1)
@@ -159,7 +154,7 @@ def _reference_count(web):
             return
         s = slices[idx]
         c = s.index - 1
-        for _, nA, nB, w in _power_transitions(s.sign, s.power, cfg[c], cfg[c + 1]):
+        for _, nA, nB, w in transitions(s.sign, s.power)[cfg[c], cfg[c + 1]]:
             rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], wsum + w)
 
     rec(0, flows.start_config(web.bottom_weight), 0)
@@ -205,11 +200,11 @@ def test_weight_windows_bound_every_move():
     for sign, power, a, b in product("+-", (1, 2, 3), range(4), range(4)):
         ws = [
             w
-            for A in _subsets()
+            for A in SUBSETS
             if len(A) == a
-            for B in _subsets()
+            for B in SUBSETS
             if len(B) == b
-            for _, _, _, w in _power_transitions(sign, power, A, B)
+            for _, _, _, w in transitions(sign, power)[A, B]
         ]
         assert _weight_window(sign, power, a, b) == (max(ws) if ws else -math.inf)
     # a move that would overfill a column has no window, which prunes
@@ -231,9 +226,9 @@ def test_a_flow_of_positive_weight_raises():
 
 @pytest.fixture
 def fresh_transitions():
-    flows._power_transitions.cache_clear()
+    flows.transitions.cache_clear()
     yield
-    flows._power_transitions.cache_clear()
+    flows.transitions.cache_clear()
 
 
 def test_transitions_assert_the_column_sizes(monkeypatch, fresh_transitions):
@@ -245,8 +240,8 @@ def test_transitions_assert_the_column_sizes(monkeypatch, fresh_transitions):
 
     monkeypatch.setattr(flows, "_single_moves", keeps_the_color)
     with pytest.raises(AssertionError, match="wrongly"):
-        _power_transitions("+", 1, frozenset(), frozenset((1,)))
-    assert _power_transitions("-", 1, frozenset((1,)), frozenset()) == (
+        transitions("+", 1)
+    assert transitions("-", 1)[frozenset((1,)), frozenset()] == (
         (frozenset((1,)), frozenset(), frozenset((1,)), 0),
     )
 
@@ -254,11 +249,24 @@ def test_transitions_assert_the_column_sizes(monkeypatch, fresh_transitions):
 def test_divided_power_transitions():
     got = sorted(
         (tuple(sorted(X)), w)
-        for X, _, _, w in _power_transitions("+", 2, frozenset(), FULL)
+        for X, _, _, w in transitions("+", 2)[frozenset(), FULL]
     )
     assert got == [((-1, 0), -2), ((-1, 1), -1), ((0, 1), 0)]
-    full = [(X, w) for X, _, _, w in _power_transitions("+", 3, frozenset(), FULL)]
+    full = [(X, w) for X, _, _, w in transitions("+", 3)[frozenset(), FULL]]
     assert full == [(FULL, 0)]
+
+
+def test_each_slice_kind_has_one_table_of_every_pair():
+    # a move the composition drops or duplicates changes a count or the order
+    pairs = {(A, B) for A in SUBSETS for B in SUBSETS}
+    assert len(pairs) == 64
+    for sign, power in product("+-", (1, 2, 3)):
+        table = transitions(sign, power)
+        assert set(table) == pairs
+        assert sum(len(moves) for moves in table.values()) == {1: 48, 2: 12, 3: 1}[power]
+        for moves in table.values():
+            keys = [sorted(X) for X, _, _, _ in moves]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (sign, power, moves)
 
 
 def _kuperberg_form(u, v):
@@ -350,7 +358,7 @@ def test_power_slices_compose(power, shift):
     # a power move on the full column is a single transition of weight 0
     A = frozenset()
     B = FULL
-    moves = [(X, w) for X, _, _, w in _power_transitions("+", power, A, B)]
+    moves = [(X, w) for X, _, _, w in transitions("+", power)[A, B]]
     if power == 3:
         assert moves == [(FULL, 0)]
     else:
@@ -445,7 +453,7 @@ def _check_act(web, word):
     target = word_target(lam, word)
     if target is not None:
         whole = word_actions(vec)(word)
-        assert whole == _raw(sweep(vec, word))
+        assert whole == sweep_raw(_raw(vec), word)
         assert whole == _raw(config_vector(LadderWeb(web.bottom_weight, web.slices + word)))
     return target
 
@@ -470,45 +478,31 @@ def test_word_actions_rejects_coefficients_outside_n_q():
             word_actions({(frozenset(), FULL): bad})
 
 
-@pytest.mark.parametrize("signs", ["++--", "+-+-"])
-def test_sweep_raw_equals_sweep(signs):
-    # each basis vector through each live single rung and each closure
-    space = web_space(signs)
-    lam = weight_of_signs(signs)
-    rungs = [
-        (Slice(sign, i),)
-        for sign in "+-"
-        for i in range(1, len(lam))
-        if word_target(lam, (Slice(sign, i),)) is not None
-    ]
-    mirrors = [u.reflect().slices for u in space.basis.values()]
-    assert rungs and mirrors
-    for web in space.basis.values():
-        vec = config_vector(web)
-        for slices in rungs + mirrors:
-            assert sweep_raw(_raw(vec), slices) == _raw(sweep(vec, slices))
-
-
 def test_sweep_rejects_coefficients_outside_n_q():
+    # raw_vector is the kernel's entry check
     start = {(frozenset(), FULL): ONE}
-    assert sweep(start, ()) == start
+    assert sweep_raw(raw_vector(start), ()) == {(frozenset(), FULL): {0: 1}}
     for bad in (-ONE, LaurentPoly.zero(), LaurentPoly({1: 1, 0: -1})):
-        with pytest.raises(ValueError):
-            sweep({(frozenset(), FULL): bad}, (Slice("+", 1),))
+        with pytest.raises(ValueError, match="N\\[q, q\\^-1\\]"):
+            raw_vector({(frozenset(), FULL): bad})
 
 
 def _reference_sweep(raw, slices):
-    """The kernel with one _power_transitions call per configuration, as it
-    was before it read one slice table per slice."""
+    """The kernel on single moves and their weights alone: a power-a slice
+    is the single slice applied a times, each coefficient divided by [a]!."""
     for sign, index, power in slices:
         c = index - 1
-        out = {}
-        for cfg, coeffs in raw.items():
-            for _, nA, nB, w in _power_transitions(sign, power, cfg[c], cfg[c + 1]):
-                acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
-                for e, k in coeffs.items():
-                    acc[e + w] = acc.get(e + w, 0) + k
-        raw = out
+        weight = plus_weight if sign == "+" else minus_weight
+        for _ in range(power):
+            out = {}
+            for cfg, coeffs in raw.items():
+                A, B = cfg[c], cfg[c + 1]
+                for x, nA, nB in flows._single_moves(sign, A, B):
+                    acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], Counter())
+                    for e, k in coeffs.items():
+                        acc[e + weight(A, B, x)] += k
+            raw = out
+        raw = {cfg: LaurentPoly(acc).exact_div(qfact(power)).coeffs for cfg, acc in raw.items()}
     return raw
 
 
@@ -519,8 +513,7 @@ def test_sweep_raw_equals_the_per_configuration_loop(seed):
     # so cfg[:c] and cfg[c + 2:] are each empty once; an empty column
     # beside a full one at each pair lets the power-3 slices move
     rng = random.Random(seed)
-    subsets = _subsets()
-    cfgs = [[rng.choice(subsets) for _ in range(5)] for _ in range(46)]
+    cfgs = [[rng.choice(SUBSETS) for _ in range(5)] for _ in range(46)]
     for cfg, c, pair in zip(cfgs, (0, 2, 3) * 2, [(frozenset(), FULL)] * 3 + [(FULL, frozenset())] * 3):
         cfg[c : c + 2] = pair
     raw = {
