@@ -17,17 +17,14 @@ import argparse
 import json
 import sys
 
+# no artifact command runs acceptance, howe, planar or render: their handlers import them
 from .qlaurent import LaurentPoly
 from .webs import LadderWeb, format_states, parse_states, weight_of_signs
 from .flows import bracket, expansion
-from .planar import rewrite_bracket
 from .growth import dominant_states, flow_census, growth, web_space
-from .howe import inverse_growth, format_word, verify_relations
 from .tableaux import center_dim, is_balanced, is_semistandard, state_to_filling
 from .dualcan import default_budget, dual_canonical_basis, search_counterexample
-from .render import render
 from .cache import Workspace
-from .acceptance import CRITERIA, run_all
 
 
 class UsageError(Exception):
@@ -158,6 +155,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .planar import rewrite_bracket
     web = _read_web(args.closed)
     if not web.is_closed():
         raise UsageError("eval needs a closed web (all boundary labels 0 or 3)")
@@ -198,6 +196,7 @@ def cmd_dualcan(args) -> int:
 
 
 def cmd_howe_verify(args) -> int:
+    from .howe import verify_relations
     try:
         count = verify_relations(args.k, args.k)
     except AssertionError as exc:
@@ -239,6 +238,7 @@ def cmd_tableau(args) -> int:
 
 
 def cmd_inverse_growth(args) -> int:
+    from .howe import format_word, inverse_growth
     signs, J = args.signs, args.states
     if J not in set(dominant_states(signs)):
         raise UsageError(f"state {format_states(J)} is not dominant for {signs}")
@@ -258,9 +258,10 @@ def _env_budget() -> float:
 
 
 def cmd_search(args) -> int:
-    if args.max_strands < 2:
-        # the sweep starts at 2 strands, so it would check nothing
+    if args.max_strands < 2:  # below the least --min-strands
         raise UsageError(f"--max-strands {args.max_strands} leaves no boundary to search")
+    if not 2 <= args.min_strands <= args.max_strands:
+        raise UsageError(f"--min-strands must be from 2 to --max-strands, got {args.min_strands}")
     budget = _env_budget() if args.budget_s is None else args.budget_s
     if not budget >= 0:  # also true for nan
         raise UsageError(f"--budget-s must be a number of seconds >= 0, got {budget}")
@@ -268,12 +269,14 @@ def cmd_search(args) -> int:
         max_strands=args.max_strands,
         budget_s=budget,
         stop_at_first=args.stop_at_first,
+        min_strands=args.min_strands,
     )
     print(rep.summary())
     return 0
 
 
 def cmd_render(args) -> int:
+    from .render import render
     if (args.web is None) == (args.signs is None):
         raise UsageError("render needs a web file or a boundary with a state")
     if args.web is not None:
@@ -297,6 +300,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import CRITERIA, run_all
     numbers = None
     if args.only is not None:
         try:
@@ -376,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search-counterexample", cmd_search,
             help="scan for a basis web that is not dual canonical")
     p.add_argument("--max-strands", type=int, default=10)
+    p.add_argument("--min-strands", type=int, default=2,
+                   help="skip the boundaries of fewer strands (default: 2)")
     p.add_argument("--budget-s", type=float, default=None,
                    help="seconds (default: WEBKUP_SEARCH_BUDGET or 1800)")
     p.add_argument("--stop-at-first", action="store_true")

@@ -158,11 +158,12 @@ def search_counterexample(
     max_strands: int = 10,
     budget_s: float | None = None,
     stop_at_first: bool = False,
+    min_strands: int = 2,
 ) -> SearchReport:
-    """Scan plain boundaries by size for a basis web with more than one
-    weight-zero flow, then confirm from its expansion that it is not its
-    dual canonical element (web_is_dual_canonical).  With stop_at_first
-    the search ends at its first counterexample (stopped_at_first).
+    """Scan plain boundaries of min_strands to max_strands strands, by size,
+    for a basis web with more than one weight-zero flow; confirm from its
+    expansion (web_is_dual_canonical) that it is not its dual canonical
+    element.  With stop_at_first it ends at its first counterexample.
 
     The prefilter is complete only because no flow of a basis web has
     positive weight: every expansion coefficient has exponents <= 0 and
@@ -176,7 +177,7 @@ def search_counterexample(
     found = []
     checked = 0
     last = None
-    for signs in plain_boundaries(max_strands):
+    for signs in plain_boundaries(max_strands, min_strands):
         if time.time() - t0 > budget:
             return SearchReport(found, checked, last, False, time.time() - t0)
         last = signs

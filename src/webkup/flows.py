@@ -44,13 +44,6 @@ def vis(k: int) -> int:
     return 1 if k in (1, 2) else 0
 
 
-def colorset_state(colors: frozenset) -> int:
-    """Boundary state shown by a visible column carrying this color set."""
-    if len(colors) not in (1, 2):
-        raise ValueError(f"visible column needs 1 or 2 colors, got {set(colors)}")
-    return sum(colors)
-
-
 def colorset_for(weight: int, state: int) -> frozenset:
     """The unique color set of given size summing to the state."""
     if weight == 1:
@@ -166,6 +159,24 @@ def _single_moves(sign: str, A: frozenset, B: frozenset):
 SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
 
 
+def _state_table() -> dict[frozenset, int]:
+    """Each color set of a visible column to its state, checked against colorset_for."""
+    table = {A: sum(A) for A in SUBSETS if len(A) in (1, 2)}
+    if len(table) != 6 or any(colorset_for(len(A), s) != A for A, s in table.items()):
+        raise AssertionError(f"state table does not invert colorset_for: {table}")
+    return table
+
+
+STATE_OF = _state_table()  # no ∅ or FULL: looking either up raises KeyError
+
+
+def colorset_state(colors: frozenset) -> int:
+    """Boundary state shown by a visible column carrying this color set."""
+    if colors not in STATE_OF:
+        raise ValueError(f"visible column needs 1 or 2 colors, got {set(colors)}")
+    return STATE_OF[colors]
+
+
 @lru_cache(maxsize=None)
 def transitions(sign: str, power: int) -> dict:
     """The transition table of one slice kind: each of the 64 pairs (A, B)
@@ -276,7 +287,10 @@ def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
 
 
 def config_states(cfg, cols) -> tuple[int, ...]:
-    return tuple(colorset_state(cfg[i]) for i in cols)
+    try:
+        return tuple([STATE_OF[cfg[i]] for i in cols])
+    except KeyError:  # colorset_state names the column with no state
+        return tuple([colorset_state(cfg[i]) for i in cols])
 
 
 def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:

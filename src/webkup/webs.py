@@ -61,7 +61,7 @@ def parse_states(text: str) -> tuple[int, ...]:
 
 
 def format_states(states: tuple[int, ...]) -> str:
-    return "".join(STATE_TO_CHAR[s] for s in states)
+    return "".join(map(STATE_TO_CHAR.__getitem__, states))
 
 
 def plain_boundaries(max_strands: int, min_strands: int = 2) -> Iterator[str]:

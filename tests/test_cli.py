@@ -1,13 +1,26 @@
 """End-to-end tests of the command-line surface."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import webkup
+from webkup import dualcan, growth
 from webkup.cli import main
-from webkup.webs import LadderWeb, Slice, close
+from webkup.oracles import invariant_dim
+from webkup.webs import LadderWeb, Slice, close, plain_boundaries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -260,6 +273,22 @@ def test_search_rejects_vacuous_runs():
         assert "no boundary to search" in err
 
 
+def test_search_from_min_strands_checks_only_those_boundaries():
+    code, out, err = run("search-counterexample", "--min-strands", "4", "--max-strands", "4",
+                         "--budget-s", "30")
+    assert (code, err) == (0, "")
+    webs = sum(invariant_dim(signs) for signs in plain_boundaries(4, 4))
+    assert webs == 12
+    assert re.search(rf"^complete: {webs} webs checked, last boundary ----, ", out, re.M)
+
+
+@pytest.mark.parametrize("low", ["1", "0", "5"])
+def test_search_rejects_min_strands_out_of_range(low):
+    code, out, err = run("search-counterexample", "--min-strands", low, "--max-strands", "4")
+    assert code == 2 and out == ""
+    assert f"--min-strands must be from 2 to --max-strands, got {low}" in err
+
+
 def test_selftest_subset_and_bad_only():
     code, out, _ = run("selftest", "--only", "2")
     assert code == 0
@@ -336,3 +365,62 @@ def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, corrupt):
     assert plain[0] == 0
     assert run("blocks", "++--", "--cache") == plain
     assert run("blocks", "++--", "--cache") == plain
+
+
+def _load_workloads():
+    """perfbench/workloads.py loaded as a module: the benchmark's command
+    lines, boundaries and reference digests."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+WORKLOADS = _load_workloads()
+ARTIFACT_DIGESTS = WORKLOADS.load_reference()["artifacts"]
+
+
+def _clear_every_cache():
+    """Empty every lru cache of the loaded webkup modules, as a fresh
+    process starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("webkup."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "signs", ["+++++-----", "+-++--++--", *WORKLOADS.candidates(6, 3)]
+)
+def test_artifact_bytes_match_the_reference(tmp_path, monkeypatch, signs):
+    """The four artifact commands as the benchmark runs them: cold stdout
+    has the reference digest, and warm stdout, served from the disk cache
+    with nothing computed, equals it."""
+    monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
+    cold = {}
+    _clear_every_cache()
+    for kind in WORKLOADS.KINDS:
+        code, out, err = run(*WORKLOADS.cli_args(kind, signs))
+        assert (code, err) == (0, ""), kind
+        cold[kind] = out
+        assert hashlib.sha256(out.encode()).hexdigest() == ARTIFACT_DIGESTS[signs][kind], kind
+    _clear_every_cache()
+    for kind in WORKLOADS.KINDS:
+        assert run(*WORKLOADS.cli_args(kind, signs)) == (0, cold[kind], ""), kind
+    assert growth.web_space.cache_info().currsize == 0
+    assert dualcan.dual_canonical_basis.cache_info().currsize == 0
+
+
+def test_importing_the_cli_leaves_out_what_no_artifact_command_runs():
+    lazy = {"acceptance", "gornik", "howe", "oracles", "planar", "render"}
+    assert lazy <= {m.name for m in pkgutil.iter_modules(webkup.__path__)}
+    code = "import json, sys, webkup.cli; print(json.dumps(sorted(sys.modules)))"
+    path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "webkup.cli" in loaded
+    assert not {f"webkup.{m}" for m in lazy} & loaded

@@ -17,11 +17,13 @@ from webkup.flows import (
     COLORS,
     FULL,
     PLUS_WEIGHTS,
+    STATE_OF,
     SUBSETS,
     _weight_window,
     bracket,
     colorset_for,
     colorset_state,
+    config_states,
     config_vector,
     count_weight_zero_flows,
     enumerate_flows,
@@ -55,6 +57,22 @@ def test_colorset_state():
     assert colorset_state(frozenset((1, 0))) == 1
     assert colorset_state(frozenset((1, -1))) == 0
     assert colorset_for(2, -1) == frozenset((0, -1))
+
+
+def test_state_table_inverts_colorset_for(monkeypatch):
+    assert len(STATE_OF) == 6
+    assert set(STATE_OF) == {A for A in SUBSETS if len(A) in (1, 2)}
+    assert all(colorset_for(len(A), s) == A for A, s in STATE_OF.items())
+    for hidden in (frozenset(), FULL):
+        with pytest.raises(ValueError, match="needs 1 or 2 colors"):
+            colorset_state(hidden)
+        with pytest.raises(ValueError, match="needs 1 or 2 colors"):
+            config_states((frozenset((1,)), hidden, frozenset((0, -1))), (0, 1, 2))
+    assert config_states((frozenset((1,)), FULL, frozenset((0, -1))), (0, 2)) == (1, -1)
+    # the table checks itself when it is built
+    monkeypatch.setattr(flows, "colorset_for", lambda weight, state: frozenset((state,)))
+    with pytest.raises(AssertionError, match="state table"):
+        flows._state_table()
 
 
 def test_frozen_weight_table_satisfies_constraints(calibration):
