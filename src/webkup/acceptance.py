@@ -379,7 +379,7 @@ def criterion_11() -> CriterionResult:
         for signs in plain_boundaries(6):
             db = dual_canonical_basis(signs)
             space = web_space(signs)
-            for J, vec in db.elements.items():
+            for J, (vec, row) in db.items():
                 if vec.get(J) != ONE:
                     return False, f"leading coefficient at {signs} {J}"
                 for k, v in vec.items():
@@ -389,20 +389,18 @@ def criterion_11() -> CriterionResult:
                     return False, f"element not bar-invariant at {signs} {J}"
                 # the web is the element plus corrections by smaller elements
                 recon = dict(vec)
-                for (Jw, Jp), d in db.d_matrix.items():
-                    if Jw != J:
-                        continue
+                for K, d in row.items():
                     if not d.is_nonnegative():
                         return False, f"negative change-of-basis entry at {signs}"
-                    add_scaled(recon, d, db.elements[Jp])
+                    add_scaled(recon, d, db[K][0])
                     corrections += 1
-                if recon != space.expansions[J]:
+                if recon != space.expansion(J):
                     return False, f"change of basis does not reconstruct {signs} {J}"
                 elements += 1
-            keys = sorted(db.elements)
+            keys = sorted(db)
             for J in keys:
                 for K in keys:
-                    f = lusztig_form_vec(db.elements[J], db.elements[K])
+                    f = lusztig_form_vec(db[J][0], db[K][0])
                     delta = ONE if J == K else ZERO
                     if not strictly_below_one(f - delta):
                         return False, f"pairing off delta at {signs} ({J},{K})"

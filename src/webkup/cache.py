@@ -60,14 +60,17 @@ class Workspace:
 
     def load(self, kind: str, signs: str):
         """Payload, or None on a miss, a stale schema version or code
-        stamp, or a file that is not a JSON object (unreadable, not
-        UTF-8, corrupt, nested too deep to parse)."""
+        stamp, a file stored for another kind or boundary, or a file that
+        is not a JSON object (unreadable, not UTF-8, corrupt, nested too
+        deep to parse)."""
         path = self.artifact_path(kind, signs)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             return None
         if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
+            return None
+        if doc.get("kind") != kind or doc.get("signs") != signs:
             return None
         if doc.get("stamp") != _code_stamp():
             return None

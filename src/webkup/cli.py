@@ -100,17 +100,16 @@ def expansions_payload(signs: str) -> dict:
 
 def dualcan_payload(signs: str) -> dict:
     db = dual_canonical_basis(signs)
-    d_rows: dict[str, dict[str, str]] = {}
-    for (J, Jp), v in db.d_matrix.items():
-        d_rows.setdefault(format_states(J), {})[format_states(Jp)] = str(v)
     return {
         "elements": {
-            format_states(J): {
-                format_states(k): str(v) for k, v in vec.items()
-            }
-            for J, vec in db.elements.items()
+            format_states(J): {format_states(k): str(v) for k, v in vec.items()}
+            for J, (vec, _) in db.items()
         },
-        "d_matrix": d_rows,
+        "d_matrix": {
+            format_states(J): {format_states(K): str(c) for K, c in row.items()}
+            for J, (_, row) in db.items()
+            if row
+        },
     }
 
 

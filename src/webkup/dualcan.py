@@ -1,28 +1,28 @@
 """Dual canonical vectors and their comparison with basis webs.
 
-Construction by upper-triangular correction: walk the dominant state
-strings upward; start from the basis web's coordinate vector and, for
-each smaller dominant string, subtract the bar-symmetric top of its
-coefficient times the already-built element, leaving every coefficient
-below the leading one inside q^-1 Z[q^-1].  All ingredients are fixed by
-the bar involution, so the result is too.
+Each element is built on demand from its own web (element): start from
+the web's expansion and, at the largest state off the leading one whose
+coefficient has an exponent >= 0, subtract the bar-symmetric top of that
+coefficient times the element of that state; repeat until every
+coefficient below the leading one lies in q^-1 Z[q^-1].  All ingredients
+are fixed by the bar involution, so the result is too.
 
 Basis webs often coincide with these vectors but need not; the search
 walks boundaries in increasing size looking for a web with a second
-weight-zero flow, then confirms the discrepancy against the constructed
-element.
+weight-zero flow, then confirms the discrepancy from the web's own
+expansion.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .qlaurent import LaurentPoly, ONE, add_scaled
-from .flows import count_weight_zero_flows, expansion
-from .growth import dominant_states, growth, web_space
+from .qlaurent import LaurentPoly, add_scaled
+from .flows import count_weight_zero_flows
+from .growth import WebSpace, basis_expansion, dominant_states, growth, web_space
 from .webs import format_states, plain_boundaries
 
 
@@ -44,38 +44,41 @@ def strictly_below_one(p: LaurentPoly) -> bool:
     return all(e <= -1 for e in p.coeffs)
 
 
-@dataclass
-class DualBasis:
-    signs: str
-    elements: dict = field(default_factory=dict)  # J -> state vector
-    d_matrix: dict = field(default_factory=dict)  # (J, J') -> poly
+def first_to_correct(vec: dict, J: tuple):
+    """The largest state other than J whose coefficient in vec has an
+    exponent >= 0, or None: a vector led by J at coefficient 1 is dual
+    canonical exactly when there is none."""
+    return max((k for k, v in vec.items() if k != J and not strictly_below_one(v)), default=None)
 
 
 @lru_cache(maxsize=None)
-def dual_canonical_basis(signs: str) -> DualBasis:
+def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
+    """The dual canonical element led by J, as (state vector, row), where
+    the row {K: c_JK} gives the web as the element plus the sum of c_JK
+    times the element led by K.  An element that needs no correction is
+    its web's expansion itself; both are shared, so read-only.  Keyed by
+    the space, not its signs: one web_space lookup serves a boundary, and
+    a rebuilt or planted space gets its own elements."""
+    vec, row = space.expansion(J), {}
+    last = J
+    while (K := first_to_correct(vec, J)) is not None:
+        # a correction leaves only smaller states to correct, so each one
+        # lands strictly below the last; anything else would never end
+        if K >= last or K not in space.basis:
+            raise AssertionError(f"correction failed: coefficient at {K} of element {J} is {vec[K]}")
+        if not row:
+            vec = dict(vec)
+        row[K] = bar_symmetric_top(vec[K])
+        add_scaled(vec, -row[K], element(space, K)[0])
+        last = K
+    return vec, row
+
+
+@lru_cache(maxsize=None)
+def dual_canonical_basis(signs: str) -> dict:
+    """{J: element(space, J)} over the web basis of signs."""
     space = web_space(signs)
-    order = sorted(space.basis)  # increasing, so corrections exist already
-    db = DualBasis(signs)
-    for J in order:
-        vec = dict(space.expansions[J])
-        for Jp in sorted((k for k in db.elements if k < J), reverse=True):
-            c = vec.get(Jp)
-            if c is None:
-                continue
-            f = bar_symmetric_top(c)
-            if f.is_zero():
-                continue
-            db.d_matrix[(J, Jp)] = f
-            add_scaled(vec, -f, db.elements[Jp])
-        assert vec.get(J) == ONE, f"leading coefficient corrupted at {J}"
-        for k, v in vec.items():
-            if k != J and not strictly_below_one(v):
-                raise AssertionError(
-                    f"correction failed: coefficient at {k} of element {J} "
-                    f"is {v}"
-                )
-        db.elements[J] = vec
-    return db
+    return {J: element(space, J) for J in space.basis}
 
 
 def apply_bar(signs: str, vec: dict) -> dict:
@@ -85,7 +88,7 @@ def apply_bar(signs: str, vec: dict) -> dict:
     coords = space.reduce_to_basis(vec)
     out: dict = {}
     for J, c in coords.items():
-        add_scaled(out, c.bar(), space.expansions[J])
+        add_scaled(out, c.bar(), space.expansion(J))
     return out
 
 
@@ -93,25 +96,12 @@ def is_bar_invariant_vec(signs: str, vec: dict) -> bool:
     return apply_bar(signs, vec) == vec
 
 
-def web_matches_dual_canonical(signs: str, J: tuple[int, ...]) -> bool:
-    db = dual_canonical_basis(signs)
-    space = web_space(signs)
-    return space.expansions[J] == db.elements[J]
-
-
 def web_is_dual_canonical(web, J: tuple[int, ...]) -> bool:
     """Whether the basis web with leading state J is its dual canonical
-    element, read off the web's own expansion.
-
-    The web is bar-invariant with leading coefficient 1, and the dual
-    canonical element is the one such vector whose other coefficients all
-    lie in q^-1 Z[q^-1]; so the two agree exactly when the web's do.
-    web_matches_dual_canonical, which builds the whole space, is the
-    reference this is tested against."""
-    exp = expansion(web)
-    if max(exp) != J or exp[J] != ONE:
-        raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
-    return all(strictly_below_one(v) for k, v in exp.items() if k != J)
+    element, read off the web's own expansion: it is when element would
+    make no correction (first_to_correct), which the search decides
+    without a web space."""
+    return first_to_correct(basis_expansion(web, J), J) is None
 
 
 # ---------------------------------------------------------------------------

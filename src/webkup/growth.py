@@ -206,6 +206,15 @@ def dominant_states(signs: str) -> list[tuple[int, ...]]:
     return sorted(semistandard_states(signs), reverse=True)
 
 
+def basis_expansion(web: LadderWeb, J: tuple) -> dict:
+    """Expansion of the basis web with leading state J, asserted
+    unitriangular: its largest state is J, with coefficient 1."""
+    exp = expansion(web)
+    if max(exp) != J or exp[J] != ONE:
+        raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
+    return exp
+
+
 @lru_cache(maxsize=None)
 def web_space(signs: str) -> "WebSpace":
     return WebSpace(signs)
@@ -217,16 +226,19 @@ class WebSpace:
     def __init__(self, signs: str):
         self.signs = signs
         self.basis = {J: growth(signs, J).web for J in dominant_states(signs)}
+        self.expanded: dict[tuple, dict] = {}  # J -> expansion, filled on request
+
+    def expansion(self, J: tuple) -> dict:
+        """basis_expansion of the web at J, built on first request; shared,
+        so read-only."""
+        if J not in self.expanded:
+            self.expanded[J] = basis_expansion(self.basis[J], J)
+        return self.expanded[J]
 
     @cached_property
     def expansions(self) -> dict[tuple, dict]:
-        """Expansion of each basis web, built on first use and asserted
-        unitriangular: its leading state is its own, with coefficient 1."""
-        out = {J: expansion(w) for J, w in self.basis.items()}
-        for J, exp in out.items():
-            if max(exp) != J or exp[J] != ONE:
-                raise AssertionError(f"expansion of {self.signs} {J} is not unitriangular")
-        return out
+        """Expansion of every basis web."""
+        return {J: self.expansion(J) for J in self.basis}
 
     def reduce_to_basis(self, vec: dict) -> dict:
         """Coefficients of a boundary-state vector over the web basis."""
@@ -238,9 +250,9 @@ class WebSpace:
                 raise AssertionError(
                     f"vector has leading state {k} outside the dominant set"
                 )
-            # each state leads at most once: expansions asserts unitriangularity
+            # each state leads at most once: expansion asserts unitriangularity
             out[k] = vec[k]
-            add_scaled(vec, -vec[k], self.expansions[k])
+            add_scaled(vec, -vec[k], self.expansion(k))
         return out
 
 

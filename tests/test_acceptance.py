@@ -29,6 +29,7 @@ DERIVED_TABLES = (
     growth._rule_priority,
     growth._hop,
     growth.web_space,
+    dualcan.element,
     dualcan.dual_canonical_basis,
     howe._basis_vectors,
     howe._generator_relations,
@@ -333,21 +334,13 @@ def test_criterion_05_fails_on_a_wrong_oracle(monkeypatch):
     assert res.detail == "basis count disagrees with tensor oracle at ++"
 
 
-def test_criterion_11_fails_on_a_shifted_bar_top(monkeypatch, fresh_tables):
-    real = dualcan.bar_symmetric_top
-    monkeypatch.setattr(dualcan, "bar_symmetric_top", lambda p: real(p.shift(1)))
-    res = acceptance.CRITERIA[11]()
-    assert not res.passed
-    assert res.detail.startswith("error: AssertionError('correction failed: ")
-
-
 def _planted_space(monkeypatch, signs, change):
-    """Serve a web space of `signs` whose expansions `change` has edited,
-    to the acceptance checks and to the dual canonical construction."""
+    """Serve a web space of `signs` whose per-web expansions `change` has
+    edited, to the acceptance checks and to the dual canonical
+    construction: both read them through WebSpace.expansion."""
     space = growth.WebSpace(signs)
-    expansions = {J: dict(exp) for J, exp in space.expansions.items()}
-    change(expansions)
-    space.expansions = expansions  # overrides the cached property
+    space.expanded = {J: dict(space.expansion(J)) for J in space.basis}
+    change(space.expanded)
     for module in (acceptance, dualcan):
         real = module.web_space
         monkeypatch.setattr(
@@ -378,20 +371,48 @@ def _top_plus_q_plus_inverse_q_times_other(expansions):
 def test_criterion_11_corrects_a_web_that_is_not_dual_canonical(monkeypatch, fresh_tables):
     # e_top + (q + q^-1) e_other is bar-invariant and unitriangular, and its
     # dual canonical element is the real e_top, reached by one correction
-    real = {J: dict(exp) for J, exp in growth.WebSpace("+-+-").expansions.items()}
+    real = growth.WebSpace("+-+-").expansions
     _planted_space(monkeypatch, "+-+-", _top_plus_q_plus_inverse_q_times_other)
     db = dualcan.dual_canonical_basis("+-+-")
-    assert db.d_matrix == {(PLANTED_TOP, OTHER): qint(2)}
-    assert db.elements == real
+    assert {J: row for J, (_, row) in db.items()} == {PLANTED_TOP: {OTHER: qint(2)}, OTHER: {}}
+    assert {J: vec for J, (vec, _) in db.items()} == real
     res = acceptance.CRITERIA[11]()
     assert res.passed, res.line()
     assert "; 1 correction entries," in res.detail
 
 
+# three dominant states of +++---, from the top down
+CHAIN_J, CHAIN_K, CHAIN_L = (1, 1, 1, -1, -1, -1), (1, 1, 0, 0, -1, -1), (1, 0, -1, 1, 0, -1)
+
+
+def _chain(expansions):
+    # plant e_K + [2] e_L at K, then e_J + [2] (that) at J
+    add_scaled(expansions[CHAIN_K], qint(2), expansions[CHAIN_L])
+    add_scaled(expansions[CHAIN_J], qint(2), expansions[CHAIN_K])
+
+
+def test_criterion_11_corrects_a_chain_of_two_levels(monkeypatch, fresh_tables):
+    # J corrects at K by [2], which leaves [2]^2 e_L for a correction at L;
+    # building J's element builds K's, which itself corrects at L
+    real = growth.WebSpace("+++---").expansions
+    _planted_space(monkeypatch, "+++---", _chain)
+    db = dualcan.dual_canonical_basis("+++---")
+    rows = {J: row for J, (_, row) in db.items() if row}
+    assert rows == {
+        CHAIN_J: {CHAIN_K: qint(2), CHAIN_L: qint(2) * qint(2)},
+        CHAIN_K: {CHAIN_L: qint(2)},
+    }
+    assert {J: vec for J, (vec, _) in db.items()} == real
+    res = acceptance.CRITERIA[11]()
+    assert res.passed, res.line()
+    assert "; 3 correction entries," in res.detail
+
+
 def test_criterion_11_fails_on_a_bar_top_wrong_only_at_nonnegative_exponents(
     monkeypatch, fresh_tables
 ):
-    # real data only ever passes coefficients below q^0, where the top is 0
+    # element passes only coefficients with an exponent >= 0, and no web
+    # through 6 strands has one, so the fault needs the planted space
     real = dualcan.bar_symmetric_top
     monkeypatch.setattr(
         dualcan,

@@ -69,6 +69,18 @@ def test_corrupted_payload_misses(tmp_path):
     assert ws.load("basis", "+-") is None
 
 
+@pytest.mark.parametrize("kind, signs", [("blocks", "++--"), ("dualcan", "+-+-")])
+def test_file_stored_for_another_kind_or_boundary_misses(tmp_path, kind, signs):
+    ws = Workspace(tmp_path)
+    stored = ws.store("blocks", "+-+-", {"multiplicities": {"1m1m": 2}})
+    path = ws.artifact_path(kind, signs)
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(stored.read_bytes())
+    assert ws.load(kind, signs) is None
+    assert ws.fetch(kind, signs, lambda: {"a": 1}) == {"a": 1}
+    assert ws.load(kind, signs) == {"a": 1}
+
+
 def test_rewrites_are_byte_identical(tmp_path):
     ws = Workspace(tmp_path)
     payload = {"webs": {"1m": {"bottom_weight": [0, 3], "slices": []}}}

@@ -367,6 +367,19 @@ def test_cache_corrupt_file_is_recomputed(tmp_path, monkeypatch, corrupt):
     assert run("blocks", "++--", "--cache") == plain
 
 
+def test_cache_file_of_another_boundary_or_kind_is_recomputed(tmp_path, monkeypatch):
+    monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
+    assert run("blocks", "+-+-", "--cache")[0] == 0
+    stored = (tmp_path / "blocks" / "S_+-+-.json").read_bytes()
+    (tmp_path / "blocks" / "S_++--.json").write_bytes(stored)
+    (tmp_path / "dualcan").mkdir()
+    (tmp_path / "dualcan" / "S_+-+-.json").write_bytes(stored)
+    for argv in (("blocks", "++--"), ("dualcan", "--q1", "+-+-")):
+        plain = run(*argv)
+        assert plain[0] == 0
+        assert run(*argv, "--cache") == plain
+
+
 def _load_workloads():
     """perfbench/workloads.py loaded as a module: the benchmark's command
     lines, boundaries and reference digests."""

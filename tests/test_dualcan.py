@@ -1,28 +1,31 @@
 """Tests for dual canonical vectors, the bar involution, and the search."""
 
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webkup.qlaurent import LaurentPoly, ONE, ZERO
+from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
 from webkup import dualcan
 from webkup.webs import LadderWeb, Slice, close, parse_states
 from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec
 from webkup.planar import rewrite_bracket
-from webkup.growth import growth, web_space
+from webkup.growth import WebSpace, growth, web_space
 from webkup.howe import _basis_vectors
 from webkup.dualcan import (
     SearchReport,
     apply_bar,
     bar_symmetric_top,
     dual_canonical_basis,
+    element,
     is_bar_invariant_vec,
     search_counterexample,
     strictly_below_one,
     web_is_dual_canonical,
-    web_matches_dual_canonical,
 )
 
 TRIPOD = LadderWeb((3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1)))
@@ -69,33 +72,33 @@ def test_strictly_below_one():
 
 def test_single_web_boundary_is_its_own_dual_canonical():
     db = dual_canonical_basis("+++")
-    assert list(db.elements) == [(1, 0, -1)]
+    assert list(db) == [(1, 0, -1)]
     exp = {k: v for k, v in expansion(TRIPOD).items() if not v.is_zero()}
-    assert db.elements[(1, 0, -1)] == exp
-    assert db.d_matrix == {}
+    assert db[(1, 0, -1)] == (exp, {})
 
 
 def test_webs_match_dual_canonical_small():
     """On small boundaries the basis webs already are the dual canonical
-    vectors and no correction term is ever needed."""
+    vectors and no correction term is ever needed, so no element is a
+    copy of its web's expansion."""
     for signs in SMALL:
-        db = dual_canonical_basis(signs)
-        assert db.d_matrix == {}
-        for J in db.elements:
-            assert web_matches_dual_canonical(signs, J)
+        space = web_space(signs)
+        for J, (vec, row) in dual_canonical_basis(signs).items():
+            assert row == {}
+            assert vec is space.expansion(J)
 
 
 def test_elements_are_bar_invariant():
     for signs in ("++--", "+-+-", "+++---"):
         db = dual_canonical_basis(signs)
-        for vec in db.elements.values():
+        for vec, _ in db.values():
             assert is_bar_invariant_vec(signs, vec)
 
 
 def test_element_coefficients_below_leading():
     for signs in ("++--", "+++---"):
         db = dual_canonical_basis(signs)
-        for J, vec in db.elements.items():
+        for J, (vec, _) in db.items():
             assert vec[J] == ONE
             for k, v in vec.items():
                 if k != J:
@@ -126,10 +129,10 @@ def test_lusztig_pairings_near_delta():
     """Pairings of dual canonical vectors are delta plus lower order."""
     for signs in ("++--", "+-+-", "+++---"):
         db = dual_canonical_basis(signs)
-        keys = sorted(db.elements)
+        keys = sorted(db)
         for J in keys:
             for K in keys:
-                f = lusztig_form_vec(db.elements[J], db.elements[K])
+                f = lusztig_form_vec(db[J][0], db[K][0])
                 delta = ONE if J == K else ZERO
                 diff = f - delta
                 assert diff.is_zero() or strictly_below_one(diff)
@@ -203,19 +206,28 @@ def test_search_raises_on_a_flow_of_positive_weight(monkeypatch):
 
 def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
     """With a prefilter that passes every web, the search reports exactly
-    the webs that web_matches_dual_canonical rejects (none through 6
-    strands); web_is_dual_canonical agrees with it on each web."""
+    the webs whose expansion differs from their element (none through 6
+    strands); web_is_dual_canonical agrees with the construction on each
+    web."""
     expected = []
     for n in range(2, 7):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
-            for J, web in web_space(signs).basis.items():
-                full = web_matches_dual_canonical(signs, J)
+            space = web_space(signs)
+            for J, web in space.basis.items():
+                full = element(space, J)[0] == space.expansion(J)
                 assert web_is_dual_canonical(web, J) == full, (signs, J)
                 if not full:
                     expected.append((signs, J))
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", lambda *args, **kwargs: 2)
     rep = search_counterexample(max_strands=6, budget_s=600)
     assert rep.completed and rep.found == expected
+
+
+@pytest.fixture
+def forget_elements():
+    """Drop the elements a test built, with the large web spaces they hold."""
+    yield
+    element.cache_clear()
 
 
 # two of the four 12-strand webs that differ from their dual canonical
@@ -231,21 +243,54 @@ def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
         ("+++-+++--++--", "111100000mmmm", "11000m1m1m1mm", {0: 1, -2: 6, -4: 4}),
     ],
 )
-def test_twelve_strand_counterexamples(signs, J, K, coeff):
-    web = growth(signs, parse_states(J)).web
+def test_twelve_strand_counterexamples(signs, J, K, coeff, forget_elements):
+    J, K = parse_states(J), parse_states(K)
+    space = WebSpace(signs)
+    web, other = space.basis[J], space.basis[K]
     assert count_weight_zero_flows(web) == 2
     assert count_weight_zero_flows(web, stop_at=2) == 2
-    exp = expansion(web)
-    assert exp[parse_states(K)] == LaurentPoly(coeff)
-    assert not web_is_dual_canonical(web, parse_states(J))
+    exp = space.expansion(J)
+    assert exp[K] == LaurentPoly(coeff)
+    assert not web_is_dual_canonical(web, J)
+    # the web is its element plus the web at K, which is its own element
+    vec, row = element(space, J)
+    assert row == {K: ONE}
+    assert element(space, K) == (space.expansion(K), {})
+    recon = dict(vec)
+    add_scaled(recon, ONE, space.expansion(K))
+    assert recon == exp
     # planar certificate: off the leading state a dual canonical pairing has
     # no constant term, and the rewriting evaluator finds one without flows
-    other = growth(signs, parse_states(K)).web
     value = rewrite_bracket(close(web, other))
     assert value == bracket(close(web, other))
     form = value.shift(-len(signs))
-    assert form == lusztig_form_vec(exp, expansion(other))
+    assert form == lusztig_form_vec(exp, space.expansion(K))
     assert form.degree() == 0 and form.coeffs[0] == 1
+
+
+def test_element_fails_on_a_shifted_bar_top(monkeypatch, forget_elements):
+    # no web through 6 strands needs a correction, so the fault is planted
+    # on a real 12-strand hit, where the correction at K cannot clear q^0
+    real = dualcan.bar_symmetric_top
+    monkeypatch.setattr(dualcan, "bar_symmetric_top", lambda p: real(p.shift(1)))
+    with pytest.raises(AssertionError, match="^correction failed: coefficient at "):
+        element(WebSpace("++--++--++--"), parse_states("11110000mmmm"))
+
+
+def test_counterexample_script_prints_each_correction():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "check_counterexamples.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    expected = [
+        ("++--++--++--", "11110000mmmm", "11m1m1m1m1mm"),
+        ("--++--++--++", "11110000mmmm", "11m1m1m1m1mm"),
+        ("+--++--++--+", "1110100m0mmm", "1m1m1m1m1m1m"),
+        ("-++--++--++-", "1110100m0mmm", "1m1m1m1m1m1m"),
+    ]
+    lines = run.stdout.splitlines()
+    assert len(lines) == len(expected)
+    for line, (signs, J, K) in zip(lines, expected):
+        assert line.startswith(f"{signs} {J}: is not dual canonical; corrections: d({J}, {K}) = 1 ("), line
 
 
 def test_state_vectors_hold_no_zero():
@@ -255,7 +300,7 @@ def test_state_vectors_hold_no_zero():
         for signs in ("".join(p) for p in product("+-", repeat=n)):
             vectors = [
                 *web_space(signs).expansions.values(),
-                *dual_canonical_basis(signs).elements.values(),
+                *(vec for vec, _ in dual_canonical_basis(signs).values()),
                 *_basis_vectors(signs).values(),
             ]
             for vec in vectors:
