@@ -9,8 +9,8 @@ are fixed by the bar involution, so the result is too.
 
 Basis webs often coincide with these vectors but need not; the search
 walks boundaries in increasing size looking for a web with a second
-weight-zero flow, then confirms the discrepancy from the web's own
-expansion.
+weight-zero flow, then confirms the discrepancy by building that web's
+element in a web space of its own boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .qlaurent import LaurentPoly, add_scaled
 from .flows import count_weight_zero_flows
-from .growth import WebSpace, basis_expansion, dominant_states, growth, web_space
+from .growth import WebSpace, web_space
 from .webs import format_states, plain_boundaries
 
 
@@ -44,24 +44,22 @@ def strictly_below_one(p: LaurentPoly) -> bool:
     return all(e <= -1 for e in p.coeffs)
 
 
-def first_to_correct(vec: dict, J: tuple):
-    """The largest state other than J whose coefficient in vec has an
-    exponent >= 0, or None: a vector led by J at coefficient 1 is dual
-    canonical exactly when there is none."""
-    return max((k for k, v in vec.items() if k != J and not strictly_below_one(v)), default=None)
-
-
-@lru_cache(maxsize=None)
 def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
     """The dual canonical element led by J, as (state vector, row), where
     the row {K: c_JK} gives the web as the element plus the sum of c_JK
-    times the element led by K.  An element that needs no correction is
-    its web's expansion itself; both are shared, so read-only.  Keyed by
-    the space, not its signs: one web_space lookup serves a boundary, and
-    a rebuilt or planted space gets its own elements."""
+    times the element led by K; the row is empty exactly when the web is
+    its element.  An element that needs no correction is its web's
+    expansion itself; both are shared, so read-only.  Memoized in
+    space.elements, so a rebuilt or planted space gets its own elements
+    and dropping a space frees them."""
+    if J in space.elements:
+        return space.elements[J]
     vec, row = space.expansion(J), {}
     last = J
-    while (K := first_to_correct(vec, J)) is not None:
+    # correct at the largest state off J whose coefficient has an exponent >= 0
+    while (
+        K := max((k for k, v in vec.items() if k != J and not strictly_below_one(v)), default=None)
+    ) is not None:
         # a correction leaves only smaller states to correct, so each one
         # lands strictly below the last; anything else would never end
         if K >= last or K not in space.basis:
@@ -71,7 +69,8 @@ def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
         row[K] = bar_symmetric_top(vec[K])
         add_scaled(vec, -row[K], element(space, K)[0])
         last = K
-    return vec, row
+    space.elements[J] = vec, row
+    return space.elements[J]
 
 
 @lru_cache(maxsize=None)
@@ -94,14 +93,6 @@ def apply_bar(signs: str, vec: dict) -> dict:
 
 def is_bar_invariant_vec(signs: str, vec: dict) -> bool:
     return apply_bar(signs, vec) == vec
-
-
-def web_is_dual_canonical(web, J: tuple[int, ...]) -> bool:
-    """Whether the basis web with leading state J is its dual canonical
-    element, read off the web's own expansion: it is when element would
-    make no correction (first_to_correct), which the search decides
-    without a web space."""
-    return first_to_correct(basis_expansion(web, J), J) is None
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +142,11 @@ def search_counterexample(
     min_strands: int = 2,
 ) -> SearchReport:
     """Scan plain boundaries of min_strands to max_strands strands, by size,
-    for a basis web with more than one weight-zero flow; confirm from its
-    expansion (web_is_dual_canonical) that it is not its dual canonical
-    element.  With stop_at_first it ends at its first counterexample.
+    for a basis web with more than one weight-zero flow; confirm that it
+    is not its dual canonical element by a non-empty row of element.  Each
+    boundary gets a WebSpace of its own, not the cached web_space, so its
+    webs and elements are freed before the next.  With stop_at_first it
+    ends at its first counterexample.
 
     The prefilter is complete only because no flow of a basis web has
     positive weight: every expansion coefficient has exponents <= 0 and
@@ -171,11 +164,11 @@ def search_counterexample(
         if time.time() - t0 > budget:
             return SearchReport(found, checked, last, False, time.time() - t0)
         last = signs
-        for J in dominant_states(signs):
-            web = growth(signs, J).web
+        space = WebSpace(signs)
+        for J, web in space.basis.items():
             checked += 1
             if count_weight_zero_flows(web, stop_at=2) > 1:
-                if not web_is_dual_canonical(web, J):
+                if element(space, J)[1]:
                     found.append((signs, J))
                     if stop_at_first:
                         return SearchReport(

@@ -34,6 +34,7 @@ from .flows import (
     Flow,
     colorset_for,
     colorset_state,
+    config_states,
     expansion,
     transitions,
     walk_moves,
@@ -133,7 +134,8 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
     """Each step scans the adjacent visible pairs once and takes the move
     of lowest rank, leftmost first; it hops the pair's right strand
     leftward next to the left one and applies the move.  Slices are found
-    from the top down."""
+    from the top down; the flow's boundary is read off its replayed top
+    configuration, not copied from `states`."""
     lam = list(weight_of_signs(signs))
     vis = visible_columns(tuple(lam))
     states = tuple(states)
@@ -172,8 +174,8 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
 
     web = LadderWeb(tuple(lam), tuple(reversed(slices)))
     moves.reverse()
-    _, weight = walk_moves(web, moves)
-    return Flow(web, tuple(moves), weight, states)
+    cfgs, weight = walk_moves(web, moves)
+    return Flow(web, tuple(moves), weight, config_states(cfgs[-1], vis))
 
 
 def growth(signs: str, states) -> Flow:
@@ -206,22 +208,15 @@ def dominant_states(signs: str) -> list[tuple[int, ...]]:
     return sorted(semistandard_states(signs), reverse=True)
 
 
-def basis_expansion(web: LadderWeb, J: tuple) -> dict:
-    """Expansion of the basis web with leading state J, asserted
-    unitriangular: its largest state is J, with coefficient 1."""
-    exp = expansion(web)
-    if max(exp) != J or exp[J] != ONE:
-        raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
-    return exp
-
-
 @lru_cache(maxsize=None)
 def web_space(signs: str) -> "WebSpace":
     return WebSpace(signs)
 
 
 class WebSpace:
-    """The web basis of one boundary string with its expansions."""
+    """The web basis of one boundary string with its expansions and its
+    dual canonical elements, each built on request and freed with the
+    space."""
 
     def __init__(self, signs: str):
         self.signs = signs
@@ -229,11 +224,21 @@ class WebSpace:
         self.expanded: dict[tuple, dict] = {}  # J -> expansion, filled on request
 
     def expansion(self, J: tuple) -> dict:
-        """basis_expansion of the web at J, built on first request; shared,
+        """Expansion of the web at J, built on first request and asserted
+        unitriangular: its largest state is J, with coefficient 1.  Shared,
         so read-only."""
         if J not in self.expanded:
-            self.expanded[J] = basis_expansion(self.basis[J], J)
+            exp = expansion(self.basis[J])
+            if max(exp) != J or exp[J] != ONE:
+                raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
+            self.expanded[J] = exp
         return self.expanded[J]
+
+    @cached_property
+    def elements(self) -> dict[tuple, tuple]:
+        """J -> (vector, row), filled by dualcan.element; made on first use,
+        since most spaces never build an element."""
+        return {}
 
     @cached_property
     def expansions(self) -> dict[tuple, dict]:

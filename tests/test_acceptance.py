@@ -29,7 +29,6 @@ DERIVED_TABLES = (
     growth._rule_priority,
     growth._hop,
     growth.web_space,
-    dualcan.element,
     dualcan.dual_canonical_basis,
     howe._basis_vectors,
     howe._generator_relations,
@@ -175,6 +174,21 @@ def test_criterion_13_fails_on_dropped_dominant_state(monkeypatch):
     res = acceptance.CRITERIA[13]()
     assert not res.passed
     assert res.detail == "growth and dominant states disagree at +++ (1, 0, -1)"
+
+
+def test_criterion_13_fails_on_a_wrong_moved_set_off_canonical_growth(fresh_tables):
+    # construct_flow's nonzero-weight join at ++ over states -1 1 moves
+    # color 1; moving -1 instead is still a legal walk, but the flow it
+    # builds shows other states at the top.  Canonical growth reads its
+    # own table and is untouched.
+    key = ("+", "+", -1, 1)
+    ranked = growth._rule_priority(False)
+    rank, sign, moved, below_p, below_q, left = ranked[key]
+    assert rank >= 3 and moved == frozenset({1})
+    ranked[key] = (rank, sign, frozenset({-1}), below_p, below_q, left)
+    res = acceptance.CRITERIA[13]()
+    assert not res.passed
+    assert res.detail == "constructed flow misses its boundary at -++- (-1, -1, 1, 1)"
 
 
 def test_criterion_12_reads_a_bad_budget_outside_its_check(monkeypatch):

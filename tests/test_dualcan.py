@@ -1,7 +1,9 @@
 """Tests for dual canonical vectors, the bar involution, and the search."""
 
+import gc
 import subprocess
 import sys
+import weakref
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
-from webkup import dualcan
+from webkup import dualcan, growth as growth_module
 from webkup.webs import LadderWeb, Slice, close, parse_states
 from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec
+from webkup.oracles import invariant_dim
 from webkup.planar import rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
 from webkup.howe import _basis_vectors
@@ -25,7 +28,6 @@ from webkup.dualcan import (
     is_bar_invariant_vec,
     search_counterexample,
     strictly_below_one,
-    web_is_dual_canonical,
 )
 
 TRIPOD = LadderWeb((3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1)))
@@ -156,7 +158,7 @@ def test_search_writes_a_hit_as_a_state_string(monkeypatch):
         return 2 if web.top_signs() == "+-" else real(web, stop_at)
 
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", second_flow_on_plus_minus)
-    monkeypatch.setattr(dualcan, "web_is_dual_canonical", lambda web, J: False)
+    monkeypatch.setattr(dualcan, "element", lambda space, J: ({}, {J: ONE}))
     rep = search_counterexample(max_strands=2, budget_s=120)
     assert rep.found == [("+-", (1, -1))]
     assert rep.summary().splitlines()[0] == "counterexample: boundary +- state 1m"
@@ -165,7 +167,7 @@ def test_search_writes_a_hit_as_a_state_string(monkeypatch):
 def test_stop_at_first_says_the_search_stopped_at_its_hit(monkeypatch):
     # every web is a planted hit, so the search stops at the first, +-
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", lambda *args, **kwargs: 2)
-    monkeypatch.setattr(dualcan, "web_is_dual_canonical", lambda web, J: False)
+    monkeypatch.setattr(dualcan, "element", lambda space, J: ({}, {J: ONE}))
     rep = search_counterexample(max_strands=4, budget_s=120, stop_at_first=True)
     assert rep.found == [("+-", (1, -1))]
     assert (rep.checked_webs, rep.last_boundary, rep.completed) == (1, "+-", False)
@@ -199,35 +201,38 @@ def test_search_raises_on_a_flow_of_positive_weight(monkeypatch):
     def planted(signs, J):
         return SimpleNamespace(web=circle) if signs == "+-" else growth(signs, J)
 
-    monkeypatch.setattr(dualcan, "growth", planted)
+    # the name WebSpace reads when it grows the basis the search walks
+    monkeypatch.setattr(growth_module, "growth", planted)
     with pytest.raises(AssertionError, match="flow of weight 2"):
         search_counterexample(max_strands=2, budget_s=60)
 
 
 def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
-    """With a prefilter that passes every web, the search reports exactly
-    the webs whose expansion differs from their element (none through 6
-    strands); web_is_dual_canonical agrees with the construction on each
-    web."""
-    expected = []
+    """With a prefilter that passes every web, the search checks every
+    basis web through 6 strands and reports exactly the webs whose element
+    row is non-empty (none)."""
+    expected, webs = [], 0
     for n in range(2, 7):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
-            space = web_space(signs)
-            for J, web in space.basis.items():
-                full = element(space, J)[0] == space.expansion(J)
-                assert web_is_dual_canonical(web, J) == full, (signs, J)
-                if not full:
-                    expected.append((signs, J))
+            space = WebSpace(signs)
+            webs += invariant_dim(signs)
+            expected += [(signs, J) for J in space.basis if element(space, J)[1]]
+    assert expected == []
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", lambda *args, **kwargs: 2)
     rep = search_counterexample(max_strands=6, budget_s=600)
     assert rep.completed and rep.found == expected
+    assert rep.checked_webs == webs
 
 
-@pytest.fixture
-def forget_elements():
-    """Drop the elements a test built, with the large web spaces they hold."""
-    yield
-    element.cache_clear()
+def test_dropping_a_space_frees_its_elements():
+    # elements are memoized on their space, and nothing else holds it
+    space = WebSpace("+++---")
+    J = max(space.basis)
+    assert element(space, J) is element(space, J)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
 
 
 # two of the four 12-strand webs that differ from their dual canonical
@@ -243,7 +248,7 @@ def forget_elements():
         ("+++-+++--++--", "111100000mmmm", "11000m1m1m1mm", {0: 1, -2: 6, -4: 4}),
     ],
 )
-def test_twelve_strand_counterexamples(signs, J, K, coeff, forget_elements):
+def test_twelve_strand_counterexamples(signs, J, K, coeff):
     J, K = parse_states(J), parse_states(K)
     space = WebSpace(signs)
     web, other = space.basis[J], space.basis[K]
@@ -251,10 +256,12 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff, forget_elements):
     assert count_weight_zero_flows(web, stop_at=2) == 2
     exp = space.expansion(J)
     assert exp[K] == LaurentPoly(coeff)
-    assert not web_is_dual_canonical(web, J)
     # the web is its element plus the web at K, which is its own element
     vec, row = element(space, J)
     assert row == {K: ONE}
+    # B_J has coefficients in N[q^-1] off its leading 1
+    assert all(v.is_nonnegative() for v in vec.values())
+    assert all(strictly_below_one(v) for k, v in vec.items() if k != J)
     assert element(space, K) == (space.expansion(K), {})
     recon = dict(vec)
     add_scaled(recon, ONE, space.expansion(K))
@@ -268,7 +275,7 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff, forget_elements):
     assert form.degree() == 0 and form.coeffs[0] == 1
 
 
-def test_element_fails_on_a_shifted_bar_top(monkeypatch, forget_elements):
+def test_element_fails_on_a_shifted_bar_top(monkeypatch):
     # no web through 6 strands needs a correction, so the fault is planted
     # on a real 12-strand hit, where the correction at K cannot clear q^0
     real = dualcan.bar_symmetric_top
