@@ -48,7 +48,10 @@ def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
     """The dual canonical element led by J, as (state vector, row), where
     the row {K: c_JK} gives the web as the element plus the sum of c_JK
     times the element led by K; the row is empty exactly when the web is
-    its element.  An element that needs no correction is its web's
+    its element.  Each c_JK is bar-invariant by construction and in
+    N[q, q^-1] (asserted): it is a graded multiplicity of a projective
+    under the paper's Morita equivalence with a level-3 cyclotomic KLR
+    algebra.  An element that needs no correction is its web's
     expansion itself; both are shared, so read-only.  Memoized in
     space.elements, so a rebuilt or planted space gets its own elements
     and dropping a space frees them."""
@@ -67,6 +70,8 @@ def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
         if not row:
             vec = dict(vec)
         row[K] = bar_symmetric_top(vec[K])
+        if not row[K].is_nonnegative():
+            raise AssertionError(f"negative correction at {K} of element {J}: {row[K]}")
         add_scaled(vec, -row[K], element(space, K)[0])
         last = K
     space.elements[J] = vec, row

@@ -248,24 +248,15 @@ def start_config(lam: tuple[int, ...]) -> tuple[frozenset, ...]:
     return tuple(cfg)
 
 
-def raw_vector(vec: dict) -> dict:
-    """A vector {cfg: LaurentPoly} as raw {cfg: {exponent: coeff}} dicts,
-    checked to hold only nonzero coefficients in N[q, q^-1]: the entry
-    condition of sweep_raw."""
-    raw = {cfg: poly.coeffs for cfg, poly in vec.items()}
-    for coeffs in raw.values():
-        if min(coeffs.values(), default=0) <= 0:
-            raise ValueError(f"sweep needs nonzero coefficients in N[q, q^-1]: {coeffs}")
-    return raw
-
-
 def sweep_raw(raw: dict, slices) -> dict:
     """The ladder-sweep kernel: apply slices in order to a vector of raw
     {exponent: coeff} dicts over color configurations, reading each
-    slice's moves from its transitions table.  The input must pass
-    raw_vector's check; then no sum cancels and the output holds no zero
-    without a filter.  The input is not mutated, and it is returned as is
-    when there is no slice."""
+    slice's moves from its transitions table.  Every vector the library
+    sweeps starts as web_vector's {start: {0: 1}}, and each move only adds
+    a coefficient-1 power of q (transitions asserts it of divided powers),
+    so coefficients stay in N[q, q^-1], no sum cancels and the output
+    holds no zero without a filter.  The input is not mutated, and it is
+    returned as is when there is no slice."""
     for sign, index, power in slices:
         c = index - 1
         table = transitions(sign, power)
@@ -279,11 +270,10 @@ def sweep_raw(raw: dict, slices) -> dict:
     return raw
 
 
-def config_vector(web: LadderWeb) -> dict[tuple, LaurentPoly]:
-    """Top color configurations of a closed-bottom web with their exact
-    Laurent coefficients, swept slice by slice from the bottom."""
-    raw = sweep_raw({start_config(web.bottom_weight): {0: 1}}, web.slices)
-    return {cfg: LaurentPoly._trusted(coeffs) for cfg, coeffs in raw.items()}
+def web_vector(web: LadderWeb) -> dict[tuple, dict[int, int]]:
+    """Top color configurations of a closed-bottom web with their raw
+    {exponent: coeff} coefficients, swept slice by slice from the bottom."""
+    return sweep_raw({start_config(web.bottom_weight): {0: 1}}, web.slices)
 
 
 def config_states(cfg, cols) -> tuple[int, ...]:
@@ -301,7 +291,10 @@ def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
     (and conversely, so no information is lost here).
     """
     cols = visible_columns(web.top_weight)
-    return {config_states(cfg, cols): poly for cfg, poly in config_vector(web).items()}
+    return {
+        config_states(cfg, cols): LaurentPoly._trusted(coeffs)
+        for cfg, coeffs in web_vector(web).items()
+    }
 
 
 def bracket(web: LadderWeb) -> LaurentPoly:

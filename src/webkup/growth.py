@@ -90,7 +90,10 @@ def _rule_priority(canonical: bool) -> dict:
     are weight-zero arcs, joins and exchanges, and construct_flow then
     also any arc, then any join.  The exchange strategy only walks a 0
     state left past a nonzero one.  The strands left below are (offset
-    from p, sign, state) of the columns that stay visible."""
+    from p, sign, state) of the columns that stay visible.  The rank-4
+    joins (+, +, 0, 1) and (-, -, 0, 1) are chosen on no balanced state
+    of a plain boundary through 10 strands, so no check reaches them;
+    they stay until a proof shows them dead."""
     stages = [("arc", True), ("y", True), ("h", True)]
     if not canonical:
         stages += [("arc", False), ("y", False)]

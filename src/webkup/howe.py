@@ -27,7 +27,7 @@ from .webs import (
     weight_of_signs,
     weights_bounded,
 )
-from .flows import config_vector, raw_vector, sweep_raw
+from .flows import sweep_raw, web_vector
 from .growth import web_space
 
 Word = tuple[Slice, ...]
@@ -49,26 +49,20 @@ def phi_word(word: Word, web: LadderWeb):
 
 
 # ---------------------------------------------------------------------------
-# fast vector form: act on cached flow-expansion vectors
+# word actions: a basis web swept with words stacked on top
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _basis_vectors(signs: str):
-    """Config vector of every basis web of a boundary, keyed by state."""
-    return {J: config_vector(w) for J, w in web_space(signs).basis.items()}
-
-
-def word_actions(vec):
-    """The action of live words on one vector, memoized as raw
-    {exponent: coeff} dicts (flows.sweep_raw's form): a word maps to its
-    one-slice-shorter prefix's vector swept by its last slice, so words
-    sharing a prefix sweep it once.  The vector is converted and checked
-    for coefficients in N[q, q^-1] once, here.  Only words that
-    word_target keeps alive may be asked for; a prefix of a live word is
-    live.  That equals sweeping the whole word (asserted by
+def word_actions(web: LadderWeb):
+    """The action of live words on one closed-bottom web, memoized as raw
+    {exponent: coeff} dicts (flows.sweep_raw's form): the empty word maps
+    to web_vector(web), and a word to its one-slice-shorter prefix's
+    vector swept by its last slice, so words sharing a prefix sweep it
+    once.  Only words that word_target keeps alive may be asked for; a
+    prefix of a live word is live.  That equals sweeping the web with the
+    whole word stacked on top (asserted by
     tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
-    memo = {(): raw_vector(vec)}
+    memo = {(): web_vector(web)}
 
     def act(word: Word):
         if word not in memo:
@@ -201,30 +195,31 @@ def _side(act, terms) -> dict:
 def _vanishes(act, sides) -> bool:
     """Whether a relation lhs = rhs holds on one vector: the two sides,
     each built by _side, compared as dicts.  That is exact: act's vectors
-    hold only nonzero coefficients in N[q, q^-1] (raw_vector checks the
-    input and sweep_raw keeps it so), every coefficient of a side is
-    positive (_sides asserts it), and a sum of products of positive
-    polynomials never cancels, so neither side holds a zero entry and
-    equal vectors are equal dicts."""
+    hold only nonzero coefficients in N[q, q^-1] (each starts at
+    web_vector's {start: {0: 1}} and every move adds a coefficient-1 power
+    of q, see flows.sweep_raw), every coefficient of a side is positive
+    (_sides asserts it), and a sum of products of positive polynomials
+    never cancels, so neither side holds a zero entry and equal vectors
+    are equal dicts."""
     lhs, rhs = sides
     return _side(act, lhs) == _side(act, rhs)
 
 
 def verify_relations(n: int, d: int) -> int:
     """Check the schur, divpow1-3 and adjust instances on every weight
-    space of n columns and total weight d, each on every basis vector as
+    space of n columns and total weight d, each on every basis web as
     the equality of its two positive sides (_vanishes); the quantum Serre
     relations and the commutation of like-signed generators at distance
     >= 2 are not checked yet.  Returns the number of instances checked."""
     checked = 0
     for lam in weights_bounded(n, d):
-        vecs = _basis_vectors(signs_of_weight(lam))
-        if not vecs:
+        basis = web_space(signs_of_weight(lam)).basis
+        if not basis:
             continue
         instances = relation_instances(lam)
-        for vec in vecs.values():
-            # one vector's memo at a time keeps memory at one vector's words
-            act = word_actions(vec)
+        for web in basis.values():
+            # one web's memo at a time keeps memory at one web's words
+            act = word_actions(web)
             for name, sides in instances:
                 assert _vanishes(act, sides), f"relation {name} fails on {lam}"
         checked += len(instances)
@@ -268,8 +263,8 @@ def adjunction_holds(signs: str, word: Word) -> bool:
     Both closures are one web, v's slices, then tau's reversed mirrored
     word, then the mirror of u.  So the check compares tau's scalar with
     the strand-count normalization, q^(l_target - l_source), on every pair
-    whose closed value is nonzero.  Each target basis vector is swept
-    through tau's word once and then through each source web's mirror."""
+    whose closed value is nonzero.  Each target basis web is swept with
+    tau's word on top once and then through each source web's mirror."""
     lam = weight_of_signs(signs)
     target = word_target(lam, word)
     if target is None:
@@ -280,8 +275,8 @@ def adjunction_holds(signs: str, word: Word) -> bool:
     assert back == mirror(word), back
     ell_s, ell_t = ell(signs), ell(tsigns)
     mirrors = [mirror(u.slices) for u in web_space(signs).basis.values()]
-    for vec in _basis_vectors(tsigns).values():
-        tv = sweep_raw(raw_vector(vec), back)
+    for v in web_space(tsigns).basis.values():
+        tv = sweep_raw(web_vector(v), back)
         for slices in mirrors:
             closed = sweep_raw(tv, slices)
             assert len(closed) <= 1, "a closed web has one top configuration"

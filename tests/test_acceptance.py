@@ -8,6 +8,7 @@ a failure shows the detail.  Criterion 12 honors WEBKUP_SEARCH_BUDGET
 import importlib
 import importlib.util
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -30,7 +31,6 @@ DERIVED_TABLES = (
     growth._hop,
     growth.web_space,
     dualcan.dual_canonical_basis,
-    howe._basis_vectors,
     howe._generator_relations,
 )
 
@@ -331,6 +331,17 @@ def test_criterion_10_fails_on_a_dropped_transition(monkeypatch, fresh_tables):
     assert res.detail == "coloring count differs from q=1 value at -+"
 
 
+def test_criterion_06_fails_on_a_wrong_weight(monkeypatch, fresh_tables):
+    # the Howe checks sweep each basis web through the weight table, so a
+    # shifted weight must reach them; many other keys make growth or a
+    # divided power raise first
+    key = ((), (-1,), -1)
+    monkeypatch.setitem(flows.PLUS_WEIGHTS, key, flows.PLUS_WEIGHTS[key] + 1)
+    res = acceptance.CRITERIA[6]()
+    assert not res.passed
+    assert res.detail == "error: AssertionError('relation schur 11 fails on (0, 1, 2)')"
+
+
 def test_criterion_01_fails_on_a_wrong_weight(monkeypatch, fresh_tables):
     # many other keys make growth or a divided power raise instead
     key = ((), (-1, 0, 1), -1)
@@ -437,6 +448,22 @@ def test_criterion_11_fails_on_a_bar_top_wrong_only_at_nonnegative_exponents(
     res = acceptance.CRITERIA[11]()
     assert not res.passed
     assert res.detail.startswith("error: AssertionError('correction failed: ")
+
+
+def _top_minus_two_times_other(expansions):
+    add_scaled(expansions[PLANTED_TOP], -qint(2), expansions[OTHER])
+
+
+def test_criterion_11_fails_on_a_negative_correction(monkeypatch, fresh_tables):
+    # e_top - (q + q^-1) e_other is bar-invariant and unitriangular, but no
+    # web splits with a negative multiplicity: element must refuse it
+    _planted_space(monkeypatch, "+-+-", _top_minus_two_times_other)
+    message = f"negative correction at {OTHER} of element {PLANTED_TOP}: -q - q^-1"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        dualcan.element(dualcan.web_space("+-+-"), PLANTED_TOP)
+    res = acceptance.CRITERIA[11]()
+    assert not res.passed
+    assert res.detail == f"error: AssertionError({message!r})"
 
 
 def test_criterion_02_fails_on_a_dropped_square_smoothing(monkeypatch):

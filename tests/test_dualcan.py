@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
 from webkup import dualcan, growth as growth_module
 from webkup.webs import LadderWeb, Slice, close, parse_states
-from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec
+from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec, web_vector
 from webkup.oracles import invariant_dim
 from webkup.planar import rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
-from webkup.howe import _basis_vectors
 from webkup.dualcan import (
     SearchReport,
     apply_bar,
@@ -308,10 +307,11 @@ def test_state_vectors_hold_no_zero():
             vectors = [
                 *web_space(signs).expansions.values(),
                 *(vec for vec, _ in dual_canonical_basis(signs).values()),
-                *_basis_vectors(signs).values(),
             ]
             for vec in vectors:
                 assert not any(v.is_zero() for v in vec.values()), signs
+            for web in web_space(signs).basis.values():
+                assert all(c and 0 not in c.values() for c in web_vector(web).values()), signs
 
 
 def test_search_budget_exhaustion():

@@ -5,14 +5,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from webkup import growth as growth_module
 from webkup.qlaurent import LaurentPoly, ONE
-from webkup.webs import LadderWeb, Slice
+from webkup.webs import LadderWeb, Slice, plain_boundaries
 from webkup.flows import count_weight_zero_flows, expansion
 from webkup.growth import (
     GrowthStuck,
     _rule_priority,
     construct_flow,
     dominant_states,
+    flow_census,
     growth,
     web_space,
 )
@@ -42,6 +44,31 @@ def test_derived_rule_tables():
         ("+", "-"): {(1, 0): {-1}, (-1, 0): {1}},
         ("-", "+"): {(1, 0): {1}, (-1, 0): {-1}},
     }
+
+
+def test_construct_flow_chooses_every_move_but_two_joins(monkeypatch):
+    # over the 2,508 balanced states of the plain boundaries through 6
+    # strands; the engine unpacks only the entry of the move it chose
+    chosen = set()
+
+    class Entry(tuple):
+        def __iter__(self):
+            chosen.add(self.key)
+            return super().__iter__()
+
+    ranked = {}
+    for key, entry in _rule_priority(False).items():
+        ranked[key] = Entry(entry)
+        ranked[key].key = key
+    monkeypatch.setattr(growth_module, "_rule_priority", lambda canonical: ranked)
+    states = 0
+    for signs in plain_boundaries(6):
+        for J in flow_census(signs):
+            assert construct_flow(signs, J).boundary == J
+            states += 1
+    assert states == 2508
+    # the two rank-4 joins named in _rule_priority's docstring
+    assert set(ranked) - chosen == {("+", "+", 0, 1), ("-", "-", 0, 1)}
 
 
 def test_derived_rules_doc_is_current(calibration):

@@ -171,8 +171,8 @@ def test_two_sided_check_equals_the_residue(n, d):
     scaled = 0
     for lam in weights_bounded(n, d):
         instances = howe.relation_instances(lam)
-        for vec in howe._basis_vectors(signs_of_weight(lam)).values():
-            act = howe.word_actions(vec)
+        for web in web_space(signs_of_weight(lam)).basis.values():
+            act = howe.word_actions(web)
             for name, (lhs, rhs) in instances:
                 assert howe._vanishes(act, (lhs, rhs))
                 assert _reference_vanishes(act, _signed((lhs, rhs)))
