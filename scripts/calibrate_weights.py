@@ -15,10 +15,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from webkup.flows import PLUS_WEIGHTS, SUBSETS, _key, transitions
-from webkup.flows import config_states, minus_reflection, start_config
+from webkup.flows import enumerate_flows, minus_reflection, walk_moves
 from webkup.growth import _rule_moves, _rule_priority
 from webkup.qlaurent import qint
-from webkup.webs import LadderWeb, visible_columns
+from webkup.webs import LadderWeb
 
 DOC = Path(__file__).resolve().parent.parent / "docs" / "derived_rules.md"
 
@@ -69,30 +69,13 @@ def _gauge_webs():
     ]
 
 
-def _symbolic_flows(web: LadderWeb):
-    """All flows of a closed-bottom web as lists of (sign, A, B, moved)."""
-    out = []
-
-    def rec(idx, cfg, refs):
-        if idx == len(web.slices):
-            out.append((cfg, list(refs)))
-            return
-        s = web.slices[idx]
-        assert s.power == 1
-        c = s.index - 1
-        A, B = cfg[c], cfg[c + 1]
-        for (x,), nA, nB, _ in transitions(s.sign, 1)[A, B]:
-            refs.append((s.sign, A, B, x))
-            rec(idx + 1, cfg[:c] + (nA, nB) + cfg[c + 2 :], refs)
-            refs.pop()
-
-    rec(0, start_config(web.bottom_weight), [])
-    return out
-
-
-def _refs_to_term(refs):
+def _flow_term(flow) -> tuple:
+    """A power-1 flow's weight as (table keys, constant): a '+' move reads
+    its own key, a '-' move its reflected key plus the reflection's shift."""
+    cfgs, _ = walk_moves(flow.web, flow.moves)
     keys, const = [], 0
-    for sign, A, B, x in refs:
+    for (sign, index, _), (x,), cfg in zip(flow.web.slices, flow.moves, cfgs):
+        A, B = cfg[index - 1], cfg[index]
         if sign == "+":
             keys.append(_key(A, B, x))
         else:
@@ -169,16 +152,12 @@ def build_constraints(with_gauge: bool = True) -> list[_Constraint]:
 
     if with_gauge:
         for web, states in _gauge_webs():
-            hits = []
-            for cfg, refs in _symbolic_flows(web):
-                if config_states(cfg, visible_columns(web.top_weight)) == states:
-                    hits.append(refs)
+            hits = enumerate_flows(web, boundary=states)
             if len(hits) != 1:
                 raise AssertionError(
                     f"gauge web should have one distinguished flow, got {len(hits)}"
                 )
-            term = _refs_to_term(hits[0])
-            cons.append(_Constraint([term], [], {0: 1}, "gauge"))
+            cons.append(_Constraint([_flow_term(hits[0])], [], {0: 1}, "gauge"))
     return cons
 
 

@@ -159,7 +159,8 @@ def search_counterexample(
     flow has every off-leading exponent <= -1, needs no correction and
     is its dual canonical element.  The prefilter's walk checks that
     invariant on every web it visits (count_weight_zero_flows raises on
-    a flow of positive weight)."""
+    a flow of positive weight), and the search raises AssertionError on
+    a web whose walk misses growth's own weight-zero flow."""
     budget = default_budget() if budget_s is None else budget_s
     t0 = time.time()
     found = []
@@ -172,11 +173,10 @@ def search_counterexample(
         space = WebSpace(signs)
         for J, web in space.basis.items():
             checked += 1
-            if count_weight_zero_flows(web, stop_at=2) > 1:
-                if element(space, J)[1]:
-                    found.append((signs, J))
-                    if stop_at_first:
-                        return SearchReport(
-                            found, checked, last, False, time.time() - t0, True
-                        )
+            if (zero_flows := count_weight_zero_flows(web, stop_at=2)) < 1:
+                raise AssertionError(f"basis web {format_states(J)} of {signs} has no weight-zero flow")
+            if zero_flows > 1 and element(space, J)[1]:
+                found.append((signs, J))
+                if stop_at_first:
+                    return SearchReport(found, checked, last, False, time.time() - t0, True)
     return SearchReport(found, checked, last, True, time.time() - t0)

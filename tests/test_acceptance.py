@@ -82,6 +82,13 @@ def test_reference_holds_every_criterion_but_the_search():
     assert set(REFERENCE) == {str(k) for k in acceptance.CRITERIA if k != 12}
 
 
+def test_each_criterion_is_bound_once():
+    # perfbench times acceptance.AC{k} by rebinding one object under both names
+    assert set(acceptance.CRITERIA) == set(range(1, 14))
+    for k, run in acceptance.CRITERIA.items():
+        assert getattr(acceptance, f"criterion_{k}") is run, k
+
+
 def _check(number):
     res = acceptance.CRITERIA[number]()
     print(res.line())

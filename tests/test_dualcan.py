@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
-from webkup import dualcan, growth as growth_module
+from webkup import dualcan, flows, growth as growth_module
 from webkup.webs import LadderWeb, Slice, close, parse_states
 from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec, web_vector
 from webkup.oracles import invariant_dim
@@ -204,6 +204,15 @@ def test_search_raises_on_a_flow_of_positive_weight(monkeypatch):
     monkeypatch.setattr(growth_module, "growth", planted)
     with pytest.raises(AssertionError, match="flow of weight 2"):
         search_counterexample(max_strands=2, budget_s=60)
+
+
+def test_search_raises_when_the_prefilter_misses_growths_own_flow(monkeypatch):
+    # windows one too small prune growth's own weight-zero flow, so every
+    # count reads 0; read as "no hit", that would hide every counterexample
+    real = flows._weight_window
+    monkeypatch.setattr(flows, "_weight_window", lambda *args: real(*args) - 1)
+    with pytest.raises(AssertionError, match="basis web 1m of \\+- has no weight-zero flow"):
+        search_counterexample(max_strands=4, budget_s=60)
 
 
 def test_light_confirmation_agrees_with_the_full_construction(monkeypatch):
