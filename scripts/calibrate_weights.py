@@ -245,16 +245,14 @@ def docs_text(n_free: int, n_gauged: int) -> str:
         "",
     ]
     names = {"arc": "Arc", "y": "Y", "h": "Exchange"}
-    ranked = _rule_priority(True)
+    ranked = _rule_priority()
     for (kind, sp, sq), table in _rule_moves().items():
         header = "weight-zero moves" if kind == "h" else "move"
         lines += [f"### {names[kind]} rule, signs ({sp}, {sq})", ""]
         lines += [f"| states above | {header} |", "|---|---|"]
         for states in sorted(table, reverse=True):
-            # each move carries one color: no color, no weight-zero move
-            colors = [z for _, moved, _, _, w in table[states] if w == 0 for z in moved]
-            if colors:
-                lines.append(f"| ({states[0]},{states[1]}) | {_fmt_colors(colors)} |")
+            colors = [z for _, moved, _, _ in table[states] for z in moved]
+            lines.append(f"| ({states[0]},{states[1]}) | {_fmt_colors(colors)} |")
         if kind == "h":
             # the rank-2 entries of the ranked table are the exchanges growth makes
             strategy = {

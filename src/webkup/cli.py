@@ -52,8 +52,8 @@ def _state_string(s: str):
 
 def _read_web(path: str) -> LadderWeb:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     try:
         return LadderWeb.from_json(json.loads(text))

@@ -85,21 +85,6 @@ def dual_canonical_basis(signs: str) -> dict:
     return {J: element(space, J) for J in space.basis}
 
 
-def apply_bar(signs: str, vec: dict) -> dict:
-    """Bar involution in state coordinates: fix the basis webs, conjugate
-    the web-basis coefficients."""
-    space = web_space(signs)
-    coords = space.reduce_to_basis(vec)
-    out: dict = {}
-    for J, c in coords.items():
-        add_scaled(out, c.bar(), space.expansion(J))
-    return out
-
-
-def is_bar_invariant_vec(signs: str, vec: dict) -> bool:
-    return apply_bar(signs, vec) == vec
-
-
 # ---------------------------------------------------------------------------
 # counterexample search
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ algorithm repeatedly consumes adjacent visible strands:
 and transports strands sideways across invisible columns when the pair
 to consume is not physically adjacent.  Which states each rule may
 consume is not hard-coded: every rule is read off the slice-transition
-table of webkup.flows (a canonical rule is one whose move has weight
-zero), and the derived tables are asserted in tests.
+table of webkup.flows (its moves of weight zero), and the derived
+tables are asserted in tests.
 
 The procedure terminates exactly on the state strings whose column
 filling is semistandard (webkup.tableaux); those J, the dominant states,
-index the web basis of their boundary.  The same engine with
-non-canonical rules allowed builds a flow with prescribed boundary on
-some web (construct_flow), used by the tableau correspondence.
+index the web basis of their boundary.
+
+That each balanced state bounds a flow on some web needs no web built
+for it: flow_census counts the flows on the basis webs, and criterion 13
+checks that their boundary states are exactly the balanced ones.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .qlaurent import LaurentPoly, ONE, add_scaled
+from .qlaurent import ONE
 from .webs import WEIGHT_TO_SIGN, LadderWeb, Slice, weight_of_signs, visible_columns
 from .flows import (
     COLORS,
@@ -65,9 +67,9 @@ _RULE_BELOW = {
 
 @lru_cache(maxsize=None)
 def _rule_moves():
-    """Every move of each rule, read off the slice-transition table:
-    (kind, sp, sq) -> states above -> tuple of (slice sign, moved set,
-    left set below, right set below, weight)."""
+    """Every weight-zero move of each rule, read off the slice-transition
+    table: (kind, sp, sq) -> states above -> tuple of (slice sign, moved
+    set, left set below, right set below)."""
     tables: dict[tuple, dict] = {}
     for (kind, sp, sq), (a, b) in _RULE_BELOW.items():
         sign = "+" if weight_of_signs(sp)[0] > a else "-"
@@ -75,45 +77,39 @@ def _rule_moves():
         for A, B in product(combinations(COLORS, a), combinations(COLORS, b)):
             A, B = frozenset(A), frozenset(B)
             for X, nA, nB, w in transitions(sign, 1)[A, B]:
-                above = (colorset_state(nA), colorset_state(nB))
-                table.setdefault(above, []).append((sign, X, A, B, w))
+                if w == 0:
+                    above = (colorset_state(nA), colorset_state(nB))
+                    table.setdefault(above, []).append((sign, X, A, B))
         tables[(kind, sp, sq)] = {k: tuple(v) for k, v in table.items()}
     return tables
 
 
+_RANK = {"arc": 0, "y": 1, "h": 2}
+
+
 @lru_cache(maxsize=None)
-def _rule_priority(canonical: bool) -> dict:
+def _rule_priority() -> dict:
     """The moves growth may make: (sp, sq, state p, state q) -> (rank,
     slice sign, moved set, weights below p and q, strands left below).
 
-    The rank is the first stage that offers the move; the stages in order
-    are weight-zero arcs, joins and exchanges, and construct_flow then
-    also any arc, then any join.  The exchange strategy only walks a 0
-    state left past a nonzero one.  The strands left below are (offset
-    from p, sign, state) of the columns that stay visible.  The rank-4
-    joins (+, +, 0, 1) and (-, -, 0, 1) are chosen on no balanced state
-    of a plain boundary through 10 strands, so no check reaches them;
-    they stay until a proof shows them dead."""
-    stages = [("arc", True), ("y", True), ("h", True)]
-    if not canonical:
-        stages += [("arc", False), ("y", False)]
+    The rank orders arcs before joins before exchanges.  The exchange
+    strategy only walks a 0 state left past a nonzero one.  The strands
+    left below are (offset from p, sign, state) of the columns that stay
+    visible."""
     ranked: dict[tuple, tuple] = {}
-    for rank, (kind, zero) in enumerate(stages):
-        for (k, sp, sq), table in _rule_moves().items():
-            for (jp, jq), moves in table.items():
-                if zero:
-                    moves = tuple(m for m in moves if m[4] == 0)
-                if k != kind or not moves or (k == "h" and (jp == 0 or jq != 0)):
-                    continue
-                assert len(moves) == 1, f"ambiguous {k} move at {sp}{sq} {(jp, jq)}"
-                sign, moved, below_p, below_q, _ = moves[0]
-                left = tuple(
-                    (offset, WEIGHT_TO_SIGN[len(below)], colorset_state(below))
-                    for offset, below in enumerate((below_p, below_q))
-                    if len(below) in (1, 2)
-                )
-                entry = (rank, sign, moved, len(below_p), len(below_q), left)
-                ranked.setdefault((sp, sq, jp, jq), entry)
+    for (kind, sp, sq), table in _rule_moves().items():
+        for (jp, jq), moves in table.items():
+            if kind == "h" and (jp == 0 or jq != 0):
+                continue
+            assert len(moves) == 1, f"ambiguous {kind} move at {sp}{sq} {(jp, jq)}"
+            sign, moved, below_p, below_q = moves[0]
+            left = tuple(
+                (offset, WEIGHT_TO_SIGN[len(below)], colorset_state(below))
+                for offset, below in enumerate((below_p, below_q))
+                if len(below) in (1, 2)
+            )
+            assert (sp, sq, jp, jq) not in ranked, f"two rules at {sp}{sq} {(jp, jq)}"
+            ranked[(sp, sq, jp, jq)] = (_RANK[kind], sign, moved, len(below_p), len(below_q), left)
     return ranked
 
 
@@ -133,19 +129,23 @@ def _hop(e: int, s: int, state: int, c: int) -> tuple[Slice, frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
-    """Each step scans the adjacent visible pairs once and takes the move
-    of lowest rank, leftmost first; it hops the pair's right strand
-    leftward next to the left one and applies the move.  Slices are found
-    from the top down; the flow's boundary is read off its replayed top
-    configuration, not copied from `states`."""
+def growth(signs: str, states) -> Flow:
+    """Canonical growth; defined exactly on dominant state strings.
+
+    Returns a flow on the basis web `.web`; it always has weight zero
+    (asserted), making it the distinguished flow of that web.  Each step
+    scans the adjacent visible pairs once and takes the move of lowest
+    rank, leftmost first; it hops the pair's right strand leftward next
+    to the left one and applies the move.  Slices are found from the top
+    down; the flow's boundary is read off its replayed top configuration,
+    not copied from `states`."""
     lam = list(weight_of_signs(signs))
     vis = visible_columns(tuple(lam))
     states = tuple(states)
     if len(states) != len(vis):
         raise ValueError("state string length must match visible strands")
     strands = [(c, WEIGHT_TO_SIGN[lam[c]], j) for c, j in zip(vis, states)]  # left to right
-    ranked = _rule_priority(canonical)
+    ranked = _rule_priority()
     slices: list[Slice] = []
     moves: list[frozenset] = []
     guard = 0
@@ -178,31 +178,12 @@ def _run_engine(signs: str, states: tuple[int, ...], canonical: bool) -> Flow:
     web = LadderWeb(tuple(lam), tuple(reversed(slices)))
     moves.reverse()
     cfgs, weight = walk_moves(web, moves)
+    assert weight == 0, "canonical growth produced a nonzero weight"
     return Flow(web, tuple(moves), weight, config_states(cfgs[-1], vis))
 
 
-def growth(signs: str, states) -> Flow:
-    """Canonical growth; defined exactly on dominant state strings.
-
-    Returns a flow on the basis web `.web`; it always has weight zero
-    (asserted), making it the distinguished flow of that web.
-    """
-    flow = _run_engine(signs, tuple(states), canonical=True)
-    assert flow.weight == 0, "canonical growth produced a nonzero weight"
-    return flow
-
-
-def construct_flow(signs: str, states) -> Flow:
-    """Build some web with a flow whose boundary is the given state string.
-
-    Canonical rules are preferred, so on dominant strings this returns the
-    growth web with its distinguished flow; otherwise nonzero-weight arcs
-    and joins are allowed."""
-    return _run_engine(signs, tuple(states), canonical=False)
-
-
 # ---------------------------------------------------------------------------
-# bases and triangular reduction
+# bases
 # ---------------------------------------------------------------------------
 
 
@@ -247,21 +228,6 @@ class WebSpace:
     def expansions(self) -> dict[tuple, dict]:
         """Expansion of every basis web."""
         return {J: self.expansion(J) for J in self.basis}
-
-    def reduce_to_basis(self, vec: dict) -> dict:
-        """Coefficients of a boundary-state vector over the web basis."""
-        vec = {k: v for k, v in vec.items() if not v.is_zero()}
-        out: dict[tuple, LaurentPoly] = {}
-        while vec:
-            k = max(vec)
-            if k not in self.basis:
-                raise AssertionError(
-                    f"vector has leading state {k} outside the dominant set"
-                )
-            # each state leads at most once: expansion asserts unitriangularity
-            out[k] = vec[k]
-            add_scaled(vec, -vec[k], self.expansion(k))
-        return out
 
 
 def flow_census(signs: str) -> Counter:

@@ -173,9 +173,6 @@ class LadderWeb:
             for lo, hi in zip([None, *ends], [*ends, None]):
                 yield col, lo, hi, levels[0 if lo is None else lo + 1][col]
 
-    def top_signs(self) -> str:
-        return signs_of_weight(self.top_weight)
-
     def is_closed(self) -> bool:
         return self.has_closed_bottom() and all(v in (0, 3) for v in self.top_weight)
 

@@ -183,21 +183,6 @@ def test_criterion_13_fails_on_dropped_dominant_state(monkeypatch):
     assert res.detail == "growth and dominant states disagree at +++ (1, 0, -1)"
 
 
-def test_criterion_13_fails_on_a_wrong_moved_set_off_canonical_growth(fresh_tables):
-    # construct_flow's nonzero-weight join at ++ over states -1 1 moves
-    # color 1; moving -1 instead is still a legal walk, but the flow it
-    # builds shows other states at the top.  Canonical growth reads its
-    # own table and is untouched.
-    key = ("+", "+", -1, 1)
-    ranked = growth._rule_priority(False)
-    rank, sign, moved, below_p, below_q, left = ranked[key]
-    assert rank >= 3 and moved == frozenset({1})
-    ranked[key] = (rank, sign, frozenset({-1}), below_p, below_q, left)
-    res = acceptance.CRITERIA[13]()
-    assert not res.passed
-    assert res.detail == "constructed flow misses its boundary at -++- (-1, -1, 1, 1)"
-
-
 def test_criterion_12_reads_a_bad_budget_outside_its_check(monkeypatch):
     # a bad setting is a usage error for the caller, not an AC12 failure
     monkeypatch.setenv("WEBKUP_SEARCH_BUDGET", "abc")
@@ -455,6 +440,17 @@ def test_criterion_11_fails_on_a_bar_top_wrong_only_at_nonnegative_exponents(
     res = acceptance.CRITERIA[11]()
     assert not res.passed
     assert res.detail.startswith("error: AssertionError('correction failed: ")
+
+
+def test_criterion_11_fails_on_a_correction_that_is_not_bar_invariant(monkeypatch, fresh_tables):
+    # a correction of (q + q^-1) + q^-1 still rebuilds the web, but the
+    # element it leaves is not fixed by the bar that fixes the webs
+    real = dualcan.bar_symmetric_top
+    monkeypatch.setattr(dualcan, "bar_symmetric_top", lambda p: real(p) + LaurentPoly({-1: 1}))
+    _planted_space(monkeypatch, "+-+-", _top_plus_q_plus_inverse_q_times_other)
+    res = acceptance.CRITERIA[11]()
+    assert not res.passed
+    assert res.detail == f"element not bar-invariant at +-+- {PLANTED_TOP}"
 
 
 def _top_minus_two_times_other(expansions):

@@ -118,6 +118,15 @@ def test_eval_rejects_a_file_nested_too_deep_to_parse(tmp_path):
     assert "is not a ladder web" in err
 
 
+@pytest.mark.parametrize("argv", [("eval", "--closed"), ("expand",)])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, argv):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b'{"bottom": [3, 0], "slices": "\xff\xfe"}')
+    code, out, err = run(*argv, str(p))
+    assert (code, out) == (2, "")
+    assert f"cannot read {p}" in err and "utf-8" in err
+
+
 def test_expand_web_file(tmp_path):
     p = tmp_path / "tripod.json"
     p.write_text(json.dumps(TRIPOD.to_json()))

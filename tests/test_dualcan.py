@@ -13,18 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
 from webkup import dualcan, flows, growth as growth_module
-from webkup.webs import LadderWeb, Slice, close, parse_states
+from webkup.webs import LadderWeb, Slice, close, parse_states, signs_of_weight
 from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec, web_vector
 from webkup.oracles import invariant_dim
 from webkup.planar import rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
 from webkup.dualcan import (
     SearchReport,
-    apply_bar,
     bar_symmetric_top,
     dual_canonical_basis,
     element,
-    is_bar_invariant_vec,
     search_counterexample,
     strictly_below_one,
 )
@@ -89,13 +87,6 @@ def test_webs_match_dual_canonical_small():
             assert vec is space.expansion(J)
 
 
-def test_elements_are_bar_invariant():
-    for signs in ("++--", "+-+-", "+++---"):
-        db = dual_canonical_basis(signs)
-        for vec, _ in db.values():
-            assert is_bar_invariant_vec(signs, vec)
-
-
 def test_element_coefficients_below_leading():
     for signs in ("++--", "+++---"):
         db = dual_canonical_basis(signs)
@@ -104,26 +95,6 @@ def test_element_coefficients_below_leading():
             for k, v in vec.items():
                 if k != J:
                     assert strictly_below_one(v)
-
-
-def test_apply_bar_fixes_webs_and_is_involutive():
-    signs = "++--"
-    space = web_space(signs)
-    for J, vec in space.expansions.items():
-        clean = {k: v for k, v in vec.items() if not v.is_zero()}
-        assert apply_bar(signs, clean) == clean
-    # a q-linear combination is moved but comes back after two passes
-    Js = sorted(space.expansions)
-    q = LaurentPoly({1: 1})
-    mix = {}
-    for k, v in space.expansions[Js[0]].items():
-        mix[k] = mix.get(k, ZERO) + q * v
-    for k, v in space.expansions[Js[1]].items():
-        mix[k] = mix.get(k, ZERO) + v
-    mix = {k: v for k, v in mix.items() if not v.is_zero()}
-    once = apply_bar(signs, mix)
-    assert once != mix
-    assert apply_bar(signs, once) == mix
 
 
 def test_lusztig_pairings_near_delta():
@@ -154,7 +125,7 @@ def test_search_writes_a_hit_as_a_state_string(monkeypatch):
     real = dualcan.count_weight_zero_flows
 
     def second_flow_on_plus_minus(web, stop_at):
-        return 2 if web.top_signs() == "+-" else real(web, stop_at)
+        return 2 if signs_of_weight(web.top_weight) == "+-" else real(web, stop_at)
 
     monkeypatch.setattr(dualcan, "count_weight_zero_flows", second_flow_on_plus_minus)
     monkeypatch.setattr(dualcan, "element", lambda space, J: ({}, {J: ONE}))

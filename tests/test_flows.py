@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from webkup.qlaurent import LaurentPoly, ONE, qfact, qint
-from webkup.webs import LadderWeb, Slice, close, ell, plain_boundaries, weight_of_signs
+from webkup.webs import (
+    LadderWeb,
+    Slice,
+    close,
+    ell,
+    plain_boundaries,
+    signs_of_weight,
+    weight_of_signs,
+)
 from webkup.flows import (
     COLORS,
     FULL,
@@ -288,7 +296,7 @@ def test_each_slice_kind_has_one_table_of_every_pair():
 
 def _kuperberg_form(u, v):
     """Pairing by closing: q^(strand count) times the closed-web value."""
-    return bracket(close(u, v)).shift(ell(u.top_signs()))
+    return bracket(close(u, v)).shift(ell(signs_of_weight(u.top_weight)))
 
 
 def test_kuperberg_form_values():
@@ -304,7 +312,7 @@ def test_lusztig_form_values():
 
 def test_form_normalizations_agree():
     for u in (ARC, TRIPOD):
-        n = ell(u.top_signs())
+        n = ell(signs_of_weight(u.top_weight))
         exp = expansion(u)
         assert _kuperberg_form(u, u) == lusztig_form_vec(exp, exp).shift(2 * n)
     # the whole graded Cartan matrix through 6 strands is D^T D, with D the

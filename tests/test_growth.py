@@ -5,16 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webkup import growth as growth_module
-from webkup.qlaurent import LaurentPoly, ONE
-from webkup.webs import LadderWeb, Slice, plain_boundaries
+from webkup.qlaurent import ONE
+from webkup.webs import LadderWeb, Slice
 from webkup.flows import count_weight_zero_flows, expansion
 from webkup.growth import (
     GrowthStuck,
     _rule_priority,
-    construct_flow,
     dominant_states,
-    flow_census,
     growth,
     web_space,
 )
@@ -30,10 +27,8 @@ def test_derived_rule_tables():
                 out.setdefault((sp, sq), {})[(jp, jq)] = set(moved)
         return out
 
-    canonical, any_move = _rule_priority(True), _rule_priority(False)
-    assert (len(canonical), len(any_move)) == (12, 22)
-    # construct_flow makes every growth move first, at the same rank
-    assert {k: v for k, v in any_move.items() if v[0] < 3} == canonical
+    canonical = _rule_priority()
+    assert len(canonical) == 12
     assert set(stage(canonical, 0)) == {("+", "-"), ("-", "+")}
     assert all(set(t) == {(1, -1)} for t in stage(canonical, 0).values())
     joins = stage(canonical, 1)
@@ -44,31 +39,6 @@ def test_derived_rule_tables():
         ("+", "-"): {(1, 0): {-1}, (-1, 0): {1}},
         ("-", "+"): {(1, 0): {1}, (-1, 0): {-1}},
     }
-
-
-def test_construct_flow_chooses_every_move_but_two_joins(monkeypatch):
-    # over the 2,508 balanced states of the plain boundaries through 6
-    # strands; the engine unpacks only the entry of the move it chose
-    chosen = set()
-
-    class Entry(tuple):
-        def __iter__(self):
-            chosen.add(self.key)
-            return super().__iter__()
-
-    ranked = {}
-    for key, entry in _rule_priority(False).items():
-        ranked[key] = Entry(entry)
-        ranked[key].key = key
-    monkeypatch.setattr(growth_module, "_rule_priority", lambda canonical: ranked)
-    states = 0
-    for signs in plain_boundaries(6):
-        for J in flow_census(signs):
-            assert construct_flow(signs, J).boundary == J
-            states += 1
-    assert states == 2508
-    # the two rank-4 joins named in _rule_priority's docstring
-    assert set(ranked) - chosen == {("+", "+", 0, 1), ("-", "-", 0, 1)}
 
 
 def test_derived_rules_doc_is_current(calibration):
@@ -172,18 +142,6 @@ def test_termination_iff_dominance_random(signs, data):
         assert not dom
 
 
-def test_construct_flow_boundary():
-    gw = construct_flow("+-", (0, 0))
-    assert gw.boundary == (0, 0)
-    gw = construct_flow("+-", (-1, 1))
-    assert gw.boundary == (-1, 1)
-
-
-def test_construct_flow_prefers_canonical():
-    for signs, J in [("++--", (1, 1, -1, -1)), ("++--", (1, 0, 0, -1))]:
-        assert construct_flow(signs, J).web == growth(signs, J).web
-
-
 def test_basis_sizes_match_invariant_dim():
     for n in range(0, 7):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
@@ -224,13 +182,3 @@ def test_every_basis_web_has_unique_weight_zero_flow():
     for signs in ["+-", "+++", "++--", "+-+-", "++-+--"]:
         for J, w in web_space(signs).basis.items():
             assert count_weight_zero_flows(w) == 1
-
-
-def test_reduce_to_basis_roundtrip():
-    ws = web_space("+-+-")
-    coeffs = {J: LaurentPoly({i - 1: i + 1}) for i, J in enumerate(ws.basis)}
-    vec: dict = {}
-    for J, c in coeffs.items():
-        for k, v in ws.expansions[J].items():
-            vec[k] = vec.get(k, LaurentPoly.zero()) + c * v
-    assert ws.reduce_to_basis(vec) == coeffs

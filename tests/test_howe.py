@@ -264,7 +264,7 @@ def test_adjunction_small():
 
 
 def _kuperberg_form(u, v):
-    return bracket(close(u, v)).shift(ell(u.top_signs()))
+    return bracket(close(u, v)).shift(ell(signs_of_weight(u.top_weight)))
 
 
 def _reference_adjunction(signs, word):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from webkup.webs import weight_of_signs
-from webkup.growth import construct_flow, dominant_states
+from webkup.growth import dominant_states, flow_census
 from webkup.tableaux import (
     center_dim,
     enumerate_fillings,
@@ -120,11 +120,11 @@ def test_enumerate_matches_conds_filter():
 
 
 def test_filling_flow_realizes_state():
-    signs = "++--"
-    for f in enumerate_fillings(signs):
-        J = filling_to_state(signs, f)
-        grown = construct_flow(signs, J)
-        assert grown.boundary == J
+    # the flows on the basis webs bound exactly the balanced states; criterion
+    # 13 checks this through 6 strands
+    for signs in ("++++-+-", "+-+-+-+-", "++-+--+-"):
+        balanced = {filling_to_state(signs, f) for f in enumerate_fillings(signs)}
+        assert set(flow_census(signs)) == balanced
 
 
 def test_flow_exists_iff_conds():

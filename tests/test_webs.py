@@ -56,7 +56,7 @@ def test_ladder_levels():
     w = LadderWeb((0, 3), (Slice("+", 1, 1),))
     assert w.levels() == [(0, 3), (1, 2)]
     assert w.top_weight == (1, 2)
-    assert w.top_signs() == "+-"
+    assert signs_of_weight(w.top_weight) == "+-"
 
 
 def test_runs_cut_at_every_touching_slice():
