@@ -1,9 +1,11 @@
-"""Re-derive the single-move weight table from its defining constraints.
+"""Re-derive the single-move weights from their defining constraints.
 
-Solves the constraints stated in the webkup.flows docstring and prints
-the gauge report (solution counts with and without the gauge conditions),
-asserts the gauged solution is unique and matches the table frozen in
-webkup.flows, and regenerates docs/derived_rules.md.
+Solves the constraints stated in the webkup.flows docstring, with one
+variable per '+' move and each '-' move read as its mirror, and prints
+the gauge report (solution counts with and without the gauge conditions).
+It asserts that the gauged solution is unique and equals the weights of
+flows' power-1 transition tables, '+' and '-' alike, and regenerates
+docs/derived_rules.md.  Run it with no arguments.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from webkup.flows import PLUS_WEIGHTS, SUBSETS, _key, transitions
-from webkup.flows import enumerate_flows, minus_reflection, walk_moves
+from webkup.flows import SUBSETS, enumerate_flows, transitions, walk_moves
 from webkup.growth import _rule_moves, _rule_priority
 from webkup.qlaurent import qint
 from webkup.webs import LadderWeb
@@ -25,7 +26,35 @@ DOC = Path(__file__).resolve().parent.parent / "docs" / "derived_rules.md"
 
 # ---------------------------------------------------------------------------
 # calibration of the weight table
+#
+# A variable is a '+' move, keyed (sorted A, sorted B, moved color x) with
+# x carried from the right column (set B) into the left column (set A).
 # ---------------------------------------------------------------------------
+
+
+def _key(A: frozenset, B: frozenset, x: int) -> tuple:
+    return (tuple(sorted(A)), tuple(sorted(B)), x)
+
+
+def vis(k: int) -> int:
+    """Visible strands of a column of weight k."""
+    return 1 if k in (1, 2) else 0
+
+
+def minus_reflection(A: frozenset, B: frozenset, z: int) -> tuple[tuple, int]:
+    """Mirror requirement: a '-' move of z from A to B weighs its reflected
+    '+' move plus the change in visible-strand count of the two columns."""
+    shift = (vis(len(A)) + vis(len(B))) - (vis(len(A) - 1) + vis(len(B) + 1))
+    return _key(A - {z}, B | {z}, z), shift
+
+
+def plus_table() -> dict[tuple, int]:
+    """flows' '+' weights as calibration variables, read off its table."""
+    return {
+        _key(A, B, x): w
+        for (A, B), moves in transitions("+", 1).items()
+        for (x,), _, _, w in moves
+    }
 
 
 class _Constraint:
@@ -181,7 +210,7 @@ def calibrate_weight_table(with_gauge: bool = True):
         for v in sorted(c for c in con.vars if c not in seen):
             seen.add(v)
             order.append(v)
-    assert set(PLUS_WEIGHTS) <= seen, "a table key is in no constraint"
+    assert set(plus_table()) <= seen, "a table key is in no constraint"
 
     # each constraint is checked once, when its last variable is assigned
     position = {v: k for k, v in enumerate(order)}
@@ -209,10 +238,20 @@ def calibrate_weight_table(with_gauge: bool = True):
 
 
 def verify_frozen_table() -> None:
-    """Check the frozen table against every calibration constraint."""
+    """Check flows' power-1 weights: the '+' table against every
+    calibration constraint, and each '-' move against the mirror of its
+    '+' key, since flows weighs the two kinds independently."""
+    table = plus_table()
     for con in build_constraints(with_gauge=True):
-        if not con.check(PLUS_WEIGHTS):
-            raise AssertionError(f"frozen weight table violates {con.tag}")
+        if not con.check(table):
+            raise AssertionError(f"flows' weight table violates {con.tag}")
+    for (A, B), moves in transitions("-", 1).items():
+        for (z,), _, _, w in moves:
+            key, shift = minus_reflection(A, B, z)
+            if w != table[key] + shift:
+                raise AssertionError(
+                    f"'-' move of {z} on {set(A)},{set(B)} is not the mirror of {key}"
+                )
 
 
 def _fmt_colors(zs) -> str:
@@ -233,9 +272,9 @@ def docs_text(n_free: int, n_gauged: int) -> str:
         "The defining constraints of the single-move weight table leave a",
         f"finite solution set: {n_free} tables satisfy the constraints,",
         "related by reassigning the roles of the three edge colors.  The",
-        f"gauge conditions cut this to {n_gauged}; the frozen table in",
-        "webkup.flows is that unique solution, and verify_frozen_table()",
-        "rechecks every constraint against it at import time in tests.",
+        f"gauge conditions cut this to {n_gauged}; webkup.flows.move_weight",
+        "gives that unique solution, and verify_frozen_table() rechecks",
+        "every constraint and the mirror of every '-' move against it in tests.",
         "",
         "## Growth rules from the weight table",
         "",
@@ -274,14 +313,7 @@ def docs_text(n_free: int, n_gauged: int) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--print-literal",
-        action="store_true",
-        help="print the solved table as a Python literal and exit",
-    )
-    args = ap.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()  # takes no options
     free = calibrate_weight_table(with_gauge=False)
     gauged = calibrate_weight_table(with_gauge=True)
     print(f"solutions without gauge: {len(free)}")
@@ -289,23 +321,12 @@ def main() -> int:
     if len(gauged) != 1:
         print("ERROR: gauge did not pin a unique table", file=sys.stderr)
         return 1
-    table = dict(sorted(gauged[0].items()))
-
-    if args.print_literal:
-        print("PLUS_WEIGHTS = {")
-        for k, v in table.items():
-            print(f"    {k!r}: {v},")
-        print("}")
-        return 0
-
-    if PLUS_WEIGHTS != table:
-        print("ERROR: frozen PLUS_WEIGHTS differs from the derived table", file=sys.stderr)
+    if plus_table() != gauged[0]:
+        print("ERROR: flows' '+' weights differ from the derived table", file=sys.stderr)
         return 1
     verify_frozen_table()
-    print("frozen table matches the derivation and satisfies all constraints")
-
     DOC.write_text(docs_text(len(free), len(gauged)))
-    print("regenerated docs/derived_rules.md")
+    print("flows' weights match the derivation; regenerated docs/derived_rules.md")
     return 0
 
 

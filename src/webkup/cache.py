@@ -1,8 +1,8 @@
 """Versioned on-disk artifacts, one JSON file per boundary and kind.
 
 Artifacts are plain JSON so regressions diff cleanly.  Every file
-carries the schema version, a stamp of the package version and weight
-table it was computed with, and a content hash of its payload; a stale
+carries the schema version, a stamp of the package version and move
+weights it was computed with, and a content hash of its payload; a stale
 version or stamp is treated as a miss.  Writes go to a temp file in the
 target directory and are renamed into place, so readers never see a
 partial file and reruns are byte-identical.
@@ -38,9 +38,15 @@ def _canonical(payload) -> str:
 
 
 def _code_stamp() -> str:
-    """Digest of the package version and the move weight table, which
-    every artifact (growth rules included) is derived from."""
-    weights = sorted(flows.PLUS_WEIGHTS.items())
+    """Digest of the package version and the single-move weights of both
+    slice kinds, which every artifact (growth rules included) is derived
+    from."""
+    weights = [
+        (sign, sorted(A), sorted(B), x, w)
+        for sign in "+-"
+        for (A, B), moves in flows.transitions(sign, 1).items()
+        for (x,), _, _, w in moves
+    ]
     return hashlib.sha256(repr((webkup.__version__, weights)).encode()).hexdigest()
 
 

@@ -10,20 +10,25 @@ The boundary value (state) of a visible column is the sum of its color
 set: a single strand shows its color, a double strand shows the sum of
 its pair (equivalently minus the hidden third color).
 
-The weights of single moves are pinned by three requirements:
+The weight of a single move is one count in the color order -1 < 0 < 1
+(move_weight).  With A and B the left and right color sets before the
+move, a '+' move of x into A weighs #{a in A : a > x} - #{b in B : b > x},
+and a '-' move of x into B, its mirror, weighs
+#{b in B : b < x} - #{a in A : a < x}.  These weights are the unique
+solution of three requirements and a gauge:
   * the commutation identity for opposite ladder operators on two
     columns, whose diagonal is the quantum integer of the weight gap;
   * commutation of opposite operators on disjoint overlapping column
     pairs (three-column contexts);
   * mirror symmetry: reflecting a web top to bottom shifts every flow
     weight by the visible-strand count of the top minus the bottom.
-Those determine the table up to relabeling the colors; the residual
-freedom is fixed by requiring the distinguished flow of four small webs
-(the two arcs and the two three-strand joins) to have weight zero.
-The result is frozen below in PLUS_WEIGHTS.  scripts/calibrate_weights.py
-re-derives the table from these requirements, reports how many
-solutions survive with and without the gauge, and checks the frozen
-table against every constraint.
+The requirements leave six solutions, the count read in each of the six
+orders of the colors (relabeling the colors permutes them); the gauge,
+that the distinguished flow of four small webs (the two arcs and the two
+three-strand joins) has weight zero, picks the order above.
+scripts/calibrate_weights.py solves the requirements on their own,
+reports how many solutions survive with and without the gauge, and checks
+that the power-1 tables of both slice kinds equal the derivation.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ COLORS = (-1, 0, 1)
 FULL = frozenset(COLORS)
 
 
-def vis(k: int) -> int:
-    return 1 if k in (1, 2) else 0
-
-
 def colorset_for(weight: int, state: int) -> frozenset:
     """The unique color set of given size summing to the state."""
     if weight == 1:
@@ -53,87 +54,6 @@ def colorset_for(weight: int, state: int) -> frozenset:
     if weight == 2:
         return FULL - {-state}
     raise ValueError(f"column of weight {weight} has no visible state")
-
-
-# ---------------------------------------------------------------------------
-# frozen single-move weight table
-#
-# Key ('+' side only): (sorted tuple A, sorted tuple B, moved color x) with
-# x in B, x not in A; the move carries x from the right column (set B) to
-# the left column (set A).  Generated by scripts/calibrate_weights.py,
-# which re-derives it and asserts equality.
-# ---------------------------------------------------------------------------
-
-PLUS_WEIGHTS: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {
-    ((), (-1,), -1): 0,
-    ((), (-1, 0), -1): -1,
-    ((), (-1, 0), 0): 0,
-    ((), (-1, 0, 1), -1): -2,
-    ((), (-1, 0, 1), 0): -1,
-    ((), (-1, 0, 1), 1): 0,
-    ((), (-1, 1), -1): -1,
-    ((), (-1, 1), 1): 0,
-    ((), (0,), 0): 0,
-    ((), (0, 1), 0): -1,
-    ((), (0, 1), 1): 0,
-    ((), (1,), 1): 0,
-    ((-1,), (-1, 0), 0): 0,
-    ((-1,), (-1, 0, 1), 0): -1,
-    ((-1,), (-1, 0, 1), 1): 0,
-    ((-1,), (-1, 1), 1): 0,
-    ((-1,), (0,), 0): 0,
-    ((-1,), (0, 1), 0): -1,
-    ((-1,), (0, 1), 1): 0,
-    ((-1,), (1,), 1): 0,
-    ((-1, 0), (-1, 0, 1), 1): 0,
-    ((-1, 0), (-1, 1), 1): 0,
-    ((-1, 0), (0, 1), 1): 0,
-    ((-1, 0), (1,), 1): 0,
-    ((-1, 1), (-1, 0), 0): 1,
-    ((-1, 1), (-1, 0, 1), 0): 0,
-    ((-1, 1), (0,), 0): 1,
-    ((-1, 1), (0, 1), 0): 0,
-    ((0,), (-1,), -1): 1,
-    ((0,), (-1, 0), -1): 0,
-    ((0,), (-1, 0, 1), -1): -1,
-    ((0,), (-1, 0, 1), 1): 0,
-    ((0,), (-1, 1), -1): 0,
-    ((0,), (-1, 1), 1): 0,
-    ((0,), (0, 1), 1): 0,
-    ((0,), (1,), 1): 0,
-    ((0, 1), (-1,), -1): 2,
-    ((0, 1), (-1, 0), -1): 1,
-    ((0, 1), (-1, 0, 1), -1): 0,
-    ((0, 1), (-1, 1), -1): 1,
-    ((1,), (-1,), -1): 1,
-    ((1,), (-1, 0), -1): 0,
-    ((1,), (-1, 0), 0): 1,
-    ((1,), (-1, 0, 1), -1): -1,
-    ((1,), (-1, 0, 1), 0): 0,
-    ((1,), (-1, 1), -1): 0,
-    ((1,), (0,), 0): 1,
-    ((1,), (0, 1), 0): 0,
-}
-
-
-def _key(A: frozenset, B: frozenset, x: int) -> tuple:
-    return (tuple(sorted(A)), tuple(sorted(B)), x)
-
-
-def plus_weight(A: frozenset, B: frozenset, x: int) -> int:
-    return PLUS_WEIGHTS[_key(A, B, x)]
-
-
-def minus_reflection(A: frozenset, B: frozenset, z: int) -> tuple[tuple, int]:
-    """Mirror rule: a right-move is a reflected left-move plus the change
-    in visible-strand count of the two columns involved."""
-    shift = (vis(len(A)) + vis(len(B))) - (vis(len(A) - 1) + vis(len(B) + 1))
-    return _key(A - {z}, B | {z}, z), shift
-
-
-def minus_weight(A: frozenset, B: frozenset, z: int) -> int:
-    key, shift = minus_reflection(A, B, z)
-    return PLUS_WEIGHTS[key] + shift
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +74,15 @@ def _single_moves(sign: str, A: frozenset, B: frozenset):
     else:
         for z in sorted(A - B):
             yield z, A - {z}, B | {z}
+
+
+def move_weight(sign: str, A: frozenset, B: frozenset, x: int) -> int:
+    """Weight of a single move of color x on the left and right color sets
+    A and B before it: a '+' move counts the colors above x in A less
+    those in B, a '-' move the colors below x in B less those in A."""
+    if sign == "+":
+        return sum(a > x for a in A) - sum(b > x for b in B)
+    return sum(b < x for b in B) - sum(a < x for a in A)
 
 
 SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
@@ -183,18 +112,19 @@ def transitions(sign: str, power: int) -> dict:
     of column color sets maps to its moves (moved set X, new left set,
     new right set, weight), sorted by X.
 
-    Power 1 holds the single moves with their weights.  Power a is power 1
-    applied a times and divided by the quantum factorial [a]!; each entry
-    must come out as a plain power of q, the flow weight of the move.
+    Power 1 holds the single moves weighed by move_weight.  Power a is
+    power 1 applied a times and divided by the quantum factorial [a]!;
+    each entry must come out as a plain power of q, the flow weight of
+    the move.
     That, and that every move carries `power` colors across (so a column's
     color set always has as many colors as its weight, which the weight
     windows rely on), are checked loudly on every pair.
     """
     if power == 1:
-        weight = plus_weight if sign == "+" else minus_weight
         table = {
             (A, B): tuple(
-                (frozenset((x,)), nA, nB, weight(A, B, x)) for x, nA, nB in _single_moves(sign, A, B)
+                (frozenset((x,)), nA, nB, move_weight(sign, A, B, x))
+                for x, nA, nB in _single_moves(sign, A, B)
             )
             for A in SUBSETS
             for B in SUBSETS

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from webkup import flows
+
 
 @pytest.fixture(scope="session")
 def calibration():
@@ -15,3 +17,20 @@ def calibration():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+@pytest.fixture
+def shift_weight(monkeypatch):
+    """Plant a wrong weight-table entry: shift(key, delta) adds delta to
+    the '+' move of key = (sorted A, sorted B, x), x carried from B into
+    A, and to the '-' move that mirrors it, so the mirror rule still
+    holds.  Each call replaces the last one; the caller clears the caches
+    of tables derived from the weights."""
+    real = flows.move_weight
+
+    def shift(key, delta):
+        A, B, x = frozenset(key[0]), frozenset(key[1]), key[2]
+        moved = {("+", A, B, x), ("-", A | {x}, B - {x}, x)}
+        monkeypatch.setattr(flows, "move_weight", lambda *move: real(*move) + delta * (move in moved))
+
+    return shift

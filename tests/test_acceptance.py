@@ -323,21 +323,19 @@ def test_criterion_10_fails_on_a_dropped_transition(monkeypatch, fresh_tables):
     assert res.detail == "coloring count differs from q=1 value at -+"
 
 
-def test_criterion_06_fails_on_a_wrong_weight(monkeypatch, fresh_tables):
+def test_criterion_06_fails_on_a_wrong_weight(shift_weight, fresh_tables):
     # the Howe checks sweep each basis web through the weight table, so a
     # shifted weight must reach them; many other keys make growth or a
     # divided power raise first
-    key = ((), (-1,), -1)
-    monkeypatch.setitem(flows.PLUS_WEIGHTS, key, flows.PLUS_WEIGHTS[key] + 1)
+    shift_weight(((), (-1,), -1), 1)
     res = acceptance.CRITERIA[6]()
     assert not res.passed
     assert res.detail == "error: AssertionError('relation schur 11 fails on (0, 1, 2)')"
 
 
-def test_criterion_01_fails_on_a_wrong_weight(monkeypatch, fresh_tables):
+def test_criterion_01_fails_on_a_wrong_weight(shift_weight, fresh_tables):
     # many other keys make growth or a divided power raise instead
-    key = ((), (-1, 0, 1), -1)
-    monkeypatch.setitem(flows.PLUS_WEIGHTS, key, flows.PLUS_WEIGHTS[key] + 1)
+    shift_weight(((), (-1, 0, 1), -1), 1)
     res = acceptance.CRITERIA[1]()
     assert not res.passed
     assert res.detail == "evaluators disagree on a closure over +-"

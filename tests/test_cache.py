@@ -44,18 +44,23 @@ def test_version_stamp_and_stale_miss(tmp_path, monkeypatch):
     doc["version"] = CACHE_VERSION + 1
     path.write_text(json.dumps(doc))
     assert ws.load("basis", "+-") is None
-    # a changed weight table or package version makes every artifact stale
+    # a changed move weight, read back through the transition tables, or a
+    # changed package version makes every artifact stale
+    real = flows.move_weight
+    cap = ("-", flows.FULL, frozenset(), 1)
     for module, name, value in (
-        (flows, "PLUS_WEIGHTS", {**flows.PLUS_WEIGHTS, (): 0}),
+        (flows, "move_weight", lambda *move: real(*move) + (move == cap)),
         (webkup, "__version__", webkup.__version__ + ".dev"),
     ):
         ws.store("basis", "+-", {"a": 1})
         assert ws.load("basis", "+-") == {"a": 1}
         with monkeypatch.context() as m:
             m.setattr(module, name, value)
+            flows.transitions.cache_clear()
             assert ws.load("basis", "+-") is None
             assert ws.fetch("basis", "+-", lambda: {"a": 2}) == {"a": 2}
             assert ws.load("basis", "+-") == {"a": 2}
+        flows.transitions.cache_clear()
         assert ws.load("basis", "+-") is None
 
 

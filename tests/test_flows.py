@@ -1,8 +1,8 @@
 """Tests for flow state sums: expansions, brackets, forms, calibration."""
 
-import ast
 import math
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -24,7 +24,6 @@ from webkup.webs import (
 from webkup.flows import (
     COLORS,
     FULL,
-    PLUS_WEIGHTS,
     STATE_OF,
     SUBSETS,
     _weight_window,
@@ -36,8 +35,7 @@ from webkup.flows import (
     enumerate_flows,
     expansion,
     lusztig_form_vec,
-    minus_weight,
-    plus_weight,
+    move_weight,
     sweep_raw,
     transitions,
     walk_moves,
@@ -86,24 +84,47 @@ def test_frozen_weight_table_satisfies_constraints(calibration):
     calibration.verify_frozen_table()
 
 
-@pytest.mark.parametrize("key", sorted(PLUS_WEIGHTS))
-def test_frozen_table_check_catches_one_wrong_entry(monkeypatch, calibration, key):
-    monkeypatch.setitem(PLUS_WEIGHTS, key, PLUS_WEIGHTS[key] + 1)
-    with pytest.raises(AssertionError):
+# the 48 '+' moves, keyed (sorted A, sorted B, moved color) as the script keys them
+PLUS_KEYS = sorted(
+    (tuple(sorted(A)), tuple(sorted(B)), x)
+    for (A, B), moves in transitions("+", 1).items()
+    for (x,), *_ in moves
+)
+
+
+@pytest.mark.parametrize("key", PLUS_KEYS)
+def test_frozen_table_check_catches_one_wrong_entry(calibration, shift_weight, fresh_transitions, key):
+    # both shifts; the mirrored '-' move shifts too, so a constraint must fail
+    for delta in (1, -1):
+        shift_weight(key, delta)
+        flows.transitions.cache_clear()
+        with pytest.raises(AssertionError, match="violates"):
+            calibration.verify_frozen_table()
+
+
+def test_frozen_table_check_catches_a_minus_move_that_is_not_a_mirror(
+    monkeypatch, calibration, fresh_transitions
+):
+    # one '-' move shifted alone: the '+' table still meets every constraint
+    real = flows.move_weight
+    move = ("-", frozenset((-1,)), frozenset(), -1)
+    monkeypatch.setattr(flows, "move_weight", lambda *m: real(*m) + (m == move))
+    detail = "'-' move of -1 on {-1},set() is not the mirror of ((), (-1,), -1)"
+    with pytest.raises(AssertionError, match=re.escape(detail)):
         calibration.verify_frozen_table()
 
 
 def test_cup_weights():
-    assert plus_weight(frozenset(), FULL, 1) == 0
-    assert plus_weight(frozenset(), FULL, 0) == -1
-    assert plus_weight(frozenset(), FULL, -1) == -2
+    assert move_weight("+", frozenset(), FULL, 1) == 0
+    assert move_weight("+", frozenset(), FULL, 0) == -1
+    assert move_weight("+", frozenset(), FULL, -1) == -2
 
 
 def test_reflection_weight():
     # cap weights mirror the cup weights
-    assert minus_weight(FULL, frozenset(), -1) == 0
-    assert minus_weight(FULL, frozenset(), 0) == -1
-    assert minus_weight(FULL, frozenset(), 1) == -2
+    assert move_weight("-", FULL, frozenset(), -1) == 0
+    assert move_weight("-", FULL, frozenset(), 0) == -1
+    assert move_weight("-", FULL, frozenset(), 1) == -2
 
 
 def test_circle_bracket():
@@ -338,7 +359,7 @@ def test_bracket_reflection_invariant():
 
 
 def test_calibration_is_unique_with_gauge(calibration):
-    assert calibration.calibrate_weight_table(with_gauge=True) == [PLUS_WEIGHTS]
+    assert calibration.calibrate_weight_table(with_gauge=True) == [calibration.plus_table()]
 
 
 def _relabeled(table, perm):
@@ -353,7 +374,7 @@ def test_calibration_six_solutions_without_gauge(calibration):
     sols = calibration.calibrate_weight_table(with_gauge=False)
     assert len(sols) == 6
     orbit = {
-        frozenset(_relabeled(PLUS_WEIGHTS, dict(zip(COLORS, p))).items())
+        frozenset(_relabeled(calibration.plus_table(), dict(zip(COLORS, p))).items())
         for p in permutations(COLORS)
     }
     assert {frozenset(sol.items()) for sol in sols} == orbit
@@ -366,16 +387,19 @@ def test_constraint_count_sane(calibration):
 
 def test_calibration_script_runs_as_a_script(calibration):
     doc = calibration.DOC.read_bytes()
-    run = subprocess.run(
-        [sys.executable, calibration.__file__, "--print-literal"],
-        capture_output=True,
-        text=True,
-    )
+    run = subprocess.run([sys.executable, calibration.__file__], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    counts, literal = run.stdout.split("PLUS_WEIGHTS = ")
-    assert counts == "solutions without gauge: 6\nsolutions with gauge:    1\n"
-    assert ast.literal_eval(literal) == PLUS_WEIGHTS
+    assert run.stdout.splitlines() == [
+        "solutions without gauge: 6",
+        "solutions with gauge:    1",
+        "flows' weights match the derivation; regenerated docs/derived_rules.md",
+    ]
     assert calibration.DOC.read_bytes() == doc
+    # the deleted --print-literal is refused, not ignored
+    argv = [sys.executable, calibration.__file__, "--print-literal"]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "unrecognized arguments: --print-literal" in run.stderr
 
 
 @given(st.integers(1, 3), st.integers(0, 2))
@@ -497,7 +521,6 @@ def _reference_sweep(raw, slices):
     is the single slice applied a times, each coefficient divided by [a]!."""
     for sign, index, power in slices:
         c = index - 1
-        weight = plus_weight if sign == "+" else minus_weight
         for _ in range(power):
             out = {}
             for cfg, coeffs in raw.items():
@@ -505,7 +528,7 @@ def _reference_sweep(raw, slices):
                 for x, nA, nB in flows._single_moves(sign, A, B):
                     acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], Counter())
                     for e, k in coeffs.items():
-                        acc[e + weight(A, B, x)] += k
+                        acc[e + move_weight(sign, A, B, x)] += k
             raw = out
         raw = {cfg: LaurentPoly(acc).exact_div(qfact(power)).coeffs for cfg, acc in raw.items()}
     return raw
