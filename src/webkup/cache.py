@@ -37,6 +37,50 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def dumps(obj, indent: int) -> str:
+    """Exactly json.dumps(obj, sort_keys=True, indent=indent), built so
+    that the C encoder writes every innermost container (one holding no
+    dict or list) in one call; json.dumps with an indent would run the
+    pure-Python encoder over every entry.  Keys that are not strings are
+    written as json.dumps writes them, and keys it rejects raise the same
+    TypeError."""
+    return _dumps(obj, "\n", " " * indent)
+
+
+def _dumps(obj, newline: str, step: str) -> str:
+    """obj written at the indentation that `newline` carries; its entries
+    go one `step` deeper."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    inner = newline + step
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        # entries are scalars: the encoder writes them and their
+        # separators, and only the brackets need their own lines
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(obj, dict):
+        entries = [f"{_key(k)}: {_dumps(v, inner, step)}" for k, v in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        entries = [_dumps(v, inner, step) for v in obj]
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(entries) + newline + brackets[1]
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it: a string quoted and escaped, a
+    number, bool or None as its JSON text in quotes."""
+    if isinstance(k, str):
+        return json.dumps(k)
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def _code_stamp() -> str:
     """Digest of the package version and the single-move weights of both
     slice kinds, which every artifact (growth rules included) is derived
@@ -97,7 +141,7 @@ class Workspace:
             "sha256": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
             "payload": payload,
         }
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        text = dumps(doc, indent=1) + "\n"
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -24,7 +24,7 @@ from .flows import bracket, expansion
 from .growth import dominant_states, flow_census, growth, web_space
 from .tableaux import center_dim, is_balanced, is_semistandard, state_to_filling
 from .dualcan import default_budget, dual_canonical_basis, search_counterexample
-from .cache import Workspace
+from .cache import Workspace, dumps
 
 
 class UsageError(Exception):
@@ -62,7 +62,7 @@ def _read_web(path: str) -> LadderWeb:
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(dumps(doc, indent=2))
 
 
 def _poly_out(p: LaurentPoly, q1: bool):
@@ -70,11 +70,11 @@ def _poly_out(p: LaurentPoly, q1: bool):
 
 
 def _rows_at_one(table: dict) -> dict:
-    """A cached {row: {col: Laurent string}} table read back at q = 1."""
-    return {
-        J: {k: LaurentPoly.parse(v).eval_at_one() for k, v in row.items()}
-        for J, row in table.items()
-    }
+    """A cached {row: {col: Laurent string}} table read back at q = 1,
+    parsing each distinct text once."""
+    texts = {v for row in table.values() for v in row.values()}
+    at_one = {v: LaurentPoly.parse(v).eval_at_one() for v in texts}
+    return {J: {k: at_one[v] for k, v in row.items()} for J, row in table.items()}
 
 
 # -- per-boundary artifact payloads (also the cached representations) --------
@@ -90,26 +90,38 @@ def basis_payload(signs: str) -> dict:
     }
 
 
+def _text_rows(rows) -> dict:
+    """(J, {k: Laurent}) pairs as {state string: {state string: text}},
+    writing each distinct state and each distinct coefficient once; a
+    boundary's rows share a few thousand states and a few dozen
+    coefficients among tens of thousands of entries."""
+    state_text: dict[tuple, str] = {}
+    coeff_text: dict[tuple, str] = {}
+    out = {}
+    for J, vec in rows:
+        row = {}
+        for k, v in vec.items():
+            key = state_text.get(k)
+            if key is None:
+                key = state_text[k] = format_states(k)
+            items = tuple(v.coeffs.items())
+            text = coeff_text.get(items)
+            if text is None:
+                text = coeff_text[items] = str(v)
+            row[key] = text
+        out[format_states(J)] = row
+    return out
+
+
 def expansions_payload(signs: str) -> dict:
-    space = web_space(signs)
-    return {
-        format_states(J): {format_states(k): str(v) for k, v in vec.items()}
-        for J, vec in space.expansions.items()
-    }
+    return _text_rows(web_space(signs).expansions.items())
 
 
 def dualcan_payload(signs: str) -> dict:
     db = dual_canonical_basis(signs)
     return {
-        "elements": {
-            format_states(J): {format_states(k): str(v) for k, v in vec.items()}
-            for J, (vec, _) in db.items()
-        },
-        "d_matrix": {
-            format_states(J): {format_states(K): str(c) for K, c in row.items()}
-            for J, (_, row) in db.items()
-            if row
-        },
+        "elements": _text_rows((J, vec) for J, (vec, _) in db.items()),
+        "d_matrix": _text_rows((J, row) for J, (_, row) in db.items() if row),
     }
 
 

@@ -213,18 +213,28 @@ def config_states(cfg, cols) -> tuple[int, ...]:
         return tuple([colorset_state(cfg[i]) for i in cols])
 
 
-def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
+def expansion(web: LadderWeb, states_of: dict | None = None) -> dict[tuple[int, ...], LaurentPoly]:
     """Boundary-state coefficients of a closed-bottom web.
 
     Maps each state string of the top boundary to an exact Laurent
     polynomial; the top configuration of a flow determines its states
     (and conversely, so no information is lost here).
+
+    states_of, a dict the caller keeps, memoizes config_states across
+    calls.  It may serve webs of any top weight: a configuration's color
+    sets have as many colors as their columns' weights, so it fixes its
+    visible columns too.
     """
     cols = visible_columns(web.top_weight)
-    return {
-        config_states(cfg, cols): LaurentPoly._trusted(coeffs)
-        for cfg, coeffs in web_vector(web).items()
-    }
+    if states_of is None:
+        states_of = {}
+    out = {}
+    for cfg, coeffs in web_vector(web).items():
+        J = states_of.get(cfg)
+        if J is None:
+            J = states_of[cfg] = config_states(cfg, cols)
+        out[J] = LaurentPoly._trusted(coeffs)
+    return out
 
 
 def bracket(web: LadderWeb) -> LaurentPoly:

@@ -212,16 +212,26 @@ class WebSpace:
         unitriangular: its largest state is J, with coefficient 1.  Shared,
         so read-only."""
         if J not in self.expanded:
-            exp = expansion(self.basis[J])
+            exp = expansion(self.basis[J], self.states_of)
             if max(exp) != J or exp[J] != ONE:
                 raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
             self.expanded[J] = exp
+            if len(self.expanded) == len(self.basis):
+                del self.states_of  # no configuration is left to map
         return self.expanded[J]
 
     @cached_property
     def elements(self) -> dict[tuple, tuple]:
         """J -> (vector, row), filled by dualcan.element; made on first use,
         since most spaces never build an element."""
+        return {}
+
+    @cached_property
+    def states_of(self) -> dict[tuple, tuple]:
+        """Top configuration -> states, shared by this space's expansions
+        and freed once every basis web is expanded: a 10-strand
+        boundary's expansions hold tens of thousands of terms over a few
+        thousand configurations."""
         return {}
 
     @cached_property

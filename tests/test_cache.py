@@ -5,9 +5,10 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import webkup
-from webkup import flows
+from webkup import cache, cli, flows
 from webkup.cache import CACHE_VERSION, Workspace, default_cache_dir
 
 
@@ -139,3 +140,72 @@ def test_fetch_recomputes_over_corrupt_file(tmp_path):
     path.write_text("[1, 2]")
     assert ws.fetch("blocks", "+-", lambda: {"n": 1}) == {"n": 1}
     assert ws.load("blocks", "+-") == {"n": 1}
+
+
+# strings that need escapes or are not ASCII, beside whatever text() draws
+_TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "é", "\u2028", "😀", ",\n "])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+
+
+def _nest(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.lists(st.dictionaries(_TEXT, children, max_size=3), max_size=3)
+    )
+
+
+# empty dicts and lists can appear at every depth
+_JSON = st.recursive(_SCALARS, _nest, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_dumps_is_json_dumps_sorted_and_indented(obj):
+    for indent in (1, 2):
+        assert cache.dumps(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers() | st.booleans() | st.none(), _JSON, max_size=4),
+       st.dictionaries(st.floats(allow_nan=False), _SCALARS, max_size=4))
+def test_dumps_writes_non_string_keys_as_json_dumps_does(outer, inner):
+    """Keys that are not strings come out in quotes at every level, as
+    json.dumps writes them (1 as "1", None as "null"), never bare."""
+    for obj in (outer, inner, {"x": inner}, [outer]):
+        try:
+            want = json.dumps(obj, sort_keys=True, indent=2)
+        except TypeError:  # keys of mixed types do not sort
+            with pytest.raises(TypeError):
+                cache.dumps(obj, 2)
+            continue
+        assert cache.dumps(obj, 2) == want
+    assert cache.dumps({1: [0], 2: {}}, 1) == '{\n "1": [\n  0\n ],\n "2": {}\n}'
+    assert cache.dumps({None: {True: 0}}, 1) == '{\n "null": {\n  "true": 0\n }\n}'
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {(1, 2): [0]}, {"a": {b"k": 1}}])
+def test_dumps_rejects_the_keys_json_dumps_rejects(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cache.dumps(obj, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, signs, payload",
+    [
+        ("basis", "++-+--", cli.basis_payload),
+        ("expansions", "++-+--", cli.expansions_payload),
+        ("dualcan", "+-+-+-", cli.dualcan_payload),
+        ("blocks", "+-+-+-", cli.blocks_payload),
+    ],
+)
+def test_stored_file_is_json_dumps_indented_by_one(tmp_path, kind, signs, payload):
+    """The cache file format: the stored document as json.dumps writes it
+    with sorted keys and an indent of 1, then a newline."""
+    path = Workspace(tmp_path).store(kind, signs, payload(signs))
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["payload"] == payload(signs)
+    assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import webkup
-from webkup import dualcan, growth
+from webkup import cache, dualcan, growth
 from webkup.cli import main
+from webkup.qlaurent import LaurentPoly
 from webkup.oracles import invariant_dim
 from webkup.webs import LadderWeb, Slice, close, plain_boundaries
 
@@ -387,6 +388,51 @@ def test_cache_file_of_another_boundary_or_kind_is_recomputed(tmp_path, monkeypa
         plain = run(*argv)
         assert plain[0] == 0
         assert run(*argv, "--cache") == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--json", "++-+--"),
+        ("expand", "--boundary=++-+--"),
+        ("expand", "--q1", "--boundary=++-+--"),
+        ("dualcan", "+-+-+-"),
+        ("dualcan", "--q1", "+-+-+-"),
+        ("blocks", "+-+-+-"),
+        ("tableau", "++-+--", "1100mm"),
+        ("tableau", "+-", "11"),  # "rows": null
+        ("inverse-growth", "+++", "10m"),  # a list
+        ("expand", "--boundary=--"),  # {}
+    ],
+)
+def test_every_json_shape_is_json_dumps_sorted_and_indented(argv):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for indent in (1, 2):
+        assert cache.dumps(doc, indent) == json.dumps(doc, sort_keys=True, indent=indent)
+
+
+@pytest.mark.parametrize("argv", [("expand", "--boundary=+-+-++--"), ("dualcan", "+-+-++--")])
+def test_q1_reads_each_coefficient_at_one(tmp_path, monkeypatch, argv):
+    """--q1 gives every entry's text parsed and read at q = 1, computed,
+    stored cold and served warm alike, and parses each distinct text of a
+    table once."""
+    monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
+    code, out, _ = run(*argv)
+    doc = json.loads(out)
+    at_one = lambda table: {
+        J: {k: LaurentPoly.parse(v).eval_at_one() for k, v in row.items()} for J, row in table.items()
+    }
+    want = at_one(doc) if argv[0] == "expand" else {part: at_one(t) for part, t in doc.items()}
+    expected = (0, json.dumps(want, sort_keys=True, indent=2) + "\n", "")
+    parse, parsed = LaurentPoly.parse, []
+    monkeypatch.setattr(LaurentPoly, "parse", lambda text: parsed.append(text) or parse(text))
+    for flags in (("--q1",), ("--q1", "--cache"), ("--q1", "--cache")):
+        parsed.clear()
+        assert run(*argv, *flags) == expected
+        assert len(parsed) == len(set(parsed)) < sum(len(row) for row in doc.get("elements", doc).values())
 
 
 def _load_workloads():

@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from webkup import flows
 from webkup.qlaurent import ONE
-from webkup.webs import LadderWeb, Slice
+from webkup.webs import LadderWeb, Slice, plain_boundaries
 from webkup.flows import count_weight_zero_flows, expansion
 from webkup.growth import (
     GrowthStuck,
+    WebSpace,
     _rule_priority,
     dominant_states,
     growth,
@@ -182,3 +184,36 @@ def test_every_basis_web_has_unique_weight_zero_flow():
     for signs in ["+-", "+++", "++--", "+-+-", "++-+--"]:
         for J, w in web_space(signs).basis.items():
             assert count_weight_zero_flows(w) == 1
+
+
+def _module_memory(module) -> dict:
+    """Size of every module-level dict, list and set and lru cache."""
+    return {
+        name: value.cache_info().currsize if hasattr(value, "cache_info") else len(value)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") or isinstance(value, (dict, list, set))
+    }
+
+
+@pytest.mark.parametrize(
+    "signs", [*(s for s in plain_boundaries(6, 6) if s.count("+") == 3), "+-++--++--"]
+)
+def test_space_expansion_is_the_web_expansion(signs):
+    """The space's memo of top configurations changes no expansion, not
+    even its order.  It starts empty, lives on the space, shares each
+    state tuple among the expansions and is freed once every basis web is
+    expanded; flows keeps no memo of its own."""
+    space = WebSpace(signs)
+    assert space.states_of == {}
+    for sign in "+-":
+        for power in (1, 2, 3):
+            flows.transitions(sign, power)
+    before = _module_memory(flows)
+    for J, web in space.basis.items():
+        assert list(space.expansion(J).items()) == list(expansion(web).items())
+    assert _module_memory(flows) == before
+    assert flows.expansion.__defaults__ == (None,)
+    assert "states_of" not in vars(space)
+    states = [k for exp in space.expansions.values() for k in exp]
+    assert len({id(k) for k in states}) == len(set(states))
+    assert WebSpace(signs).states_of == {}
