@@ -86,6 +86,7 @@ def move_weight(sign: str, A: frozenset, B: frozenset, x: int) -> int:
 
 
 SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
+MASK_OF = {A: mask for mask, A in enumerate(SUBSETS)}  # bit i set for COLORS[i]
 
 
 def _state_table() -> dict[frozenset, int]:
@@ -178,32 +179,68 @@ def start_config(lam: tuple[int, ...]) -> tuple[frozenset, ...]:
     return tuple(cfg)
 
 
+def pack(cfg) -> int:
+    """A color configuration as one int: column i in bits 3i..3i+2, with
+    bit j set for COLORS[j] (MASK_OF)."""
+    key = 0
+    for i, A in enumerate(cfg):
+        key |= MASK_OF[A] << 3 * i
+    return key
+
+
+def unpack(key: int, n: int) -> tuple[frozenset, ...]:
+    """The n color sets of a packed configuration; pack's inverse."""
+    return tuple([SUBSETS[key >> 3 * i & 7] for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _packed(sign: str, power: int) -> list:
+    """transitions(sign, power) on packed column pairs: entry A | B << 3,
+    for the masks A and B of the left and right columns, lists each move
+    as (the xor that turns the pair into the moved pair, weight), in
+    transitions' order."""
+    table = transitions(sign, power)
+    return [
+        tuple(
+            (MASK_OF[nA] ^ A | (MASK_OF[nB] ^ B) << 3, w)
+            for _, nA, nB, w in table[SUBSETS[A], SUBSETS[B]]
+        )
+        for B in range(8)
+        for A in range(8)
+    ]
+
+
 def sweep_raw(raw: dict, slices) -> dict:
     """The ladder-sweep kernel: apply slices in order to a vector of raw
-    {exponent: coeff} dicts over color configurations, reading each
-    slice's moves from its transitions table.  Every vector the library
-    sweeps starts as web_vector's {start: {0: 1}}, and each move only adds
-    a coefficient-1 power of q (transitions asserts it of divided powers),
-    so coefficients stay in N[q, q^-1], no sum cancels and the output
-    holds no zero without a filter.  The input is not mutated, and it is
-    returned as is when there is no slice."""
+    {exponent: coeff} dicts keyed by packed color configurations (pack),
+    reading each slice's moves from its _packed table.  Every vector the
+    library sweeps starts as web_vector's {start: {0: 1}}, and each move
+    only adds a coefficient-1 power of q (transitions asserts it of
+    divided powers), so coefficients stay in N[q, q^-1], no sum cancels
+    and the output holds no zero without a filter.  The input is not
+    mutated, and it is returned as is when there is no slice."""
     for sign, index, power in slices:
-        c = index - 1
-        table = transitions(sign, power)
-        out: dict[tuple, dict[int, int]] = {}
+        c3 = 3 * (index - 1)
+        table = _packed(sign, power)
+        out: dict[int, dict[int, int]] = {}
         for cfg, coeffs in raw.items():
-            for _, nA, nB, w in table[cfg[c], cfg[c + 1]]:
-                acc = out.setdefault(cfg[:c] + (nA, nB) + cfg[c + 2 :], {})
-                for e, k in coeffs.items():
-                    acc[e + w] = acc.get(e + w, 0) + k
+            for delta, w in table[cfg >> c3 & 63]:
+                key = cfg ^ delta << c3
+                acc = out.get(key)
+                if acc is None:
+                    out[key] = {e + w: k for e, k in coeffs.items()} if w else coeffs.copy()
+                else:
+                    for e, k in coeffs.items():
+                        acc[e + w] = acc.get(e + w, 0) + k
         raw = out
     return raw
 
 
-def web_vector(web: LadderWeb) -> dict[tuple, dict[int, int]]:
-    """Top color configurations of a closed-bottom web with their raw
-    {exponent: coeff} coefficients, swept slice by slice from the bottom."""
-    return sweep_raw({start_config(web.bottom_weight): {0: 1}}, web.slices)
+def web_vector(web: LadderWeb) -> dict[int, dict[int, int]]:
+    """Packed top color configurations of a closed-bottom web with their
+    raw {exponent: coeff} coefficients, swept slice by slice from the
+    bottom."""
+    return sweep_raw({pack(start_config(web.bottom_weight)): {0: 1}}, web.slices)
 
 
 def config_states(cfg, cols) -> tuple[int, ...]:
@@ -220,19 +257,19 @@ def expansion(web: LadderWeb, states_of: dict | None = None) -> dict[tuple[int, 
     polynomial; the top configuration of a flow determines its states
     (and conversely, so no information is lost here).
 
-    states_of, a dict the caller keeps, memoizes config_states across
-    calls.  It may serve webs of any top weight: a configuration's color
-    sets have as many colors as their columns' weights, so it fixes its
-    visible columns too.
+    states_of, a dict the caller keeps, memoizes the states of each
+    packed top configuration across calls.  It may serve webs of any top
+    weight: a configuration's color sets have as many colors as their
+    columns' weights, so it fixes its visible columns too.
     """
-    cols = visible_columns(web.top_weight)
+    n, cols = len(web.top_weight), visible_columns(web.top_weight)
     if states_of is None:
         states_of = {}
     out = {}
-    for cfg, coeffs in web_vector(web).items():
-        J = states_of.get(cfg)
+    for key, coeffs in web_vector(web).items():
+        J = states_of.get(key)
         if J is None:
-            J = states_of[cfg] = config_states(cfg, cols)
+            J = states_of[key] = config_states(unpack(key, n), cols)
         out[J] = LaurentPoly._trusted(coeffs)
     return out
 

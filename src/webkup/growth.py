@@ -227,9 +227,9 @@ class WebSpace:
         return {}
 
     @cached_property
-    def states_of(self) -> dict[tuple, tuple]:
-        """Top configuration -> states, shared by this space's expansions
-        and freed once every basis web is expanded: a 10-strand
+    def states_of(self) -> dict[int, tuple]:
+        """Packed top configuration -> states, shared by this space's
+        expansions and freed once every basis web is expanded: a 10-strand
         boundary's expansions hold tens of thousands of terms over a few
         thousand configurations."""
         return {}

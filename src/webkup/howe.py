@@ -55,19 +55,26 @@ def phi_word(word: Word, web: LadderWeb):
 
 def word_actions(web: LadderWeb):
     """The action of live words on one closed-bottom web, memoized as raw
-    {exponent: coeff} dicts (flows.sweep_raw's form): the empty word maps
-    to web_vector(web), and a word to its one-slice-shorter prefix's
-    vector swept by its last slice, so words sharing a prefix sweep it
-    once.  Only words that word_target keeps alive may be asked for; a
-    prefix of a live word is live.  That equals sweeping the web with the
-    whole word stacked on top (asserted by
-    tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
+    {exponent: coeff} dicts over packed configurations (flows.sweep_raw's
+    form): the empty word maps to web_vector(web), and a word to its
+    longest memoized prefix's vector swept by the rest, one slice at a
+    time, memoizing each prefix on the way, so words sharing a prefix
+    sweep it once.  Only words that word_target keeps alive may be asked
+    for; a prefix of a live word is live.  That equals sweeping the web
+    with the whole word stacked on top (asserted by
+    tests/test_flows.py::test_act_word_equals_slice_by_slice).  act does
+    not refer to itself, so the memo is freed by refcounting as soon as
+    act is dropped, with no wait for the cyclic collector."""
     memo = {(): web_vector(web)}
 
     def act(word: Word):
-        if word not in memo:
-            memo[word] = sweep_raw(act(word[:-1]), word[-1:])
-        return memo[word]
+        k = len(word)
+        while word[:k] not in memo:
+            k -= 1
+        vec = memo[word[:k]]
+        for k in range(k, len(word)):
+            vec = memo[word[: k + 1]] = sweep_raw(vec, word[k : k + 1])
+        return vec
 
     return act
 

@@ -25,6 +25,7 @@ from webkup.webs import Slice
 DERIVED_TABLES = (
     acceptance._closure_values,
     flows.transitions,
+    flows._packed,
     flows._weight_window,
     growth._rule_moves,
     growth._rule_priority,

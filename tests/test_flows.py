@@ -24,6 +24,7 @@ from webkup.webs import (
 from webkup.flows import (
     COLORS,
     FULL,
+    MASK_OF,
     STATE_OF,
     SUBSETS,
     _weight_window,
@@ -36,8 +37,10 @@ from webkup.flows import (
     expansion,
     lusztig_form_vec,
     move_weight,
+    pack,
     sweep_raw,
     transitions,
+    unpack,
     walk_moves,
     web_vector,
 )
@@ -78,6 +81,32 @@ def test_state_table_inverts_colorset_for(monkeypatch):
     monkeypatch.setattr(flows, "colorset_for", lambda weight, state: frozenset((state,)))
     with pytest.raises(AssertionError, match="state table"):
         flows._state_table()
+
+
+def test_pack_round_trip():
+    # every color set, the empty and the full one too, in every column
+    for n in range(1, 6):
+        for i in range(n):
+            for A in SUBSETS:
+                cfg = tuple(A if j == i else SUBSETS[(5 * j + 3) % 8] for j in range(n))
+                key = pack(cfg)
+                assert unpack(key, n) == cfg
+                assert {c for j, c in enumerate(COLORS) if key >> 3 * i + j & 1} == A
+    assert sorted(pack(pair) for pair in product(SUBSETS, repeat=2)) == list(range(64))
+    assert [MASK_OF[frozenset((c,))] for c in COLORS] == [1, 2, 4]
+    assert pack((frozenset(), FULL)) == 0o70
+
+
+def test_packed_tables_are_the_transitions():
+    for sign in "+-":
+        for power in (1, 2, 3):
+            table = flows._packed(sign, power)
+            assert len(table) == 64
+            for (A, B), moves in transitions(sign, power).items():
+                code = pack((A, B))
+                assert [(unpack(code ^ delta, 2), w) for delta, w in table[code]] == [
+                    ((nA, nB), w) for _, nA, nB, w in moves
+                ]
 
 
 def test_frozen_weight_table_satisfies_constraints(calibration):
@@ -474,6 +503,11 @@ def _flow_census_by_config(web):
     return {cfg: dict(c) for cfg, c in census.items()}
 
 
+def _unpacked(vec, n):
+    """A packed vector keyed by its n-column tuples of color sets."""
+    return {unpack(key, n): coeffs for key, coeffs in vec.items()}
+
+
 POWER_WEBS = [
     LadderWeb((3, 0, 0), (Slice("-", 1, 3), Slice("+", 1, 2), Slice("-", 2), Slice("-", 1))),
     LadderWeb((3, 0, 3), (Slice("-", 1, 3), Slice("+", 1, 2), Slice("+", 2, 2), Slice("-", 2))),
@@ -486,7 +520,7 @@ POWER_WEBS = [
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_flow_census(web):
     vec = web_vector(web)
-    assert vec == _flow_census_by_config(web)
+    assert _unpacked(vec, len(web.top_weight)) == _flow_census_by_config(web)
     assert all(coeffs and 0 not in coeffs.values() for coeffs in vec.values())
 
 
@@ -549,13 +583,15 @@ def test_sweep_raw_equals_the_per_configuration_loop(seed):
         for cfg in cfgs
     }
     before = {cfg: dict(coeffs) for cfg, coeffs in raw.items()}
+    packed = {pack(cfg): coeffs for cfg, coeffs in raw.items()}
     kinds = [Slice(sign, index, power) for sign in "+-" for power in (1, 2, 3) for index in (1, 3, 4)]
     moved = 0
     for s in kinds:
-        got = sweep_raw(raw, (s,))
+        got = _unpacked(sweep_raw(packed, (s,)), 5)
         assert got == _reference_sweep(raw, (s,)), s
         moved += bool(got)
     assert moved == len(kinds)
     word = tuple(rng.sample(kinds, 6))
-    assert sweep_raw(raw, word) == _reference_sweep(raw, word)
+    assert _unpacked(sweep_raw(packed, word), 5) == _reference_sweep(raw, word)
     assert raw == before
+    assert packed == {pack(cfg): coeffs for cfg, coeffs in before.items()}

@@ -208,6 +208,7 @@ def test_space_expansion_is_the_web_expansion(signs):
     for sign in "+-":
         for power in (1, 2, 3):
             flows.transitions(sign, power)
+            flows._packed(sign, power)
     before = _module_memory(flows)
     for J, web in space.basis.items():
         assert list(space.expansion(J).items()) == list(expansion(web).items())

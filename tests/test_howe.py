@@ -1,5 +1,6 @@
 """Tests for the quantum gl_n rung action on web spaces."""
 
+import gc
 import random
 import re
 from collections import Counter
@@ -31,6 +32,7 @@ from webkup.howe import (
     step_weight,
     tau_word,
     verify_relations,
+    word_actions,
     word_target,
 )
 
@@ -54,6 +56,27 @@ def test_phi_word_kills_out_of_range():
 
 def test_relations_three_columns():
     assert verify_relations(3, 3) == 536
+
+
+def test_word_memo_is_freed_without_the_cyclic_collector():
+    # the memo holds every prefix's vector; once act is dropped,
+    # refcounting alone must free it, leaving the collector nothing
+    web = next(iter(web_space("+-+-").basis.values()))
+    E, F, G = Slice("+", 1), Slice("-", 2), Slice("-", 3)
+    words = [(E,), (E, F), (F, E), (E, F, G), (F, G)]
+    assert all(word_target(web.top_weight, w) for w in words)
+    for w in words:  # warm the tables the sweep reads
+        word_actions(web)(w)
+    gc.disable()
+    try:
+        gc.collect()
+        act = word_actions(web)
+        for w in words:
+            assert act(w)
+        del act
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_relations_small_spaces():
