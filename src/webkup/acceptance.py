@@ -108,11 +108,20 @@ def criterion(number: int, name: str):
 
 @lru_cache(maxsize=None)
 def _closure_values(signs: str) -> dict:
-    """bracket(close(u, v)) for each pair of basis webs of `signs`, keyed
-    (J, K) in basis order: q^-n times it is the web algebra's graded
-    Cartan matrix, evaluated once for criteria 1, 2, 8 and 10."""
+    """Each pair of basis webs of `signs`, keyed (J, K) in basis order,
+    closed once into w = close(u, v) and valued three ways for criteria
+    1, 2, 8 and 10: (bracket(w), Tait count, rewritten value), the last
+    two read off one planar graph of w that no entry keeps.  q^-n times
+    the bracket is the web algebra's graded Cartan matrix."""
     basis = web_space(signs).basis.items()
-    return {(J, K): bracket(close(u, v)) for J, u in basis for K, v in basis}
+    table = {}
+    for J, u in basis:
+        for K, v in basis:
+            w = close(u, v)
+            pw = PlanarWeb.from_ladder(w)
+            # the count reads the graph before the rewriting consumes it
+            table[J, K] = (bracket(w), coloring_count(pw), rewrite_bracket(pw))
+    return table
 
 
 # -- 1: the two evaluators agree --------------------------------------------
@@ -123,9 +132,8 @@ def criterion_1():
     t0 = time.time()
     pairs = 0
     for signs in plain_boundaries(6):
-        basis = web_space(signs).basis
-        for (J, K), value in _closure_values(signs).items():
-            if value != rewrite_bracket(close(basis[J], basis[K])):
+        for value, _, rewritten in _closure_values(signs).values():
+            if value != rewritten:
                 return False, f"evaluators disagree on a closure over {signs}"
             pairs += 1
     took = time.time() - t0
@@ -140,10 +148,12 @@ def criterion_2():
     circle = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
     tripod = LadderWeb((3, 0, 0), (Slice("-", 1), Slice("-", 2), Slice("-", 1)))
     theta = close(tripod, tripod)
-    if bracket(circle) != qint(3) or rewrite_bracket(circle) != qint(3):
-        return False, "circle value is not [3]"
-    if bracket(theta) != qint(2) * qint(3) or rewrite_bracket(theta) != qint(2) * qint(3):
-        return False, "closed digon value is not [2][3]"
+    for w, expect, wrong in (
+        (circle, qint(3), "circle value is not [3]"),
+        (theta, qint(2) * qint(3), "closed digon value is not [2][3]"),
+    ):
+        if bracket(w) != expect or rewrite_bracket(PlanarWeb.from_ladder(w)) != expect:
+            return False, wrong
 
     rng = random.Random(SEED)
     boundaries = [s for s in plain_boundaries(6, 3) if web_space(s).basis]
@@ -170,7 +180,7 @@ def criterion_2():
         a.resolve_square(sq, 0)
         b = pw.clone_bare()
         b.resolve_square(sq, 1)
-        if _closure_values(signs)[J, K] != pre * (a.evaluate() + b.evaluate()):
+        if _closure_values(signs)[J, K][0] != pre * (a.evaluate() + b.evaluate()):
             return False, f"square identity fails on a closure over {signs}"
         done += 1
     return True, f"circle [3], digon [2][3], square identity on {done} webs"
@@ -310,10 +320,10 @@ def criterion_8():
             for k, c in exp.items():
                 if k != J:
                     expect = expect + c * c
-            if values[J, J].shift(-ell(signs)) != expect:
+            if values[J, J][0].shift(-ell(signs)) != expect:
                 return False, f"diagonal form value differs at {signs} {J}"
             diag += 1
-        for value in values.values():
+        for value, _, _ in values.values():
             if not value.is_bar_invariant():
                 return False, f"closed value not bar-invariant over {signs}"
             closures += 1
@@ -349,10 +359,8 @@ def criterion_9():
 @criterion(10, "root-of-unity bookkeeping")
 def criterion_10():
     for signs in plain_boundaries(6):
-        basis = web_space(signs).basis
         lhs = 0
-        for (J, K), value in _closure_values(signs).items():
-            colorings = coloring_count(close(basis[J], basis[K]))
+        for value, colorings, _ in _closure_values(signs).values():
             if colorings != value.eval_at_one():
                 return False, f"coloring count differs from q=1 value at {signs}"
             lhs += colorings

@@ -166,15 +166,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .planar import rewrite_bracket
+    from .planar import PlanarWeb, rewrite_bracket
     web = _read_web(args.closed)
     if not web.is_closed():
         raise UsageError("eval needs a closed web (all boundary labels 0 or 3)")
     if args.route in ("statesum", "both"):
         value = bracket(web)
     else:
-        value = rewrite_bracket(web)
-    if args.route == "both" and rewrite_bracket(web) != value:
+        value = rewrite_bracket(PlanarWeb.from_ladder(web))
+    if args.route == "both" and rewrite_bracket(PlanarWeb.from_ladder(web)) != value:
         print("FAIL: the two evaluators disagree", file=sys.stderr)
         return 1
     print(_poly_out(value, args.q1))

@@ -15,13 +15,12 @@ filling count of the boundary.
 
 from __future__ import annotations
 
-from .webs import LadderWeb
 from .planar import PlanarWeb
 
 
-def coloring_count(web: LadderWeb) -> int:
-    """Number of Tait colorings of a closed web."""
-    pw = PlanarWeb.from_ladder(web)
+def coloring_count(pw: PlanarWeb) -> int:
+    """Number of Tait colorings of a closed web's graph, which it leaves
+    as it was."""
     nxt, twin = pw.nxt, pw.twin
     # depth-first edge order, one dart per edge: every edge after a
     # component's first meets an earlier one, so a bad partial coloring

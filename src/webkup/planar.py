@@ -44,48 +44,58 @@ class PlanarWeb:
         if not web.is_closed():
             raise ValueError("planar evaluation needs a closed web")
         pw = cls()
-        points: dict[tuple, dict] = {}  # (slice, column) -> {angle: dart}
+        twin, nxt, out = pw.twin, pw.nxt, pw.out
+        n, slices, levels = web.n_cols, web.slices, web.levels()
+        points: dict[int, list] = {}  # slice * n + column -> darts by angle / 90
 
-        def add_edge(n_tail_key, tail_angle, n_head_key, head_angle):
-            d = len(pw.twin)
-            pw.twin[d], pw.twin[d + 1] = d + 1, d
-            pw.out.add(d)
-            ends = ((n_tail_key, tail_angle, d), (n_head_key, head_angle, d + 1))
-            for nkey, angle, dart in ends:
-                slot = points.setdefault(nkey, {})
-                assert angle not in slot, f"two edges share an angle at {nkey}"
-                slot[angle] = dart
+        def add_edge(tail, tail_slot, head, head_slot):
+            d = len(twin)
+            twin[d], twin[d + 1] = d + 1, d
+            out.add(d)
+            for key, slot, dart in ((tail, tail_slot, d), (head, head_slot, d + 1)):
+                darts = points.get(key)
+                if darts is None:
+                    darts = points[key] = [None, None, None, None]
+                assert darts[slot] is None, f"two edges share an angle at {divmod(key, n)}"
+                darts[slot] = dart
 
-        # vertical edges: visible runs, single strands up, double strands down
-        for col, lo, hi, w in web.runs():
-            if w in (0, 3):
-                continue
-            # closed web: a visible run ends at a slice on both sides
-            assert lo is not None and hi is not None, "visible strand reaches the boundary"
-            if w == 1:
-                add_edge((lo, col), 90, (hi, col), 270)
-            else:
-                add_edge((hi, col), 270, (lo, col), 90)
+        # vertical edges: visible runs, single strands up, double strands
+        # down; a run ends at every slice touching its column
+        ends: list[list[int]] = [[] for _ in range(n)]
+        for k, s in enumerate(slices):
+            ends[s.index - 1].append(k)
+            ends[s.index].append(k)
+        for col, ks in enumerate(ends):
+            for lo, hi in zip([None, *ks], [*ks, None]):
+                w = levels[0 if lo is None else lo + 1][col]
+                if w in (0, 3):
+                    continue
+                # closed web: a visible run ends at a slice on both sides
+                assert lo is not None and hi is not None, "visible strand reaches the boundary"
+                if w == 1:
+                    add_edge(lo * n + col, 1, hi * n + col, 3)
+                else:
+                    add_edge(hi * n + col, 3, lo * n + col, 1)
 
         # rung edges
-        for k, s in enumerate(web.slices):
+        for k, s in enumerate(slices):
             if s.power == 3:
                 continue
             tail, head = s.rung()
-            angle = 0 if head > tail else 180
-            add_edge((k, tail), angle, (k, head), 180 - angle)
+            slot = 0 if head > tail else 2
+            add_edge(k * n + tail, slot, k * n + head, 2 - slot)
 
         # link each point's darts counterclockwise; smooth the 2-valent ones
-        for nkey, slot in points.items():
-            darts = [slot[a] for a in sorted(slot)]
+        for key, slots in points.items():
+            darts = [d for d in slots if d is not None]
             if len(darts) == 1:
                 raise AssertionError("dangling edge in closed web")
             for a, b in zip(darts, darts[1:] + darts[:1]):
-                pw.nxt[a] = b
+                nxt[a] = b
             if len(darts) == 2:
                 pw._smooth(*darts)
-            elif len({d in pw.out for d in darts}) != 1:
-                raise AssertionError(f"mixed orientation at trivalent node {nkey}")
+            elif len({d in out for d in darts}) != 1:
+                raise AssertionError(f"mixed orientation at trivalent node {divmod(key, n)}")
         return pw
 
     def _smooth(self, a: int, b: int) -> None:
@@ -228,8 +238,8 @@ class PlanarWeb:
             return acc * (a.evaluate() + b.evaluate())
 
 
-def rewrite_bracket(web: LadderWeb) -> LaurentPoly:
-    """Closed-web value by diagram rewriting (independent of state sums)."""
-    pw = PlanarWeb.from_ladder(web)
+def rewrite_bracket(pw: PlanarWeb) -> LaurentPoly:
+    """Consume the graph of a closed web, returning its value by diagram
+    rewriting (independent of state sums)."""
     pw.euler_check()
     return pw.evaluate()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import webkup
-from webkup import acceptance, dualcan, flows, growth, howe
+from webkup import acceptance, dualcan, flows, growth, howe, planar
 from webkup.planar import PlanarWeb
 from webkup.qlaurent import LaurentPoly, add_scaled, qint
 from webkup.webs import Slice
@@ -296,19 +296,46 @@ def test_criterion_08_fails_on_a_wrong_tau_scalar(monkeypatch):
 
 
 def test_criteria_01_08_10_evaluate_each_closure_once(monkeypatch, fresh_tables):
-    # the 888 basis closures through 6 strands go through one table
-    real = acceptance.bracket
+    # the 888 basis closures through 6 strands go through one table: each
+    # is closed once, valued once and built into one planar graph
     calls = Counter()
 
-    def counted(w):
-        calls["bracket"] += 1
-        return real(w)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(acceptance, "bracket", counted)
+        return call
+
+    monkeypatch.setattr(acceptance, "bracket", counted("bracket", acceptance.bracket))
+    monkeypatch.setattr(acceptance, "close", counted("close", acceptance.close))
+    monkeypatch.setattr(PlanarWeb, "from_ladder", counted("from_ladder", PlanarWeb.from_ladder))
     for number in (1, 8, 10):
         res = acceptance.CRITERIA[number]()
         assert res.passed, res.line()
-    assert calls["bracket"] == 888
+    assert calls == {"bracket": 888, "close": 888, "from_ladder": 888}
+
+
+def test_a_wrong_digon_fails_criterion_01_alone(monkeypatch, fresh_tables):
+    # a digon worth q [2] reaches only the rewritten values of the table;
+    # the Tait counts read the same graphs before the rewriting and hold
+    real = planar.qint
+    monkeypatch.setattr(planar, "qint", lambda n: real(n).shift(1) if n == 2 else real(n))
+    res = acceptance.CRITERIA[1]()
+    assert not res.passed
+    assert res.detail == "evaluators disagree on a closure over +++"
+    res = acceptance.CRITERIA[10]()
+    assert res.passed, res.line()
+
+
+def test_a_wrong_tait_count_fails_criterion_10_alone(monkeypatch, fresh_tables):
+    real = acceptance.coloring_count
+    monkeypatch.setattr(acceptance, "coloring_count", lambda pw: real(pw) + 1)
+    res = acceptance.CRITERIA[10]()
+    assert not res.passed
+    assert res.detail == "coloring count differs from q=1 value at +-"
+    res = acceptance.CRITERIA[1]()
+    assert res.passed, res.line()
 
 
 def test_criterion_10_fails_on_a_dropped_transition(monkeypatch, fresh_tables):

@@ -68,6 +68,8 @@ def test_eval_circle(circle_file):
     assert (code, out.strip()) == (0, "q^2 + 1 + q^-2")
     code, out, _ = run("eval", "--closed", circle_file, "--q1")
     assert (code, out.strip()) == (0, "3")
+    code, out, _ = run("eval", "--closed", circle_file, "--route", "rewrite")
+    assert (code, out.strip()) == (0, "q^2 + 1 + q^-2")
     code, out, _ = run("eval", "--closed", circle_file, "--route", "both")
     assert (code, out.strip()) == (0, "q^2 + 1 + q^-2")
 

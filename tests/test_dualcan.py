@@ -16,7 +16,7 @@ from webkup import dualcan, flows, growth as growth_module
 from webkup.webs import LadderWeb, Slice, close, parse_states, signs_of_weight
 from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec, web_vector
 from webkup.oracles import invariant_dim
-from webkup.planar import rewrite_bracket
+from webkup.planar import PlanarWeb, rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
 from webkup.dualcan import (
     SearchReport,
@@ -247,7 +247,7 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff):
     assert recon == exp
     # planar certificate: off the leading state a dual canonical pairing has
     # no constant term, and the rewriting evaluator finds one without flows
-    value = rewrite_bracket(close(web, other))
+    value = rewrite_bracket(PlanarWeb.from_ladder(close(web, other)))
     assert value == bracket(close(web, other))
     form = value.shift(-len(signs))
     assert form == lusztig_form_vec(exp, space.expansion(K))

@@ -371,7 +371,7 @@ def test_form_normalizations_agree():
     for signs in plain_boundaries(6):
         n = ell(signs)
         expansions = web_space(signs).expansions
-        for (J, K), value in _closure_values(signs).items():
+        for (J, K), (value, _, _) in _closure_values(signs).items():
             assert value.shift(-n) == lusztig_form_vec(expansions[J], expansions[K]), (signs, J, K)
             pairs += 1
     assert pairs == 888
