@@ -23,7 +23,7 @@ from .webs import LadderWeb, format_states, parse_states, weight_of_signs
 from .flows import bracket, expansion
 from .growth import dominant_states, flow_census, growth, web_space
 from .tableaux import center_dim, is_balanced, is_semistandard, state_to_filling
-from .dualcan import default_budget, dual_canonical_basis, search_counterexample
+from .dualcan import default_budget, element, search_counterexample
 from .cache import Workspace, dumps
 
 
@@ -90,15 +90,16 @@ def basis_payload(signs: str) -> dict:
     }
 
 
-def _text_rows(rows) -> dict:
-    """(J, {k: Laurent}) pairs as {state string: {state string: text}},
-    writing each distinct state and each distinct coefficient once; a
-    boundary's rows share a few thousand states and a few dozen
-    coefficients among tens of thousands of entries."""
+def _text_writer():
+    """A function writing a {state: Laurent} row as {state string: text}.
+    Over all the rows it writes, each distinct state and each distinct
+    coefficient is written once; a boundary's rows share a few thousand
+    states and a few dozen coefficients among tens of thousands of
+    entries."""
     state_text: dict[tuple, str] = {}
     coeff_text: dict[tuple, str] = {}
-    out = {}
-    for J, vec in rows:
+
+    def write(vec: dict) -> dict:
         row = {}
         for k, v in vec.items():
             key = state_text.get(k)
@@ -109,20 +110,35 @@ def _text_rows(rows) -> dict:
             if text is None:
                 text = coeff_text[items] = str(v)
             row[key] = text
-        out[format_states(J)] = row
-    return out
+        return row
+
+    return write
 
 
 def expansions_payload(signs: str) -> dict:
-    return _text_rows(web_space(signs).expansions.items())
+    write = _text_writer()
+    return {format_states(J): write(exp) for J, exp in web_space(signs).scan()}
 
 
 def dualcan_payload(signs: str) -> dict:
-    db = dual_canonical_basis(signs)
-    return {
-        "elements": _text_rows((J, vec) for J, (vec, _) in db.items()),
-        "d_matrix": _text_rows((J, row) for J, (_, row) in db.items() if row),
-    }
+    """The dual canonical elements of signs and their non-empty rows, as
+    text.  Each element is built along the space's scan, written, and
+    dropped from space.elements unless it was there before; only its text
+    is kept.  Dropping is safe: the scan descends, and element(J) reads
+    only elements below J."""
+    space = web_space(signs)
+    kept = set(space.elements)
+    write = _text_writer()
+    elements, d_matrix = {}, {}
+    for J, _ in space.scan():
+        vec, row = element(space, J)
+        key = format_states(J)
+        elements[key] = write(vec)
+        if row:
+            d_matrix[key] = write(row)
+        if J not in kept:
+            del space.elements[J]
+    return {"elements": elements, "d_matrix": d_matrix}
 
 
 def blocks_payload(signs: str) -> dict:

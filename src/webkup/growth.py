@@ -198,9 +198,10 @@ def web_space(signs: str) -> "WebSpace":
 
 
 class WebSpace:
-    """The web basis of one boundary string with its expansions and its
-    dual canonical elements, each built on request and freed with the
-    space."""
+    """The web basis of one boundary string, keyed by its dominant states
+    in descending order, with two memos filled on request and freed with
+    the space: `expanded` (J -> expansion) and `elements` (J -> dual
+    canonical element, filled by dualcan.element)."""
 
     def __init__(self, signs: str):
         self.signs = signs
@@ -220,6 +221,21 @@ class WebSpace:
                 del self.states_of  # no configuration is left to map
         return self.expanded[J]
 
+    def scan(self):
+        """Yield (J, expansion) over the basis in descending order, read
+        from the memo where it holds J; any other is built by `expansion`
+        and dropped once the caller moves on.  So a scan leaves `expanded`
+        as it found it, and a cold one holds one expansion at a time.  The
+        order lets a caller drop dual canonical elements too: element(J)
+        reads only elements below J, which the scan has not reached."""
+        kept = set(self.expanded)
+        assert list(self.basis) == sorted(self.basis, reverse=True), "basis not descending"
+        for J in self.basis:
+            yield J, self.expansion(J)
+            if J not in kept:
+                del self.expanded[J]
+        vars(self).pop("states_of", None)  # every basis web has been expanded
+
     @cached_property
     def elements(self) -> dict[tuple, tuple]:
         """J -> (vector, row), filled by dualcan.element; made on first use,
@@ -229,14 +245,14 @@ class WebSpace:
     @cached_property
     def states_of(self) -> dict[int, tuple]:
         """Packed top configuration -> states, shared by this space's
-        expansions and freed once every basis web is expanded: a 10-strand
-        boundary's expansions hold tens of thousands of terms over a few
-        thousand configurations."""
+        expansions and freed once the memo holds every expansion or a scan
+        has passed them all: a 10-strand boundary's expansions hold tens of
+        thousands of terms over a few thousand configurations."""
         return {}
 
     @cached_property
     def expansions(self) -> dict[tuple, dict]:
-        """Expansion of every basis web."""
+        """Expansion of every basis web, all held at once."""
         return {J: self.expansion(J) for J in self.basis}
 
 
@@ -244,9 +260,11 @@ def flow_census(signs: str) -> Counter:
     """Flow count of each boundary state, summed over the basis webs.
 
     Every flow adds +q^weight to the expansion coefficient of its
-    boundary, so the count is that coefficient at q = 1."""
+    boundary, so the count is that coefficient at q = 1.  Read through
+    WebSpace.scan, so it holds one expansion at a time, or reads those
+    already memoized (selftest's criterion 3 expands every space)."""
     census: Counter = Counter()
-    for exp in web_space(signs).expansions.values():
+    for _, exp in web_space(signs).scan():
         for state, poly in exp.items():
             census[state] += poly.eval_at_one()
     return census

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import webkup
-from webkup import cache, dualcan, growth
+from webkup import cache, cli, dualcan, growth
 from webkup.cli import main
-from webkup.qlaurent import LaurentPoly
+from webkup.qlaurent import LaurentPoly, add_scaled, qint
 from webkup.oracles import invariant_dim
-from webkup.webs import LadderWeb, Slice, close, plain_boundaries
+from webkup.webs import LadderWeb, Slice, close, format_states, parse_states, plain_boundaries
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -494,3 +494,87 @@ def test_importing_the_cli_leaves_out_what_no_artifact_command_runs():
     loaded = set(json.loads(done.stdout))
     assert "webkup.cli" in loaded
     assert not {f"webkup.{m}" for m in lazy} & loaded
+
+
+@pytest.fixture
+def fresh_spaces():
+    """Cold web spaces, as a fresh process starts, and none left behind."""
+    growth.web_space.cache_clear()
+    dualcan.dual_canonical_basis.cache_clear()
+    yield
+    growth.web_space.cache_clear()
+    dualcan.dual_canonical_basis.cache_clear()
+
+
+class _PeakDict(dict):
+    """A memo that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+EXPANSION_READERS = (cli.blocks_payload, cli.expansions_payload, cli.dualcan_payload)
+
+
+def test_cold_artifacts_hold_one_expansion_at_a_time(fresh_spaces, monkeypatch):
+    """On a boundary without a hit, each builder that reads expansions
+    holds at most one expansion and one element it made, and leaves a
+    fresh space's memos empty.  On a space expanded beforehand, as
+    selftest's criterion 3 leaves its spaces, they read the memos, compute
+    no expansion and keep every entry, the same objects, with the same
+    output."""
+    signs = "+-++--++--"
+    space = growth.web_space(signs)
+    cold = {}
+    for build in EXPANSION_READERS:
+        space.expanded, space.elements = _PeakDict(), _PeakDict()
+        cold[build] = build(signs)
+        assert (space.expanded, space.elements) == ({}, {}), build.__name__
+        assert space.expanded.peak == 1, build.__name__
+        assert space.elements.peak == (1 if build is cli.dualcan_payload else 0), build.__name__
+    growth.web_space.cache_clear()
+    space = growth.web_space(signs)
+    expanded = dict(space.expansions)
+    elements = {J: dualcan.element(space, J) for J in space.basis}
+
+    def no_expansion(*args):
+        raise AssertionError("an expansion the memo holds was built again")
+
+    monkeypatch.setattr(growth, "expansion", no_expansion)
+    for build in EXPANSION_READERS:
+        assert build(signs) == cold[build], build.__name__
+        for memo, before in ((space.expanded, expanded), (space.elements, elements)):
+            assert memo.keys() == before.keys(), build.__name__
+            assert all(memo[J] is before[J] for J in before), build.__name__
+
+
+def test_dualcan_rows_of_planted_corrections_match_the_full_basis(fresh_spaces, monkeypatch):
+    """No web through 8 strands needs a correction, so two are planted in
+    the expansions of +++---: e_K + [2] e_L at K, then e_J + [2] (that)
+    at J.  The cold payload builds J's element, which builds K's and L's
+    below it; the scan drops each once past it, and the text rows are
+    still those of dual_canonical_basis, non-empty at J and K."""
+    signs = "+++---"
+    J, K, L = (parse_states(s) for s in ("111mmm", "1100mm", "10m10m"))
+    real = growth.WebSpace(signs)
+    planted = {s: dict(real.expansion(s)) for s in real.basis}
+    add_scaled(planted[K], qint(2), planted[L])
+    add_scaled(planted[J], qint(2), planted[K])
+    by_web = {real.basis[s]: vec for s, vec in planted.items()}
+    monkeypatch.setattr(growth, "expansion", lambda web, states_of: by_web[web])
+    payload = cli.dualcan_payload(signs)
+    space = growth.web_space(signs)
+    assert (space.expanded, space.elements) == ({}, {})
+
+    def text(vec):
+        return {format_states(k): str(v) for k, v in vec.items()}
+
+    db = dualcan.dual_canonical_basis(signs)
+    assert payload == {
+        "elements": {format_states(s): text(vec) for s, (vec, _) in db.items()},
+        "d_matrix": {format_states(s): text(row) for s, (_, row) in db.items() if row},
+    }
+    assert payload["d_matrix"].keys() == {format_states(J), format_states(K)}

@@ -202,7 +202,8 @@ def test_space_expansion_is_the_web_expansion(signs):
     """The space's memo of top configurations changes no expansion, not
     even its order.  It starts empty, lives on the space, shares each
     state tuple among the expansions and is freed once every basis web is
-    expanded; flows keeps no memo of its own."""
+    expanded, also when a scan dropped each expansion it built; flows
+    keeps no memo of its own."""
     space = WebSpace(signs)
     assert space.states_of == {}
     for sign in "+-":
@@ -218,3 +219,10 @@ def test_space_expansion_is_the_web_expansion(signs):
     states = [k for exp in space.expansions.values() for k in exp]
     assert len({id(k) for k in states}) == len(set(states))
     assert WebSpace(signs).states_of == {}
+    space = WebSpace(signs)
+    scanned = [(J, list(exp.items())) for J, exp in space.scan()]
+    assert scanned == [(J, list(expansion(web).items())) for J, web in space.basis.items()]
+    assert space.expanded == {}
+    assert "states_of" not in vars(space)
+    states = [k for _, items in scanned for k, _ in items]
+    assert len({id(k) for k in states}) == len(set(states))
