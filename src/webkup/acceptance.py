@@ -485,15 +485,15 @@ def criterion_13():
     return True, f"{roundtrips} roundtrips; existence and canonical-flow checks hold"
 
 
-def run_all(numbers=None, out=print) -> list[CriterionResult]:
+def run_all(numbers=None) -> list[CriterionResult]:
     chosen = sorted(CRITERIA) if numbers is None else sorted(numbers)
     results = []
     for k in chosen:
         res = CRITERIA[k]()
-        out(res.line())
+        print(res.line())
         results.append(res)
     failed = [r for r in results if not r.passed]
-    out(
+    print(
         f"{len(results) - len(failed)}/{len(results)} criteria pass"
         + (f"; failing: {', '.join(str(r.number) for r in failed)}" if failed else "")
     )

@@ -34,26 +34,37 @@ that the power-1 tables of both slice kinds equal the derivation.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .qlaurent import LaurentPoly, qfact
 from .webs import LadderWeb, visible_columns
 
 COLORS = (-1, 0, 1)
 FULL = frozenset(COLORS)
+SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
+MASK_OF = {A: mask for mask, A in enumerate(SUBSETS)}  # bit i set for COLORS[i]
+
+# each visible color set to its state; no ∅ or FULL: looking either up raises KeyError
+STATE_OF = {A: sum(A) for A in SUBSETS if len(A) in (1, 2)}
+_COLORSET_OF = {(len(A), s): A for A, s in STATE_OF.items()}
+assert len(_COLORSET_OF) == 6, f"two visible color sets of one size show one state: {STATE_OF}"
 
 
 def colorset_for(weight: int, state: int) -> frozenset:
     """The unique color set of given size summing to the state."""
-    if weight == 1:
-        if state not in COLORS:
-            raise ValueError(f"bad single-strand state {state}")
-        return frozenset((state,))
-    if weight == 2:
-        return FULL - {-state}
-    raise ValueError(f"column of weight {weight} has no visible state")
+    try:
+        return _COLORSET_OF[weight, state]
+    except KeyError:
+        raise ValueError(f"no visible column of weight {weight} shows state {state}") from None
+
+
+def colorset_state(colors: frozenset) -> int:
+    """Boundary state shown by a visible column carrying this color set."""
+    if colors not in STATE_OF:
+        raise ValueError(f"visible column needs 1 or 2 colors, got {set(colors)}")
+    return STATE_OF[colors]
 
 
 # ---------------------------------------------------------------------------
@@ -85,28 +96,6 @@ def move_weight(sign: str, A: frozenset, B: frozenset, x: int) -> int:
     return sum(b < x for b in B) - sum(a < x for a in A)
 
 
-SUBSETS = tuple(frozenset(c for i, c in enumerate(COLORS) if mask >> i & 1) for mask in range(8))
-MASK_OF = {A: mask for mask, A in enumerate(SUBSETS)}  # bit i set for COLORS[i]
-
-
-def _state_table() -> dict[frozenset, int]:
-    """Each color set of a visible column to its state, checked against colorset_for."""
-    table = {A: sum(A) for A in SUBSETS if len(A) in (1, 2)}
-    if len(table) != 6 or any(colorset_for(len(A), s) != A for A, s in table.items()):
-        raise AssertionError(f"state table does not invert colorset_for: {table}")
-    return table
-
-
-STATE_OF = _state_table()  # no ∅ or FULL: looking either up raises KeyError
-
-
-def colorset_state(colors: frozenset) -> int:
-    """Boundary state shown by a visible column carrying this color set."""
-    if colors not in STATE_OF:
-        raise ValueError(f"visible column needs 1 or 2 colors, got {set(colors)}")
-    return STATE_OF[colors]
-
-
 @lru_cache(maxsize=None)
 def transitions(sign: str, power: int) -> dict:
     """The transition table of one slice kind: each of the 64 pairs (A, B)
@@ -114,9 +103,9 @@ def transitions(sign: str, power: int) -> dict:
     new right set, weight), sorted by X.
 
     Power 1 holds the single moves weighed by move_weight.  Power a is
-    power 1 applied a times and divided by the quantum factorial [a]!;
-    each entry must come out as a plain power of q, the flow weight of
-    the move.
+    the power-1 slice applied a times to the pair by sweep_raw and
+    divided by the quantum factorial [a]!; each entry must come out as a
+    plain power of q, the flow weight of the move.
     That, and that every move carries `power` colors across (so a column's
     color set always has as many colors as its weight, which the weight
     windows rely on), are checked loudly on every pair.
@@ -131,29 +120,23 @@ def transitions(sign: str, power: int) -> dict:
             for B in SUBSETS
         }
     else:
-        one, fact, table = transitions(sign, 1), qfact(power), {}
-        for A, B in one:
-            # moved set -> (new left set, new right set, path count by weight)
-            paths = {frozenset(): (A, B, Counter({0: 1}))}
-            for _ in range(power):
-                longer: dict[frozenset, tuple] = {}
-                for moved, (curA, curB, counts) in paths.items():
-                    for X, nA, nB, w in one[curA, curB]:
-                        acc = longer.setdefault(moved | X, (nA, nB, Counter()))[2]
-                        for e, k in counts.items():
-                            acc[e + w] += k
-                paths = longer
+        fact, table = qfact(power), {}
+        for A, B in product(SUBSETS, repeat=2):
+            # the single slice `power` times on the two columns alone; the
+            # moved set is what the left column gained ('+') or lost ('-')
+            raw = sweep_raw({MASK_OF[A] | MASK_OF[B] << 3: {0: 1}}, [(sign, 1, 1)] * power)
             moves = []
-            for X in sorted(paths, key=sorted):
-                nA, nB, counts = paths[X]
-                mono = LaurentPoly(counts).exact_div(fact)
+            for key, coeffs in raw.items():
+                nA, nB = SUBSETS[key & 7], SUBSETS[key >> 3]
+                X = nA - A if sign == "+" else A - nA
+                mono = LaurentPoly(coeffs).exact_div(fact)
                 if not mono.is_monomial_coeff_one():
                     raise AssertionError(
                         f"divided power entry is not a plain q power: {sign}^{power} "
                         f"on {set(A)},{set(B)} moving {set(X)} gave {mono}"
                     )
                 moves.append((X, nA, nB, mono.degree()))
-            table[A, B] = tuple(moves)
+            table[A, B] = tuple(sorted(moves, key=lambda move: sorted(move[0])))
     d = power if sign == "+" else -power
     for (A, B), moves in table.items():
         for X, nA, nB, _ in moves:

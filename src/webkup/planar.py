@@ -45,7 +45,7 @@ class PlanarWeb:
             raise ValueError("planar evaluation needs a closed web")
         pw = cls()
         twin, nxt, out = pw.twin, pw.nxt, pw.out
-        n, slices, levels = web.n_cols, web.slices, web.levels()
+        n = web.n_cols
         points: dict[int, list] = {}  # slice * n + column -> darts by angle / 90
 
         def add_edge(tail, tail_slot, head, head_slot):
@@ -59,26 +59,19 @@ class PlanarWeb:
                 assert darts[slot] is None, f"two edges share an angle at {divmod(key, n)}"
                 darts[slot] = dart
 
-        # vertical edges: visible runs, single strands up, double strands
-        # down; a run ends at every slice touching its column
-        ends: list[list[int]] = [[] for _ in range(n)]
-        for k, s in enumerate(slices):
-            ends[s.index - 1].append(k)
-            ends[s.index].append(k)
-        for col, ks in enumerate(ends):
-            for lo, hi in zip([None, *ks], [*ks, None]):
-                w = levels[0 if lo is None else lo + 1][col]
-                if w in (0, 3):
-                    continue
-                # closed web: a visible run ends at a slice on both sides
-                assert lo is not None and hi is not None, "visible strand reaches the boundary"
-                if w == 1:
-                    add_edge(lo * n + col, 1, hi * n + col, 3)
-                else:
-                    add_edge(hi * n + col, 3, lo * n + col, 1)
+        # vertical edges: visible runs, single strands up, double strands down
+        for col, lo, hi, w in web.runs():
+            if w in (0, 3):
+                continue
+            # closed web: a visible run ends at a slice on both sides
+            assert lo is not None and hi is not None, "visible strand reaches the boundary"
+            if w == 1:
+                add_edge(lo * n + col, 1, hi * n + col, 3)
+            else:
+                add_edge(hi * n + col, 3, lo * n + col, 1)
 
         # rung edges
-        for k, s in enumerate(slices):
+        for k, s in enumerate(web.slices):
             if s.power == 3:
                 continue
             tail, head = s.rung()

@@ -168,9 +168,12 @@ class LadderWeb:
         its column; None stands for the bottom or the top.  Runs of weight
         0 and 3 are included: they are invisible, not absent."""
         levels = self.levels()
-        for col in range(self.n_cols):
-            ends = [k for k, s in enumerate(self.slices) if s.index - 1 in (col - 1, col)]
-            for lo, hi in zip([None, *ends], [*ends, None]):
+        ends: list[list[int]] = [[] for _ in range(self.n_cols)]
+        for k, s in enumerate(self.slices):
+            ends[s.index - 1].append(k)
+            ends[s.index].append(k)
+        for col, ks in enumerate(ends):
+            for lo, hi in zip([None, *ks], [*ks, None]):
                 yield col, lo, hi, levels[0 if lo is None else lo + 1][col]
 
     def is_closed(self) -> bool:

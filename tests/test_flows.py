@@ -48,6 +48,7 @@ from webkup import flows
 from webkup.acceptance import _closure_values
 from webkup.growth import dominant_states, growth, web_space
 from webkup.howe import step_weight, word_actions, word_target
+from webkup.tableaux import state_to_filling
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
 CIRCLE2 = LadderWeb((3, 0), (Slice("-", 1), Slice("+", 1)))
@@ -67,7 +68,7 @@ def test_colorset_state():
     assert colorset_for(2, -1) == frozenset((0, -1))
 
 
-def test_state_table_inverts_colorset_for(monkeypatch):
+def test_state_table_inverts_colorset_for():
     assert len(STATE_OF) == 6
     assert set(STATE_OF) == {A for A in SUBSETS if len(A) in (1, 2)}
     assert all(colorset_for(len(A), s) == A for A, s in STATE_OF.items())
@@ -77,10 +78,18 @@ def test_state_table_inverts_colorset_for(monkeypatch):
         with pytest.raises(ValueError, match="needs 1 or 2 colors"):
             config_states((frozenset((1,)), hidden, frozenset((0, -1))), (0, 1, 2))
     assert config_states((frozenset((1,)), FULL, frozenset((0, -1))), (0, 2)) == (1, -1)
-    # the table checks itself when it is built
-    monkeypatch.setattr(flows, "colorset_for", lambda weight, state: frozenset((state,)))
-    with pytest.raises(AssertionError, match="state table"):
-        flows._state_table()
+
+
+def test_colorset_for_refuses_a_state_no_column_of_the_weight_shows():
+    for weight, state in product(range(4), (2, -2, 5)):
+        with pytest.raises(ValueError, match=f"weight {weight} shows state {state}$"):
+            colorset_for(weight, state)
+    for weight, state in product((0, 3), COLORS):
+        with pytest.raises(ValueError, match="shows state"):
+            colorset_for(weight, state)
+    # no double strand shows 2, so no filling holds one that does
+    with pytest.raises(ValueError, match="weight 2 shows state 2$"):
+        state_to_filling("-", (2,))
 
 
 def test_pack_round_trip():
@@ -566,6 +575,17 @@ def _reference_sweep(raw, slices):
             raw = out
         raw = {cfg: LaurentPoly(acc).exact_div(qfact(power)).coeffs for cfg, acc in raw.items()}
     return raw
+
+
+def test_divided_powers_are_single_moves_divided_by_the_factorial():
+    # every entry of the power-2 and power-3 tables, which come from the
+    # kernel, against the reference, which reads single moves alone
+    for sign, power, A, B in product("+-", (2, 3), SUBSETS, SUBSETS):
+        moves = transitions(sign, power)[A, B]
+        reference = _reference_sweep({(A, B): {0: 1}}, (Slice(sign, 1, power),))
+        assert {(nA, nB): {w: 1} for _, nA, nB, w in moves} == reference, (sign, power, A, B)
+        for X, nA, nB, _ in moves:
+            assert (nA, nB) == ((A | X, B - X) if sign == "+" else (A - X, B | X))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

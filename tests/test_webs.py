@@ -1,8 +1,10 @@
 """Tests for boundary strings and ladder webs."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from test_flows import closed_bottom_ladders
+from webkup.growth import web_space
 from webkup.webs import (
     LadderWeb,
     Slice,
@@ -82,6 +84,34 @@ def test_runs_cut_at_every_touching_slice():
         (2, 1, None, 1),
     ]
     assert list(empty_web((0, 3)).runs()) == [(0, None, None, 0), (1, None, None, 3)]
+
+
+def _reference_runs(web):
+    """Each column's runs found by rescanning the slices for that column."""
+    levels = web.levels()
+    for col in range(web.n_cols):
+        ends = [k for k, s in enumerate(web.slices) if s.index - 1 in (col - 1, col)]
+        for lo, hi in zip([None, *ends], [*ends, None]):
+            yield col, lo, hi, levels[0 if lo is None else lo + 1][col]
+
+
+@given(closed_bottom_ladders())
+@settings(max_examples=60, deadline=None)
+def test_runs_equal_the_per_column_scan(web):
+    assert list(web.runs()) == list(_reference_runs(web))
+
+
+def test_runs_equal_the_per_column_scan_on_every_closure_through_six_strands():
+    closures = [
+        close(u, v)
+        for signs in plain_boundaries(6)
+        for basis in [list(web_space(signs).basis.values())]
+        for u in basis
+        for v in basis
+    ]
+    assert len(closures) == 888
+    for web in closures:
+        assert list(web.runs()) == list(_reference_runs(web)), web
 
 
 def test_rung_direction():
