@@ -83,12 +83,12 @@ class CriterionResult:
 
 
 def _result(number, name, fn) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.monotonic()
     try:
         passed, detail = fn()
     except Exception as exc:  # a crash is a failure, not an abort
-        return CriterionResult(number, name, False, f"error: {exc!r}", time.time() - t0)
-    return CriterionResult(number, name, passed, detail, time.time() - t0)
+        return CriterionResult(number, name, False, f"error: {exc!r}", time.monotonic() - t0)
+    return CriterionResult(number, name, passed, detail, time.monotonic() - t0)
 
 
 CRITERIA: dict = {}  # number -> runner, filled by @criterion
@@ -129,14 +129,14 @@ def _closure_values(signs: str) -> dict:
 
 @criterion(1, "evaluator agreement")
 def criterion_1():
-    t0 = time.time()
+    t0 = time.monotonic()
     pairs = 0
     for signs in plain_boundaries(6):
         for value, _, rewritten in _closure_values(signs).values():
             if value != rewritten:
                 return False, f"evaluators disagree on a closure over {signs}"
             pairs += 1
-    took = time.time() - t0
+    took = time.monotonic() - t0
     return took < 120.0, f"{pairs} closures agree, {took:.1f}s of 120s budget"
 
 
@@ -257,12 +257,12 @@ def criterion_5():
 
 @criterion(6, "generator relations")
 def criterion_6():
-    t0 = time.time()
+    t0 = time.monotonic()
     c3 = verify_relations(3, 3)
     if c3 != 536:
         return False, f"three-column relation count changed: {c3}"
     c6 = verify_relations(6, 6)
-    took = time.time() - t0
+    took = time.monotonic() - t0
     ok = took < 600.0
     return ok, f"{c3} + {c6} relation instances hold, {took:.1f}s of 600s budget"
 

@@ -147,13 +147,13 @@ def search_counterexample(
     a flow of positive weight), and the search raises AssertionError on
     a web whose walk misses growth's own weight-zero flow."""
     budget = default_budget() if budget_s is None else budget_s
-    t0 = time.time()
+    t0 = time.monotonic()
     found = []
     checked = 0
     last = None
     for signs in plain_boundaries(max_strands, min_strands):
-        if time.time() - t0 > budget:
-            return SearchReport(found, checked, last, False, time.time() - t0)
+        if time.monotonic() - t0 > budget:
+            return SearchReport(found, checked, last, False, time.monotonic() - t0)
         last = signs
         space = WebSpace(signs)
         for J, web in space.basis.items():
@@ -163,5 +163,5 @@ def search_counterexample(
             if zero_flows > 1 and element(space, J)[1]:
                 found.append((signs, J))
                 if stop_at_first:
-                    return SearchReport(found, checked, last, False, time.time() - t0, True)
-    return SearchReport(found, checked, last, True, time.time() - t0)
+                    return SearchReport(found, checked, last, False, time.monotonic() - t0, True)
+    return SearchReport(found, checked, last, True, time.monotonic() - t0)

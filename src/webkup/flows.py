@@ -116,18 +116,17 @@ def transitions(sign: str, power: int) -> dict:
                 (frozenset((x,)), nA, nB, move_weight(sign, A, B, x))
                 for x, nA, nB in _single_moves(sign, A, B)
             )
-            for A in SUBSETS
-            for B in SUBSETS
+            for A, B in product(SUBSETS, repeat=2)
         }
     else:
         fact, table = qfact(power), {}
         for A, B in product(SUBSETS, repeat=2):
             # the single slice `power` times on the two columns alone; the
             # moved set is what the left column gained ('+') or lost ('-')
-            raw = sweep_raw({MASK_OF[A] | MASK_OF[B] << 3: {0: 1}}, [(sign, 1, 1)] * power)
+            raw = sweep_raw({MASK_OF[A] | MASK_OF[B] << 3: 1}, [(sign, 1, 1)] * power, 2)
             moves = []
-            for key, coeffs in raw.items():
-                nA, nB = SUBSETS[key & 7], SUBSETS[key >> 3]
+            for pair, coeffs in by_config(raw, 2).items():
+                nA, nB = SUBSETS[pair & 7], SUBSETS[pair >> 3]
                 X = nA - A if sign == "+" else A - nA
                 mono = LaurentPoly(coeffs).exact_div(fact)
                 if not mono.is_monomial_coeff_one():
@@ -151,24 +150,15 @@ def transitions(sign: str, power: int) -> dict:
 
 
 def start_config(lam: tuple[int, ...]) -> tuple[frozenset, ...]:
-    cfg = []
-    for v in lam:
-        if v == 0:
-            cfg.append(frozenset())
-        elif v == 3:
-            cfg.append(FULL)
-        else:
-            raise ValueError("sweep needs a closed bottom weight (entries 0/3)")
-    return tuple(cfg)
+    if any(v not in (0, 3) for v in lam):
+        raise ValueError("sweep needs a closed bottom weight (entries 0/3)")
+    return tuple([FULL if v else frozenset() for v in lam])
 
 
 def pack(cfg) -> int:
     """A color configuration as one int: column i in bits 3i..3i+2, with
     bit j set for COLORS[j] (MASK_OF)."""
-    key = 0
-    for i, A in enumerate(cfg):
-        key |= MASK_OF[A] << 3 * i
-    return key
+    return sum(MASK_OF[A] << 3 * i for i, A in enumerate(cfg))
 
 
 def unpack(key: int, n: int) -> tuple[frozenset, ...]:
@@ -193,37 +183,53 @@ def _packed(sign: str, power: int) -> list:
     ]
 
 
-def sweep_raw(raw: dict, slices) -> dict:
-    """The ladder-sweep kernel: apply slices in order to a vector of raw
-    {exponent: coeff} dicts keyed by packed color configurations (pack),
-    reading each slice's moves from its _packed table.  Every vector the
-    library sweeps starts as web_vector's {start: {0: 1}}, and each move
-    only adds a coefficient-1 power of q (transitions asserts it of
-    divided powers), so coefficients stay in N[q, q^-1], no sum cancels
-    and the output holds no zero without a filter.  The input is not
-    mutated, and it is returned as is when there is no slice."""
+@lru_cache(maxsize=None)
+def _moves(sign: str, power: int, c3: int, s: int) -> tuple:
+    """_packed(sign, power) as the ints its moves add to a flat key (sweep_raw)
+    whose pair sits at bit c3 and exponent at bit s: the moved pair less
+    the pair, shifted to c3, plus the weight, shifted to s."""
+    own = {}.setdefault  # one object per distinct int and move list: a table repeats few
+    packed = enumerate(_packed(sign, power))
+    rows = [[((p ^ x) - p << c3) + (w << s) for x, w in moves] for p, moves in packed]
+    return tuple([own(t, t) for t in [tuple([own(d, d) for d in row]) for row in rows]])
+
+
+def sweep_raw(raw: dict, slices, n: int) -> dict:
+    """The ladder-sweep kernel: apply slices in order to a flat vector
+    {cfg | e << 3n: coeff} on n columns, each key one term, its packed
+    color configuration (pack) and its exponent of q: key & (1 << 3n) - 1
+    and key >> 3n, exact for e < 0 too, as >> floors.  A move adds its
+    _moves int to the key.  Every vector the library sweeps starts as
+    web_vector's {start: 1}, and each move only adds a coefficient-1 power
+    of q (transitions asserts it of divided powers), so no sum cancels and
+    the output holds no zero without a filter.  The input is not mutated,
+    and it is returned as is when there is no slice."""
     for sign, index, power in slices:
         c3 = 3 * (index - 1)
-        table = _packed(sign, power)
-        out: dict[int, dict[int, int]] = {}
-        for cfg, coeffs in raw.items():
-            for delta, w in table[cfg >> c3 & 63]:
-                key = cfg ^ delta << c3
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = {e + w: k for e, k in coeffs.items()} if w else coeffs.copy()
-                else:
-                    for e, k in coeffs.items():
-                        acc[e + w] = acc.get(e + w, 0) + k
+        table = _moves(sign, power, c3, 3 * n)
+        out: dict[int, int] = {}
+        get = out.get
+        for key, k in raw.items():
+            for d in table[key >> c3 & 63]:
+                nk = key + d
+                out[nk] = get(nk, 0) + k
         raw = out
     return raw
 
 
-def web_vector(web: LadderWeb) -> dict[int, dict[int, int]]:
-    """Packed top color configurations of a closed-bottom web with their
-    raw {exponent: coeff} coefficients, swept slice by slice from the
-    bottom."""
-    return sweep_raw({pack(start_config(web.bottom_weight)): {0: 1}}, web.slices)
+def by_config(vec: dict, n: int) -> dict[int, dict[int, int]]:
+    """A flat vector on n columns (sweep_raw) as {cfg: {exponent: coeff}},
+    the configurations in the order of their first term."""
+    s, mask, out = 3 * n, (1 << 3 * n) - 1, {}
+    for key, k in vec.items():
+        out.setdefault(key & mask, {})[key >> s] = k
+    return out
+
+
+def web_vector(web: LadderWeb) -> dict[int, int]:
+    """The flat vector (sweep_raw) of a closed-bottom web's top color
+    configurations and exponents, swept slice by slice from the bottom."""
+    return sweep_raw({pack(start_config(web.bottom_weight)): 1}, web.slices, len(web.bottom_weight))
 
 
 def config_states(cfg, cols) -> tuple[int, ...]:
@@ -246,22 +252,28 @@ def expansion(web: LadderWeb, states_of: dict | None = None) -> dict[tuple[int, 
     columns' weights, so it fixes its visible columns too.
     """
     n, cols = len(web.top_weight), visible_columns(web.top_weight)
-    if states_of is None:
-        states_of = {}
-    out = {}
-    for key, coeffs in web_vector(web).items():
-        J = states_of.get(key)
+    states_of, out = {} if states_of is None else states_of, {}
+    for cfg, coeffs in by_config(web_vector(web), n).items():
+        J = states_of.get(cfg)
         if J is None:
-            J = states_of[key] = config_states(unpack(key, n), cols)
+            J = states_of[cfg] = config_states(unpack(cfg, n), cols)
         out[J] = LaurentPoly._trusted(coeffs)
     return out
+
+
+def closed_value(vec: dict, n: int) -> LaurentPoly:
+    """The value of a closed web on n columns read off its flat vector
+    (sweep_raw), whose terms share one configuration (asserted)."""
+    groups = by_config(vec, n)
+    assert len(groups) <= 1, "a closed web has one top configuration"
+    return LaurentPoly._trusted(next(iter(groups.values()), {}))
 
 
 def bracket(web: LadderWeb) -> LaurentPoly:
     """Value of a closed web: the sum q^(weight) over all of its flows."""
     if not web.is_closed():
         raise ValueError("bracket needs a closed web")
-    return expansion(web).get((), LaurentPoly.zero())
+    return closed_value(web_vector(web), len(web.top_weight))
 
 
 @dataclass(frozen=True)

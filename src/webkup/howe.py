@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .qlaurent import LaurentPoly, ONE, _add_product, qbinom
+from .qlaurent import ONE, qbinom
 from .webs import (
     LadderWeb,
     Slice,
@@ -27,7 +27,7 @@ from .webs import (
     weight_of_signs,
     weights_bounded,
 )
-from .flows import sweep_raw, web_vector
+from .flows import closed_value, sweep_raw, web_vector
 from .growth import web_space
 
 Word = tuple[Slice, ...]
@@ -54,9 +54,9 @@ def phi_word(word: Word, web: LadderWeb):
 
 
 def word_actions(web: LadderWeb):
-    """The action of live words on one closed-bottom web, memoized as raw
-    {exponent: coeff} dicts over packed configurations (flows.sweep_raw's
-    form): the empty word maps to web_vector(web), and a word to its
+    """The action of live words on one closed-bottom web, memoized as
+    flat vectors (flows.sweep_raw's form, on the web's column count): the
+    empty word maps to web_vector(web), and a word to its
     longest memoized prefix's vector swept by the rest, one slice at a
     time, memoizing each prefix on the way, so words sharing a prefix
     sweep it once.  Only words that word_target keeps alive may be asked
@@ -65,7 +65,7 @@ def word_actions(web: LadderWeb):
     tests/test_flows.py::test_act_word_equals_slice_by_slice).  act does
     not refer to itself, so the memo is freed by refcounting as soon as
     act is dropped, with no wait for the cyclic collector."""
-    memo = {(): web_vector(web)}
+    memo, n = {(): web_vector(web)}, len(web.bottom_weight)
 
     def act(word: Word):
         k = len(word)
@@ -73,7 +73,7 @@ def word_actions(web: LadderWeb):
             k -= 1
         vec = memo[word[:k]]
         for k in range(k, len(word)):
-            vec = memo[word[: k + 1]] = sweep_raw(vec, word[k : k + 1])
+            vec = memo[word[: k + 1]] = sweep_raw(vec, word[k : k + 1], n)
         return vec
 
     return act
@@ -187,29 +187,34 @@ def relation_instances(lam: tuple[int, ...]):
     return out
 
 
-def _side(act, terms) -> dict:
-    """sum(coeff * act(word)) over one side's terms, on raw dicts; a lone
-    word with coefficient 1 is the memo's own dict, not a copy."""
+def _side(act, terms, n: int) -> dict:
+    """sum(coeff * act(word)) over one side's terms, on flat vectors of n
+    columns: a term c q^e of coeff adds c * k at each key plus e << 3n.
+    A lone word with coefficient 1 is the memo's own dict, not a copy."""
     if len(terms) == 1 and terms[0][0] == ONE.coeffs:
         return act(terms[0][1])
     out: dict = {}
+    get = out.get
     for coeff, word in terms:
-        for cfg, coeffs in act(word).items():
-            _add_product(out.setdefault(cfg, {}), coeff, coeffs)
+        vec = act(word)
+        for e, c in coeff.items():
+            d = e << 3 * n
+            for key, k in vec.items():
+                out[key + d] = get(key + d, 0) + c * k
     return out
 
 
-def _vanishes(act, sides) -> bool:
-    """Whether a relation lhs = rhs holds on one vector: the two sides,
-    each built by _side, compared as dicts.  That is exact: act's vectors
-    hold only nonzero coefficients in N[q, q^-1] (each starts at
-    web_vector's {start: {0: 1}} and every move adds a coefficient-1 power
-    of q, see flows.sweep_raw), every coefficient of a side is positive
-    (_sides asserts it), and a sum of products of positive polynomials
+def _vanishes(act, sides, n: int) -> bool:
+    """Whether a relation lhs = rhs holds on one vector of n columns: the
+    two sides, each built by _side, compared as dicts.  That is exact:
+    act's vectors hold only positive coefficients (each starts at
+    web_vector's {start: 1} and every move adds a coefficient-1 power of
+    q to a key, see flows.sweep_raw), every coefficient of a side is
+    positive (_sides asserts it), and a sum of products of positive terms
     never cancels, so neither side holds a zero entry and equal vectors
     are equal dicts."""
     lhs, rhs = sides
-    return _side(act, lhs) == _side(act, rhs)
+    return _side(act, lhs, n) == _side(act, rhs, n)
 
 
 def verify_relations(n: int, d: int) -> int:
@@ -228,7 +233,7 @@ def verify_relations(n: int, d: int) -> int:
             # one web's memo at a time keeps memory at one web's words
             act = word_actions(web)
             for name, sides in instances:
-                assert _vanishes(act, sides), f"relation {name} fails on {lam}"
+                assert _vanishes(act, sides, len(lam)), f"relation {name} fails on {lam}"
         checked += len(instances)
     return checked
 
@@ -277,14 +282,12 @@ def adjunction_holds(signs: str, word: Word) -> bool:
     tsigns = signs_of_weight(target)
     scalar, back = tau_word(word, lam)
     # close(xu, v) and close(u, tau(x) v) both read v, back, mirror(u)
-    ell_s, ell_t = ell(signs), ell(tsigns)
+    ell_s, ell_t, n = ell(signs), ell(tsigns), len(lam)
     mirrors = [mirror(u.slices) for u in web_space(signs).basis.values()]
     for v in web_space(tsigns).basis.values():
-        tv = sweep_raw(web_vector(v), back)
+        tv = sweep_raw(web_vector(v), back, n)
         for slices in mirrors:
-            closed = sweep_raw(tv, slices)
-            assert len(closed) <= 1, "a closed web has one top configuration"
-            b = LaurentPoly._trusted(*closed.values()) if closed else LaurentPoly.zero()
+            b = closed_value(sweep_raw(tv, slices, n), n)
             if b.shift(ell_t) != scalar * b.shift(ell_s):
                 return False
     return True

@@ -3,13 +3,15 @@
 import gc
 import subprocess
 import sys
+import time
 import weakref
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_flows import nested
 
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
 from webkup import dualcan, flows, growth as growth_module
@@ -291,7 +293,8 @@ def test_state_vectors_hold_no_zero():
             for vec in vectors:
                 assert not any(v.is_zero() for v in vec.values()), signs
             for web in web_space(signs).basis.values():
-                assert all(c and 0 not in c.values() for c in web_vector(web).values()), signs
+                raw = nested(web_vector(web), len(web.top_weight))
+                assert all(c and 0 not in c.values() for c in raw.values()), signs
 
 
 def test_search_budget_exhaustion():
@@ -299,6 +302,16 @@ def test_search_budget_exhaustion():
     assert not rep.completed
     assert rep.found == []
     assert "budget exhausted" in rep.summary()
+
+
+def test_search_budget_ignores_a_wall_clock_step(monkeypatch):
+    # each reading of the wall clock steps it an hour, past the budget; the
+    # search must still finish, timed by its own run alone
+    wall = count(0.0, 3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(wall))
+    rep = search_counterexample(max_strands=4, budget_s=60)
+    assert rep.completed, rep.summary()
+    assert 0 <= rep.elapsed < 60
 
 
 def test_search_budget_env(monkeypatch):

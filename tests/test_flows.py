@@ -29,6 +29,7 @@ from webkup.flows import (
     SUBSETS,
     _weight_window,
     bracket,
+    closed_value,
     colorset_for,
     colorset_state,
     config_states,
@@ -512,9 +513,21 @@ def _flow_census_by_config(web):
     return {cfg: dict(c) for cfg, c in census.items()}
 
 
-def _unpacked(vec, n):
-    """A packed vector keyed by its n-column tuples of color sets."""
-    return {unpack(key, n): coeffs for key, coeffs in vec.items()}
+def nested(vec, n):
+    """A flat vector on n columns (flows.sweep_raw) read term by term into
+    {tuple of n color sets: {exponent: coeff}}, by floor division and
+    remainder rather than the library's shift and mask."""
+    out: dict = {}
+    for key, k in vec.items():
+        e, cfg = divmod(key, 8**n)
+        out.setdefault(unpack(cfg, n), {})[e] = k
+    return out
+
+
+def flat(vec, n):
+    """nested's inverse: {tuple of n color sets: {exponent: coeff}} as a
+    flat vector."""
+    return {pack(cfg) + e * 8**n: k for cfg, coeffs in vec.items() for e, k in coeffs.items()}
 
 
 POWER_WEBS = [
@@ -522,27 +535,51 @@ POWER_WEBS = [
     LadderWeb((3, 0, 3), (Slice("-", 1, 3), Slice("+", 1, 2), Slice("+", 2, 2), Slice("-", 2))),
 ]
 
+# twelve columns, so a key spans 36 bits and more: four tripods, then
+# rungs joining them and a power-2 rung at the last column pair
+WIDE_WEB = LadderWeb(
+    (3, 0, 0) * 4,
+    tuple(s for i in (1, 4, 7, 10) for s in (Slice("-", i), Slice("-", i + 1), Slice("-", i)))
+    + (Slice("+", 3), Slice("-", 6), Slice("+", 9), Slice("-", 11), Slice("+", 11, 2)),
+)
+
 
 @given(closed_bottom_ladders())
 @example(POWER_WEBS[0])
 @example(POWER_WEBS[1])
+@example(WIDE_WEB)
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_flow_census(web):
-    vec = web_vector(web)
-    assert _unpacked(vec, len(web.top_weight)) == _flow_census_by_config(web)
+    vec = nested(web_vector(web), len(web.top_weight))
+    assert vec == _flow_census_by_config(web)
     assert all(coeffs and 0 not in coeffs.values() for coeffs in vec.values())
 
 
+def test_closed_value_reads_the_one_configuration():
+    assert closed_value(web_vector(THETA), 3) == bracket(THETA) == expansion(THETA)[()]
+    assert closed_value({}, 3) == LaurentPoly.zero()
+    with pytest.raises(AssertionError, match="one top configuration"):
+        closed_value(web_vector(TRIPOD), 3)
+
+
+def test_wide_web_keys_pass_two_to_the_thirty():
+    vec = web_vector(WIDE_WEB)
+    assert min(vec) < -(2**30) and max(vec) > 2**30
+    assert min(e for coeffs in nested(vec, 12).values() for e in coeffs) < 0
+    assert _check_act(WIDE_WEB, (Slice("+", 1), Slice("-", 11), Slice("+", 6, 2))) is not None
+
+
 def _check_act(web, word):
-    """The memoized action of a live word on a web, a vector of raw
-    dicts, equals sweeping the web's vector with the whole word and the
-    vector of the web with the word stacked on top.  Returns the word's
-    target weight, None when the word kills the web."""
+    """The memoized action of a live word on a web, a flat vector, equals
+    sweeping the web's vector with the whole word and the vector of the
+    web with the word stacked on top.  Returns the word's target weight,
+    None when the word kills the web."""
     target = word_target(web.top_weight, word)
     if target is not None:
-        whole = word_actions(web)(word)
-        assert whole == sweep_raw(web_vector(web), word)
-        assert whole == web_vector(LadderWeb(web.bottom_weight, web.slices + word))
+        n = len(web.top_weight)
+        whole = nested(word_actions(web)(word), n)
+        assert whole == nested(sweep_raw(web_vector(web), word, n), n)
+        assert whole == nested(web_vector(LadderWeb(web.bottom_weight, web.slices + word)), n)
     return target
 
 
@@ -590,28 +627,58 @@ def test_divided_powers_are_single_moves_divided_by_the_factorial():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sweep_raw_equals_the_per_configuration_loop(seed):
-    # five columns of any color sets, coefficients with several exponents;
-    # every slice kind at the first, a middle and the last column pair,
-    # so cfg[:c] and cfg[c + 2:] are each empty once; an empty column
-    # beside a full one at each pair lets the power-3 slices move
+    _check_sweep_raw(seed, 5)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_sweep_raw_equals_the_per_configuration_loop_past_ten_columns(n):
+    # the keys pass 2^30; the seed is n
+    _check_sweep_raw(n, n)
+
+
+def _check_sweep_raw(seed, n):
+    # n columns of any color sets, coefficients with several exponents,
+    # negative ones too; every slice kind at the first, a middle and the
+    # last column pair, so cfg[:c] and cfg[c + 2:] are each empty once;
+    # an empty column beside a full one at each pair lets the power-3
+    # slices move
     rng = random.Random(seed)
-    cfgs = [[rng.choice(SUBSETS) for _ in range(5)] for _ in range(46)]
-    for cfg, c, pair in zip(cfgs, (0, 2, 3) * 2, [(frozenset(), FULL)] * 3 + [(FULL, frozenset())] * 3):
+    cfgs = [[rng.choice(SUBSETS) for _ in range(n)] for _ in range(46)]
+    for cfg, c, pair in zip(cfgs, (0, 2, n - 2) * 2, [(frozenset(), FULL)] * 3 + [(FULL, frozenset())] * 3):
         cfg[c : c + 2] = pair
     raw = {
         tuple(cfg): {e: rng.randint(1, 5) for e in rng.sample(range(-4, 5), rng.randint(2, 4))}
         for cfg in cfgs
     }
-    before = {cfg: dict(coeffs) for cfg, coeffs in raw.items()}
-    packed = {pack(cfg): coeffs for cfg, coeffs in raw.items()}
-    kinds = [Slice(sign, index, power) for sign in "+-" for power in (1, 2, 3) for index in (1, 3, 4)]
+    vec = flat(raw, n)
+    assert nested(vec, n) == raw
+    before = dict(vec)
+    kinds = [Slice(sign, index, power) for sign in "+-" for power in (1, 2, 3) for index in (1, 3, n - 1)]
     moved = 0
     for s in kinds:
-        got = _unpacked(sweep_raw(packed, (s,)), 5)
+        got = nested(sweep_raw(vec, (s,), n), n)
         assert got == _reference_sweep(raw, (s,)), s
         moved += bool(got)
     assert moved == len(kinds)
     word = tuple(rng.sample(kinds, 6))
-    assert _unpacked(sweep_raw(packed, word), 5) == _reference_sweep(raw, word)
-    assert raw == before
-    assert packed == {pack(cfg): coeffs for cfg, coeffs in before.items()}
+    assert nested(sweep_raw(vec, word, n), n) == _reference_sweep(raw, word)
+    assert vec == before
+    assert sweep_raw(vec, (), n) is vec
+
+
+def test_move_ints_are_the_xor_moves():
+    # each int a move adds to a flat key, at a column pair amid other
+    # columns and on a term of negative, zero and positive exponent, lands
+    # where the xor of _packed and the weight put the term
+    rng = random.Random(7)
+    for sign, power in product("+-", (1, 2, 3)):
+        for c3, n in ((0, 2), (3, 5), (30, 12)):
+            table = flows._moves(sign, power, c3, 3 * n)
+            assert len(table) == 64
+            for pair, moves in enumerate(flows._packed(sign, power)):
+                cfg = rng.getrandbits(3 * n) & ~(63 << c3) | pair << c3
+                for e in (-3, 0, 2):
+                    key = cfg + e * 8**n
+                    assert [key + d for d in table[pair]] == [
+                        (cfg ^ x << c3) + (e + w) * 8**n for x, w in moves
+                    ], (sign, power, c3, pair, e)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from webkup import flows
 from webkup.qlaurent import ONE
-from webkup.webs import LadderWeb, Slice, plain_boundaries
+from webkup.webs import LadderWeb, Slice, plain_boundaries, weight_of_signs
 from webkup.flows import count_weight_zero_flows, expansion
 from webkup.growth import (
     GrowthStuck,
@@ -206,10 +206,13 @@ def test_space_expansion_is_the_web_expansion(signs):
     keeps no memo of its own."""
     space = WebSpace(signs)
     assert space.states_of == {}
+    n = len(weight_of_signs(signs))
     for sign in "+-":
         for power in (1, 2, 3):
             flows.transitions(sign, power)
             flows._packed(sign, power)
+            for c3 in range(0, 3 * n - 3, 3):
+                flows._moves(sign, power, c3, 3 * n)
     before = _module_memory(flows)
     for J, web in space.basis.items():
         assert list(space.expansion(J).items()) == list(expansion(web).items())
