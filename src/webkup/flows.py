@@ -167,30 +167,17 @@ def unpack(key: int, n: int) -> tuple[frozenset, ...]:
 
 
 @lru_cache(maxsize=None)
-def _packed(sign: str, power: int) -> list:
-    """transitions(sign, power) on packed column pairs: entry A | B << 3,
-    for the masks A and B of the left and right columns, lists each move
-    as (the xor that turns the pair into the moved pair, weight), in
-    transitions' order."""
-    table = transitions(sign, power)
-    return [
-        tuple(
-            (MASK_OF[nA] ^ A | (MASK_OF[nB] ^ B) << 3, w)
-            for _, nA, nB, w in table[SUBSETS[A], SUBSETS[B]]
-        )
-        for B in range(8)
-        for A in range(8)
-    ]
-
-
-@lru_cache(maxsize=None)
 def _moves(sign: str, power: int, c3: int, s: int) -> tuple:
-    """_packed(sign, power) as the ints its moves add to a flat key (sweep_raw)
-    whose pair sits at bit c3 and exponent at bit s: the moved pair less
-    the pair, shifted to c3, plus the weight, shifted to s."""
+    """transitions(sign, power) as the ints its moves add to a flat key
+    (sweep_raw) whose column pair sits at bit c3 and exponent at bit s,
+    entry pack((A, B)) for the left and right color sets A and B: the
+    packed moved pair less the pair, shifted to c3, plus the weight,
+    shifted to s, in transitions' order."""
     own = {}.setdefault  # one object per distinct int and move list: a table repeats few
-    packed = enumerate(_packed(sign, power))
-    rows = [[((p ^ x) - p << c3) + (w << s) for x, w in moves] for p, moves in packed]
+    rows = [()] * 64
+    for pair, moves in transitions(sign, power).items():
+        p = pack(pair)
+        rows[p] = [(pack((nA, nB)) - p << c3) + (w << s) for _, nA, nB, w in moves]
     return tuple([own(t, t) for t in [tuple([own(d, d) for d in row]) for row in rows]])
 
 

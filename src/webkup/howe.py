@@ -49,37 +49,6 @@ def phi_word(word: Word, web: LadderWeb):
 
 
 # ---------------------------------------------------------------------------
-# word actions: a basis web swept with words stacked on top
-# ---------------------------------------------------------------------------
-
-
-def word_actions(web: LadderWeb):
-    """The action of live words on one closed-bottom web, memoized as
-    flat vectors (flows.sweep_raw's form, on the web's column count): the
-    empty word maps to web_vector(web), and a word to its
-    longest memoized prefix's vector swept by the rest, one slice at a
-    time, memoizing each prefix on the way, so words sharing a prefix
-    sweep it once.  Only words that word_target keeps alive may be asked
-    for; a prefix of a live word is live.  That equals sweeping the web
-    with the whole word stacked on top (asserted by
-    tests/test_flows.py::test_act_word_equals_slice_by_slice).  act does
-    not refer to itself, so the memo is freed by refcounting as soon as
-    act is dropped, with no wait for the cyclic collector."""
-    memo, n = {(): web_vector(web)}, len(web.bottom_weight)
-
-    def act(word: Word):
-        k = len(word)
-        while word[:k] not in memo:
-            k -= 1
-        vec = memo[word[:k]]
-        for k in range(k, len(word)):
-            vec = memo[word[: k + 1]] = sweep_raw(vec, word[k : k + 1], n)
-        return vec
-
-    return act
-
-
-# ---------------------------------------------------------------------------
 # defining relations
 # ---------------------------------------------------------------------------
 
@@ -187,16 +156,16 @@ def relation_instances(lam: tuple[int, ...]):
     return out
 
 
-def _side(act, terms, n: int) -> dict:
-    """sum(coeff * act(word)) over one side's terms, on flat vectors of n
-    columns: a term c q^e of coeff adds c * k at each key plus e << 3n.
-    A lone word with coefficient 1 is the memo's own dict, not a copy."""
+def _side(table: dict, terms, n: int) -> dict:
+    """sum(coeff * table[word]) over one side's terms, on flat vectors of
+    n columns: a term c q^e of coeff adds c * k at each key plus e << 3n.
+    A lone word with coefficient 1 is the table's own dict, not a copy."""
     if len(terms) == 1 and terms[0][0] == ONE.coeffs:
-        return act(terms[0][1])
+        return table[terms[0][1]]
     out: dict = {}
     get = out.get
     for coeff, word in terms:
-        vec = act(word)
+        vec = table[word]
         for e, c in coeff.items():
             d = e << 3 * n
             for key, k in vec.items():
@@ -204,17 +173,36 @@ def _side(act, terms, n: int) -> dict:
     return out
 
 
-def _vanishes(act, sides, n: int) -> bool:
-    """Whether a relation lhs = rhs holds on one vector of n columns: the
-    two sides, each built by _side, compared as dicts.  That is exact:
-    act's vectors hold only positive coefficients (each starts at
-    web_vector's {start: 1} and every move adds a coefficient-1 power of
-    q to a key, see flows.sweep_raw), every coefficient of a side is
-    positive (_sides asserts it), and a sum of products of positive terms
-    never cancels, so neither side holds a zero entry and equal vectors
-    are equal dicts."""
+def _vanishes(table: dict, sides, n: int) -> bool:
+    """Whether a relation lhs = rhs holds on one web of n columns: the two
+    sides, each built by _side from its word_table, compared as dicts.
+    That is exact: the table's vectors hold only positive coefficients
+    (each starts at web_vector's {start: 1} and every move adds a
+    coefficient-1 power of q to a key, see flows.sweep_raw), every
+    coefficient of a side is positive (_sides asserts it), and a sum of
+    products of positive terms never cancels, so neither side holds a
+    zero entry and equal vectors are equal dicts."""
     lhs, rhs = sides
-    return _side(act, lhs, n) == _side(act, rhs, n)
+    return _side(table, lhs, n) == _side(table, rhs, n)
+
+
+def prefix_words(instances) -> list[Word]:
+    """The non-empty prefixes of the words of relation instances
+    (relation_instances' form), each once, shortest first."""
+    words = (w for _, sides in instances for side in sides for _, w in side)
+    return sorted(dict.fromkeys(w[:k] for w in words for k in range(1, len(w) + 1)), key=len)
+
+
+def word_table(web: LadderWeb, words) -> dict:
+    """The flat vectors (flows.sweep_raw's form) of live words on one
+    closed-bottom web: () maps to web_vector(web), and each of words,
+    prefix-closed and shortest first (prefix_words), to its prefix's
+    vector swept by its last slice, which is the web swept with the word
+    stacked on top (tests/test_flows.py::test_act_word_equals_slice_by_slice)."""
+    table, n = {(): web_vector(web)}, len(web.bottom_weight)
+    for word in words:
+        table[word] = sweep_raw(table[word[:-1]], word[-1:], n)
+    return table
 
 
 def verify_relations(n: int, d: int) -> int:
@@ -229,11 +217,12 @@ def verify_relations(n: int, d: int) -> int:
         if not basis:
             continue
         instances = relation_instances(lam)
+        words = prefix_words(instances)
         for web in basis.values():
-            # one web's memo at a time keeps memory at one web's words
-            act = word_actions(web)
+            # one web's table at a time keeps memory at one web's words
+            table = word_table(web, words)
             for name, sides in instances:
-                assert _vanishes(act, sides, len(lam)), f"relation {name} fails on {lam}"
+                assert _vanishes(table, sides, len(lam)), f"relation {name} fails on {lam}"
         checked += len(instances)
     return checked
 

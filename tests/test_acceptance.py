@@ -27,7 +27,6 @@ from webkup.webs import Slice
 DERIVED_TABLES = (
     acceptance._closure_values,
     flows.transitions,
-    flows._packed,
     flows._moves,
     flows._weight_window,
     growth._rule_moves,

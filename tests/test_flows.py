@@ -48,7 +48,7 @@ from webkup.flows import (
 from webkup import flows
 from webkup.acceptance import _closure_values
 from webkup.growth import dominant_states, growth, web_space
-from webkup.howe import step_weight, word_actions, word_target
+from webkup.howe import step_weight, word_table, word_target
 from webkup.tableaux import state_to_filling
 
 CIRCLE = LadderWeb((0, 3), (Slice("+", 1), Slice("-", 1)))
@@ -107,16 +107,22 @@ def test_pack_round_trip():
     assert pack((frozenset(), FULL)) == 0o70
 
 
-def test_packed_tables_are_the_transitions():
+def test_move_tables_read_back_as_the_transitions():
+    # on two columns with the exponent at bit 6, a pair's key plus each
+    # of its move ints is the moved pair below bit 6 and the weight above,
+    # negative weights too, as >> floors
+    weights = set()
     for sign in "+-":
         for power in (1, 2, 3):
-            table = flows._packed(sign, power)
+            table = flows._moves(sign, power, 0, 6)
             assert len(table) == 64
             for (A, B), moves in transitions(sign, power).items():
                 code = pack((A, B))
-                assert [(unpack(code ^ delta, 2), w) for delta, w in table[code]] == [
-                    ((nA, nB), w) for _, nA, nB, w in moves
-                ]
+                keys = [code + d for d in table[code]]
+                want = [((nA, nB), w) for _, nA, nB, w in moves]
+                assert [(unpack(k & 63, 2), k >> 6) for k in keys] == want
+                weights.update(k >> 6 for k in keys)
+    assert min(weights) < 0 < max(weights)
 
 
 def test_frozen_weight_table_satisfies_constraints(calibration):
@@ -570,14 +576,14 @@ def test_wide_web_keys_pass_two_to_the_thirty():
 
 
 def _check_act(web, word):
-    """The memoized action of a live word on a web, a flat vector, equals
-    sweeping the web's vector with the whole word and the vector of the
-    web with the word stacked on top.  Returns the word's target weight,
-    None when the word kills the web."""
+    """A live word's vector in the web's word table, built from the
+    word's prefixes, equals sweeping the web's vector with the whole word
+    and the vector of the web with the word stacked on top.  Returns the
+    word's target weight, None when the word kills the web."""
     target = word_target(web.top_weight, word)
     if target is not None:
         n = len(web.top_weight)
-        whole = nested(word_actions(web)(word), n)
+        whole = nested(word_table(web, [word[:k] for k in range(1, len(word) + 1)])[word], n)
         assert whole == nested(sweep_raw(web_vector(web), word, n), n)
         assert whole == nested(web_vector(LadderWeb(web.bottom_weight, web.slices + word)), n)
     return target
@@ -669,16 +675,19 @@ def _check_sweep_raw(seed, n):
 def test_move_ints_are_the_xor_moves():
     # each int a move adds to a flat key, at a column pair amid other
     # columns and on a term of negative, zero and positive exponent, lands
-    # where the xor of _packed and the weight put the term
+    # where the xor of the pair with its transitions move and the weight
+    # put the term
     rng = random.Random(7)
     for sign, power in product("+-", (1, 2, 3)):
         for c3, n in ((0, 2), (3, 5), (30, 12)):
             table = flows._moves(sign, power, c3, 3 * n)
             assert len(table) == 64
-            for pair, moves in enumerate(flows._packed(sign, power)):
+            for (A, B), moves in transitions(sign, power).items():
+                pair = pack((A, B))
                 cfg = rng.getrandbits(3 * n) & ~(63 << c3) | pair << c3
                 for e in (-3, 0, 2):
                     key = cfg + e * 8**n
                     assert [key + d for d in table[pair]] == [
-                        (cfg ^ x << c3) + (e + w) * 8**n for x, w in moves
+                        (cfg ^ (pair ^ pack((nA, nB))) << c3) + (e + w) * 8**n
+                        for _, nA, nB, w in moves
                     ], (sign, power, c3, pair, e)

@@ -210,7 +210,6 @@ def test_space_expansion_is_the_web_expansion(signs):
     for sign in "+-":
         for power in (1, 2, 3):
             flows.transitions(sign, power)
-            flows._packed(sign, power)
             for c3 in range(0, 3 * n - 3, 3):
                 flows._moves(sign, power, c3, 3 * n)
     before = _module_memory(flows)

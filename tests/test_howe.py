@@ -1,6 +1,5 @@
 """Tests for the quantum gl_n rung action on web spaces."""
 
-import gc
 import random
 import re
 from collections import Counter
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_flows import nested
 
-from webkup import howe
+from webkup import flows, howe
 from webkup.qlaurent import LaurentPoly, ONE, ZERO, _add_product, qbinom, qint
 from webkup.webs import (
     LadderWeb,
@@ -33,7 +32,6 @@ from webkup.howe import (
     step_weight,
     tau_word,
     verify_relations,
-    word_actions,
     word_target,
 )
 
@@ -57,27 +55,6 @@ def test_phi_word_kills_out_of_range():
 
 def test_relations_three_columns():
     assert verify_relations(3, 3) == 536
-
-
-def test_word_memo_is_freed_without_the_cyclic_collector():
-    # the memo holds every prefix's vector; once act is dropped,
-    # refcounting alone must free it, leaving the collector nothing
-    web = next(iter(web_space("+-+-").basis.values()))
-    E, F, G = Slice("+", 1), Slice("-", 2), Slice("-", 3)
-    words = [(E,), (E, F), (F, E), (E, F, G), (F, G)]
-    assert all(word_target(web.top_weight, w) for w in words)
-    for w in words:  # warm the tables the sweep reads
-        word_actions(web)(w)
-    gc.disable()
-    try:
-        gc.collect()
-        act = word_actions(web)
-        for w in words:
-            assert act(w)
-        del act
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_relations_small_spaces():
@@ -169,13 +146,13 @@ def test_relation_table_equals_the_per_weight_reference(n, d):
         assert got == want, lam
 
 
-def _reference_vanishes(act, terms, n) -> bool:
+def _reference_vanishes(table, terms, n) -> bool:
     """The residue check on signed terms, on vectors of n columns: sum
-    coeff * act(word) term by term, deleting an entry that cancels, and
+    coeff * table[word] term by term, deleting an entry that cancels, and
     test for zero."""
     residue: dict = {}
     for coeff, word in terms:
-        for cfg, coeffs in nested(act(word), n).items():
+        for cfg, coeffs in nested(table[word], n).items():
             acc = residue.setdefault(cfg, {})
             _add_product(acc, coeff.coeffs, coeffs)
             if not acc:
@@ -196,15 +173,16 @@ def test_two_sided_check_equals_the_residue(n, d):
     scaled = 0
     for lam in weights_bounded(n, d):
         instances = howe.relation_instances(lam)
+        words = howe.prefix_words(instances)
         for web in web_space(signs_of_weight(lam)).basis.values():
-            act = howe.word_actions(web)
+            table = howe.word_table(web, words)
             for name, (lhs, rhs) in instances:
-                assert howe._vanishes(act, (lhs, rhs), len(lam))
-                assert _reference_vanishes(act, _signed((lhs, rhs)), len(lam))
+                assert howe._vanishes(table, (lhs, rhs), len(lam))
+                assert _reference_vanishes(table, _signed((lhs, rhs)), len(lam))
                 if name.startswith("divpow1") and lhs:
                     wrong = (lhs, _times_q(rhs))
-                    assert not howe._vanishes(act, wrong, len(lam)), (name, lam)
-                    assert not _reference_vanishes(act, _signed(wrong), len(lam)), (name, lam)
+                    assert not howe._vanishes(table, wrong, len(lam)), (name, lam)
+                    assert not _reference_vanishes(table, _signed(wrong), len(lam)), (name, lam)
                     scaled += 1
     assert scaled
 
@@ -214,9 +192,9 @@ def test_every_instance_is_checked_on_every_basis_vector(monkeypatch, n, d):
     real = howe._vanishes
     calls = Counter()
 
-    def counted(act, sides, n):
+    def counted(table, sides, n):
         calls["vanishes"] += 1
-        return real(act, sides, n)
+        return real(table, sides, n)
 
     monkeypatch.setattr(howe, "_vanishes", counted)
     verify_relations(n, d)
@@ -225,6 +203,34 @@ def test_every_instance_is_checked_on_every_basis_vector(monkeypatch, n, d):
         for lam in weights_bounded(n, d)
     )
     assert checks and calls["vanishes"] == checks
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 6)])
+def test_each_prefix_is_swept_once_per_basis_web(monkeypatch, n, d):
+    # one sweep for the web's vector and one per distinct non-empty
+    # prefix of the weight's instance words, on every basis web
+    verify_relations(n, d)  # warm the tables and spaces, which sweep too
+    calls = Counter()
+    real = flows.sweep_raw
+
+    def counted(raw, slices, cols):
+        calls["sweep"] += 1
+        return real(raw, slices, cols)
+
+    monkeypatch.setattr(flows, "sweep_raw", counted)
+    monkeypatch.setattr(howe, "sweep_raw", counted)
+    verify_relations(n, d)
+    want = 0
+    for lam in weights_bounded(n, d):
+        words = {
+            w[:k]
+            for _, sides in howe.relation_instances(lam)
+            for side in sides
+            for _, w in side
+            for k in range(1, len(w) + 1)
+        }
+        want += len(web_space(signs_of_weight(lam)).basis) * (1 + len(words))
+    assert want and calls["sweep"] == want
 
 
 # divpow1 is E^(b) E^(a) = [a+b choose a] E^(a+b); with that coefficient
