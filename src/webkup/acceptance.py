@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from typing import NamedTuple
 
 from .qlaurent import ONE, ZERO, add_scaled, qint
 from .webs import (
@@ -69,8 +69,7 @@ from .dualcan import (
 SEED = 20260816
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -10,12 +10,10 @@ partial file and reruns are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import webkup
 
@@ -35,6 +33,14 @@ def default_cache_dir() -> Path:
 
 def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text: str) -> str:
+    """SHA-256 of text as hex.  hashlib maps OpenSSL, so only a process
+    that reads or writes the cache imports it."""
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -91,11 +97,10 @@ def _code_stamp() -> str:
         for (A, B), moves in flows.transitions(sign, 1).items()
         for (x,), _, _, w in moves
     ]
-    return hashlib.sha256(repr((webkup.__version__, weights)).encode()).hexdigest()
+    return _digest(repr((webkup.__version__, weights)))
 
 
-@dataclass
-class Workspace:
+class Workspace(NamedTuple):
     root: Path
 
     @classmethod
@@ -125,8 +130,7 @@ class Workspace:
         if doc.get("stamp") != _code_stamp():
             return None
         payload = doc.get("payload")
-        digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
-        if doc.get("sha256") != digest:
+        if doc.get("sha256") != _digest(_canonical(payload)):
             return None
         return payload
 
@@ -138,10 +142,12 @@ class Workspace:
             "kind": kind,
             "signs": signs,
             "stamp": _code_stamp(),
-            "sha256": hashlib.sha256(_canonical(payload).encode()).hexdigest(),
+            "sha256": _digest(_canonical(payload)),
             "payload": payload,
         }
         text = dumps(doc, indent=1) + "\n"
+        import tempfile
+
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -17,13 +17,9 @@ import argparse
 import json
 import sys
 
-# no artifact command runs acceptance, howe, planar or render: their handlers import them
+# each handler or payload builder imports the modules only it runs
 from .qlaurent import LaurentPoly
 from .webs import LadderWeb, format_states, parse_states, weight_of_signs
-from .flows import bracket, expansion
-from .growth import dominant_states, flow_census, growth, web_space
-from .tableaux import center_dim, is_balanced, is_semistandard, state_to_filling
-from .dualcan import default_budget, element, search_counterexample
 from .cache import Workspace, dumps
 
 
@@ -81,6 +77,7 @@ def _rows_at_one(table: dict) -> dict:
 
 
 def basis_payload(signs: str) -> dict:
+    from .growth import web_space
     space = web_space(signs)
     return {
         "signs": signs,
@@ -116,6 +113,7 @@ def _text_writer():
 
 
 def expansions_payload(signs: str) -> dict:
+    from .growth import web_space
     write = _text_writer()
     return {format_states(J): write(exp) for J, exp in web_space(signs).scan()}
 
@@ -126,6 +124,8 @@ def dualcan_payload(signs: str) -> dict:
     dropped from space.elements unless it was there before; only its text
     is kept.  Dropping is safe: the scan descends, and element(J) reads
     only elements below J."""
+    from .dualcan import element
+    from .growth import web_space
     space = web_space(signs)
     kept = set(space.elements)
     write = _text_writer()
@@ -142,6 +142,7 @@ def dualcan_payload(signs: str) -> dict:
 
 
 def blocks_payload(signs: str) -> dict:
+    from .growth import flow_census
     mult = {format_states(J): m for J, m in flow_census(signs).items()}
     return {
         "multiplicities": mult,
@@ -182,6 +183,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .flows import bracket
     from .planar import PlanarWeb, rewrite_bracket
     web = _read_web(args.closed)
     if not web.is_closed():
@@ -209,6 +211,7 @@ def cmd_expand(args) -> int:
     web = _read_web(args.web)
     if not web.has_closed_bottom():
         raise UsageError("expand needs a web with a closed bottom")
+    from .flows import expansion
     vec = expansion(web)
     _emit({format_states(k): _poly_out(v, args.q1) for k, v in vec.items()})
     return 0
@@ -237,6 +240,7 @@ def cmd_howe_verify(args) -> int:
 
 
 def cmd_center_dim(args) -> int:
+    from .tableaux import center_dim
     print(center_dim(args.signs))
     return 0
 
@@ -247,6 +251,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_tableau(args) -> int:
+    from .tableaux import is_balanced, is_semistandard, state_to_filling
     signs, J = args.signs, args.states
     try:
         filling = state_to_filling(signs, J)
@@ -265,6 +270,7 @@ def cmd_tableau(args) -> int:
 
 
 def cmd_inverse_growth(args) -> int:
+    from .growth import dominant_states, growth
     from .howe import format_word, inverse_growth
     signs, J = args.signs, args.states
     if J not in set(dominant_states(signs)):
@@ -278,6 +284,7 @@ def cmd_inverse_growth(args) -> int:
 
 
 def _env_budget() -> float:
+    from .dualcan import default_budget
     try:
         return default_budget()
     except ValueError as exc:
@@ -292,6 +299,7 @@ def cmd_search(args) -> int:
     budget = _env_budget() if args.budget_s is None else args.budget_s
     if not budget >= 0:  # also true for nan
         raise UsageError(f"--budget-s must be a number of seconds >= 0, got {budget}")
+    from .dualcan import search_counterexample
     rep = search_counterexample(
         max_strands=args.max_strands,
         budget_s=budget,
@@ -303,6 +311,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .growth import dominant_states, growth
     from .render import render
     if (args.web is None) == (args.signs is None):
         raise UsageError("render needs a web file or a boundary with a state")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .qlaurent import LaurentPoly, add_scaled
 from .flows import count_weight_zero_flows
@@ -90,8 +90,7 @@ def dual_canonical_basis(signs: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     found: list  # (signs, states) with web != dual canonical element
     checked_webs: int
     last_boundary: str | None

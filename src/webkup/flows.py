@@ -34,9 +34,9 @@ that the power-1 tables of both slice kinds equal the derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .qlaurent import LaurentPoly, qfact
 from .webs import LadderWeb, visible_columns
@@ -263,8 +263,7 @@ def bracket(web: LadderWeb) -> LaurentPoly:
     return closed_value(web_vector(web), len(web.top_weight))
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """One flow on a ladder web: the color set moved by each slice."""
 
     web: LadderWeb

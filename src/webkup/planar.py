@@ -23,19 +23,20 @@ exists while vertices remain, and faces are even, so this terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .qlaurent import LaurentPoly, ONE, qint
 from .webs import LadderWeb
 
 
-@dataclass
 class PlanarWeb:
-    twin: dict[int, int] = field(default_factory=dict)
-    nxt: dict[int, int] = field(default_factory=dict)
-    out: set[int] = field(default_factory=set)
-    loops: int = 0
-    digons: int = 0
+    __slots__ = ("twin", "nxt", "out", "loops", "digons")
+
+    def __init__(self, twin: dict[int, int] | None = None, nxt: dict[int, int] | None = None,
+                 out: set[int] | None = None):
+        self.twin = {} if twin is None else twin
+        self.nxt = {} if nxt is None else nxt
+        self.out = set() if out is None else out
+        self.loops = 0
+        self.digons = 0
 
     # -- construction ----------------------------------------------------
 

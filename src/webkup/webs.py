@@ -13,7 +13,6 @@ State characters for flow boundary values:  1, 0, m  (for +1, 0, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -123,23 +122,41 @@ def step_weight(lam: tuple[int, ...], s: Slice):
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class LadderWeb:
-    """A web presented as a ladder: bottom weight plus slices, read upward."""
+    """A web presented as a ladder: bottom weight plus slices, read upward.
 
-    bottom_weight: tuple[int, ...]
-    slices: tuple[Slice, ...]
-    top_weight: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Immutable.  Equality, hash and repr read bottom_weight and slices;
+    top_weight follows from them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "bottom_weight", tuple(self.bottom_weight))
-        object.__setattr__(
-            self,
-            "slices",
-            tuple(s if type(s) is Slice else Slice(*s) for s in self.slices),
-        )
+    __slots__ = ("bottom_weight", "slices", "top_weight")
+
+    def __init__(self, bottom_weight: tuple[int, ...], slices: tuple[Slice, ...]):
+        init = object.__setattr__
+        init(self, "bottom_weight", tuple(bottom_weight))
+        init(self, "slices", tuple(s if type(s) is Slice else Slice(*s) for s in slices))
         # walk the levels once to validate everything loudly
-        object.__setattr__(self, "top_weight", self.levels()[-1])
+        init(self, "top_weight", self.levels()[-1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable LadderWeb")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable LadderWeb")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which validates again
+        return LadderWeb, (self.bottom_weight, self.slices)
+
+    def __eq__(self, other):
+        if other.__class__ is not LadderWeb:
+            return NotImplemented
+        return self.bottom_weight == other.bottom_weight and self.slices == other.slices
+
+    def __hash__(self):
+        return hash((self.bottom_weight, self.slices))
+
+    def __repr__(self):
+        return f"LadderWeb(bottom_weight={self.bottom_weight!r}, slices={self.slices!r})"
 
     @property
     def n_cols(self) -> int:

@@ -1,8 +1,6 @@
 """Workspace cache: versioning, atomicity, byte-identical hits."""
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -19,7 +19,7 @@ from webkup import cache, cli, dualcan, growth
 from webkup.cli import main
 from webkup.qlaurent import LaurentPoly, add_scaled, qint
 from webkup.oracles import invariant_dim
-from webkup.webs import LadderWeb, Slice, close, format_states, parse_states, plain_boundaries
+from webkup.webs import LadderWeb, Slice, format_states, parse_states, plain_boundaries
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -483,17 +483,90 @@ def test_artifact_bytes_match_the_reference(tmp_path, monkeypatch, signs):
     assert dualcan.dual_canonical_basis.cache_info().currsize == 0
 
 
-def test_importing_the_cli_leaves_out_what_no_artifact_command_runs():
-    lazy = {"acceptance", "gornik", "howe", "oracles", "planar", "render"}
-    assert lazy <= {m.name for m in pkgutil.iter_modules(webkup.__path__)}
-    code = "import json, sys, webkup.cli; print(json.dumps(sorted(sys.modules)))"
+def _fresh_env() -> dict:
     path = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _loaded_by(modules: str) -> set[str]:
+    """The modules a fresh interpreter adds to those it started with when
+    it runs `import <modules>`."""
+    code = (
+        "import json, sys; before = set(sys.modules); "
+        f"import {modules}; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env())
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout))
+    return set(json.loads(done.stdout))
+
+
+# hashlib maps OpenSSL and dataclasses loads inspect, ast and dis
+STARTUP_HEAVY = {"dataclasses", "hashlib", "_hashlib"}
+
+
+def test_importing_the_cli_leaves_out_what_no_artifact_command_runs():
+    """Each subcommand imports the modules it runs: the CLI alone loads
+    none of them, nor the startup-heavy standard modules."""
+    lazy = {"acceptance", "dualcan", "gornik", "growth", "howe", "oracles", "planar", "render", "tableaux"}
+    assert lazy <= {m.name for m in pkgutil.iter_modules(webkup.__path__)}
+    loaded = _loaded_by("webkup.cli")
     assert "webkup.cli" in loaded
     assert not {f"webkup.{m}" for m in lazy} & loaded
+    assert not STARTUP_HEAVY & loaded
+
+
+def test_the_library_loads_no_startup_heavy_module():
+    loaded = _loaded_by("webkup.dualcan, webkup.acceptance")
+    assert {"webkup.dualcan", "webkup.acceptance"} <= loaded
+    assert not STARTUP_HEAVY & loaded
+
+
+def test_a_cold_cached_command_in_a_fresh_process_stores_a_file_load_accepts(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "webkup.cli", "expand", "--cache", "--boundary=++--"],
+        capture_output=True, text=True, env=dict(_fresh_env(), WEBKUP_CACHE=str(tmp_path)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "expansions" / "S_++--.json").is_file()
+    assert cache.Workspace(tmp_path).load("expansions", "++--") == json.loads(done.stdout)
+
+
+def _no_records(obj) -> None:
+    """Fail if a NamedTuple record sits anywhere in obj: json writes one
+    as a bare list."""
+    assert not hasattr(type(obj), "_fields"), f"a {type(obj).__name__} reached the JSON writer"
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _no_records(k)
+            _no_records(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _no_records(v)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--json", "--cache", "+-+-"),
+        ("enumerate", "+-+-"),
+        ("expand", "--cache", "--boundary=+-+-"),
+        ("dualcan", "--cache", "+-+-"),
+        ("blocks", "--cache", "+-+-"),
+        ("tableau", "+-+-", "1m1m"),
+        ("inverse-growth", "+++", "10m"),
+    ],
+)
+def test_no_record_reaches_the_json_writer(argv, monkeypatch, tmp_path):
+    real = json.dumps
+
+    def checked(obj, *args, **kwargs):
+        _no_records(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", checked)  # cache.dumps writes through json.dumps too
+    monkeypatch.setenv("WEBKUP_CACHE", str(tmp_path))
+    code, out, err = run(*argv)
+    assert code == 0 and out, err
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from webkup.oracles import invariant_dim
 from webkup.planar import PlanarWeb, rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
 from webkup.dualcan import (
-    SearchReport,
     bar_symmetric_top,
     dual_canonical_basis,
     element,

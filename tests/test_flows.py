@@ -19,7 +19,6 @@ from webkup.webs import (
     ell,
     plain_boundaries,
     signs_of_weight,
-    weight_of_signs,
 )
 from webkup.flows import (
     COLORS,

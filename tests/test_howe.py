@@ -1,6 +1,5 @@
 """Tests for the quantum gl_n rung action on web spaces."""
 
-import random
 import re
 from collections import Counter
 from itertools import product

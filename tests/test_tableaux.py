@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webkup.webs import weight_of_signs
 from webkup.growth import dominant_states, flow_census
 from webkup.tableaux import (
     center_dim,

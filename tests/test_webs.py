@@ -1,5 +1,8 @@
 """Tests for boundary strings and ladder webs."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +143,39 @@ def test_ladder_validation():
         LadderWeb((3, 1), (Slice("+", 1, 1),))
     with pytest.raises(ValueError):
         LadderWeb((1, 1), (Slice("+", 2, 1),))
+
+
+ARC = LadderWeb((0, 3), [("+", 1)])
+
+
+def test_ladder_web_is_a_value_of_its_bottom_and_slices():
+    same = LadderWeb([0, 3], (Slice("+", 1, 1),))
+    assert same == ARC and hash(same) == hash(ARC) and same.slices == (Slice("+", 1),)
+    assert ARC != LadderWeb((0, 3), (Slice("+", 1, 2),)) and ARC != ((0, 3), ARC.slices)
+    moved = copy.copy(ARC)
+    object.__setattr__(moved, "top_weight", (3, 0))  # top_weight is derived, never compared
+    assert moved == ARC and hash(moved) == hash(ARC)
+    assert repr(ARC) == "LadderWeb(bottom_weight=(0, 3), slices=(Slice(sign='+', index=1, power=1),))"
+
+
+def test_ladder_web_is_immutable_and_has_no_dict():
+    for field in ("bottom_weight", "slices", "top_weight", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ARC, field, ())
+    with pytest.raises(AttributeError):
+        del ARC.slices
+    assert not hasattr(ARC, "__dict__")
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))])
+def test_ladder_web_copies_and_pickles_through_its_validation(clone):
+    web = close(ARC, ARC)
+    twin = clone(web)
+    assert twin == web and twin.top_weight == web.top_weight and repr(twin) == repr(web)
+    bad = copy.copy(ARC)
+    object.__setattr__(bad, "bottom_weight", (4, 3))
+    with pytest.raises(ValueError):
+        clone(bad)
 
 
 def test_reflect_reverses_slices():
