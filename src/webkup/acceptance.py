@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import NamedTuple
 
-from .qlaurent import ONE, ZERO, add_scaled, qint
+from .qlaurent import ONE, ZERO, LaurentPoly, qint
 from .webs import (
     LadderWeb,
     Slice,
@@ -33,7 +33,7 @@ from .webs import (
     weight_of_signs,
     weights_bounded,
 )
-from .flows import bracket, enumerate_flows, expansion, lusztig_form_vec
+from .flows import add_scaled, bracket, by_config, enumerate_flows, expansion, lusztig_form_vec
 from .planar import PlanarWeb, rewrite_bracket
 from .growth import (
     GrowthStuck,
@@ -194,13 +194,14 @@ def criterion_3():
     for signs in plain_boundaries(6):
         space = web_space(signs)
         for J in sorted(space.basis):
-            exp = space.expansions[J]
-            if exp.get(J) != ONE:
+            groups = by_config(space.expansions[J], space.n)
+            if groups.get(space.key(J)) != {0: 1}:
                 return False, f"diagonal entry at {signs} {J} is not 1"
-            for Jp, c in exp.items():
+            for cfg, coeffs in groups.items():
+                Jp = space.states_of[cfg]
                 if Jp > J:
                     return False, f"entry above the diagonal at {signs} {J}"
-                if not c.is_nonnegative():
+                if any(c < 0 for c in coeffs.values()):
                     return False, f"negative entry at {signs} ({J},{Jp})"
             webs += 1
     return True, f"{webs} expansions unitriangular with entries in N[q,q^-1]"
@@ -315,9 +316,10 @@ def criterion_8():
         space = web_space(signs)
         values = _closure_values(signs)
         for J, exp in space.expansions.items():
-            expect = ONE
-            for k, c in exp.items():
-                if k != J:
+            expect, top = ONE, space.key(J)
+            for cfg, coeffs in by_config(exp, space.n).items():
+                if cfg != top:
+                    c = LaurentPoly(coeffs)
                     expect = expect + c * c
             if values[J, J][0].shift(-ell(signs)) != expect:
                 return False, f"diagonal form value differs at {signs} {J}"
@@ -385,25 +387,27 @@ def criterion_11():
         db = dual_canonical_basis(signs)
         space = web_space(signs)
         for J, (vec, row) in db.items():
-            if vec.get(J) != ONE:
+            top = space.key(J)
+            if by_config(vec, space.n).get(top) != {0: 1}:
                 return False, f"leading coefficient at {signs} {J}"
-            for k, v in vec.items():
-                if k != J and not strictly_below_one(v):
-                    return False, f"off-leading coefficient at {signs} {J}"
+            # a key >= 0 is a term of exponent >= 0 (WebSpace)
+            if any(key >= 0 and key != top for key in vec):
+                return False, f"off-leading coefficient at {signs} {J}"
             if not all(c.is_bar_invariant() for c in row.values()):
                 return False, f"element not bar-invariant at {signs} {J}"
             # the web is the element plus corrections by smaller elements
             recon = dict(vec)
             for K, d in row.items():
-                add_scaled(recon, d, db[K][0])
+                add_scaled(recon, d, db[K][0], space.n)
                 corrections += 1
             if recon != space.expansion(J):
                 return False, f"change of basis does not reconstruct {signs} {J}"
             elements += 1
+        groups = {J: by_config(vec, space.n) for J, (vec, _) in db.items()}
         keys = sorted(db)
         for J in keys:
             for K in keys:
-                f = lusztig_form_vec(db[J][0], db[K][0])
+                f = lusztig_form_vec(groups[J], groups[K])
                 delta = ONE if J == K else ZERO
                 if not strictly_below_one(f - delta):
                     return False, f"pairing off delta at {signs} ({J},{K})"

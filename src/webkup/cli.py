@@ -19,6 +19,7 @@ import sys
 
 # each handler or payload builder imports the modules only it runs
 from .qlaurent import LaurentPoly
+from .flows import Memo, coefficient
 from .webs import LadderWeb, format_states, parse_states, weight_of_signs
 from .cache import Workspace, dumps
 
@@ -87,26 +88,35 @@ def basis_payload(signs: str) -> dict:
     }
 
 
-def _text_writer():
-    """A function writing a {state: Laurent} row as {state string: text}.
-    Over all the rows it writes, each distinct state and each distinct
-    coefficient is written once; a boundary's rows share a few thousand
-    states and a few dozen coefficients among tens of thousands of
-    entries."""
-    state_text: dict[tuple, str] = {}
-    coeff_text: dict[tuple, str] = {}
+def _text_writer(space):
+    """A function writing a vector of space (WebSpace's flat form) as
+    {state string: coefficient text}.  Over all the vectors it writes,
+    each configuration's state string and each distinct {exponent: coeff}
+    group's text is written once; a boundary's vectors share a few
+    thousand configurations and a few dozen groups among tens of
+    thousands of terms.  It reads space.states_of, which the scan that
+    yields the vectors holds.
+
+    Most configurations of a vector hold one term, so it writes term by
+    term, the text of q^e times c read from a memo by c and e, and then
+    rewrites each configuration met twice from its whole group."""
+    s = 3 * space.n
+    mask = (1 << s) - 1
+    state_text = Memo(lambda cfg: format_states(space.states_of[cfg]))
+    group_text = Memo(lambda items: str(LaurentPoly._trusted(dict(items))))
+    term_text = Memo(lambda c: Memo(lambda e: group_text[((e, c),)]))
 
     def write(vec: dict) -> dict:
-        row = {}
-        for k, v in vec.items():
-            key = state_text.get(k)
-            if key is None:
-                key = state_text[k] = format_states(k)
-            items = tuple(v.coeffs.items())
-            text = coeff_text.get(items)
-            if text is None:
-                text = coeff_text[items] = str(v)
-            row[key] = text
+        row, shared = {}, set()
+        for key, c in vec.items():
+            text = state_text[key & mask]
+            if text in row:
+                shared.add(key & mask)
+            row[text] = term_text[c][key >> s]
+        if shared:
+            span = range(min(vec) >> s, (max(vec) >> s) + 1)
+            for cfg in shared:
+                row[state_text[cfg]] = group_text[tuple(coefficient(vec, cfg, space.n, span).items())]
         return row
 
     return write
@@ -114,8 +124,9 @@ def _text_writer():
 
 def expansions_payload(signs: str) -> dict:
     from .growth import web_space
-    write = _text_writer()
-    return {format_states(J): write(exp) for J, exp in web_space(signs).scan()}
+    space = web_space(signs)
+    write = _text_writer(space)
+    return {format_states(J): write(vec) for J, vec in space.scan()}
 
 
 def dualcan_payload(signs: str) -> dict:
@@ -128,14 +139,14 @@ def dualcan_payload(signs: str) -> dict:
     from .growth import web_space
     space = web_space(signs)
     kept = set(space.elements)
-    write = _text_writer()
+    write = _text_writer(space)
     elements, d_matrix = {}, {}
     for J, _ in space.scan():
         vec, row = element(space, J)
         key = format_states(J)
         elements[key] = write(vec)
         if row:
-            d_matrix[key] = write(row)
+            d_matrix[key] = {format_states(K): str(c) for K, c in row.items()}
         if J not in kept:
             del space.elements[J]
     return {"elements": elements, "d_matrix": d_matrix}

@@ -1,7 +1,7 @@
 """Dual canonical vectors and their comparison with basis webs.
 
 Each element is built on demand from its own web (element): start from
-the web's expansion and, at the largest state off the leading one whose
+the web's flat vector and, at the largest state off the leading one whose
 coefficient has an exponent >= 0, subtract the bar-symmetric top of that
 coefficient times the element of that state; repeat until every
 coefficient below the leading one lies in q^-1 Z[q^-1].  All ingredients
@@ -20,8 +20,8 @@ import time
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qlaurent import LaurentPoly, add_scaled
-from .flows import count_weight_zero_flows
+from .qlaurent import LaurentPoly
+from .flows import add_scaled, coefficient, count_weight_zero_flows
 from .growth import WebSpace, web_space
 from .webs import format_states, plain_boundaries
 
@@ -45,34 +45,43 @@ def strictly_below_one(p: LaurentPoly) -> bool:
 
 
 def element(space: WebSpace, J: tuple) -> tuple[dict, dict]:
-    """The dual canonical element led by J, as (state vector, row), where
-    the row {K: c_JK} gives the web as the element plus the sum of c_JK
-    times the element led by K; the row is empty exactly when the web is
-    its element.  Each c_JK is bar-invariant by construction and in
-    N[q, q^-1] (asserted): it is a graded multiplicity of a projective
-    under the paper's Morita equivalence with a level-3 cyclotomic KLR
-    algebra.  An element that needs no correction is its web's
-    expansion itself; both are shared, so read-only.  Memoized in
+    """The dual canonical element led by J, as (vector, row): the vector
+    in the space's flat form (WebSpace), the row {K: c_JK} giving the web
+    as the element plus the sum of c_JK times the element led by K; the
+    row is empty exactly when the web is its element.  Each c_JK is
+    bar-invariant by construction and in N[q, q^-1] (asserted): it is a
+    graded multiplicity of a projective under the paper's Morita
+    equivalence with a level-3 cyclotomic KLR algebra.
+
+    It corrects on ints.  A key is >= 0 exactly when its exponent is, so
+    a vector needs a correction exactly when it holds a key >= 0 other
+    than space.key(J), J's own q^0 (WebSpace.expansion asserts that it is
+    J's configuration's only term).  It maps only those keys'
+    configurations to states, takes the largest state K, and subtracts
+    c_JK, the bar-symmetric top of that configuration's coefficient,
+    times the element led by K, each exponent of c_JK an e << 3n offset
+    to the keys.  An element that needs no correction is its web's
+    vector itself; both are shared, so read-only.  Memoized in
     space.elements, so a rebuilt or planted space gets its own elements
     and dropping a space frees them."""
     if J in space.elements:
         return space.elements[J]
-    vec, row = space.expansion(J), {}
-    last = J
-    # correct at the largest state off J whose coefficient has an exponent >= 0
-    while (
-        K := max((k for k, v in vec.items() if k != J and not strictly_below_one(v)), default=None)
-    ) is not None:
+    n, states_of = space.n, space.states_of
+    mask, top = (1 << 3 * n) - 1, space.key(J)
+    vec, row, last = space.expansion(J), {}, J
+    while high := [key for key in vec if key >= 0 and key != top]:
+        K, cfg = max((states_of[key & mask], key & mask) for key in high)
+        coeff = LaurentPoly(coefficient(vec, cfg, n))
         # a correction leaves only smaller states to correct, so each one
         # lands strictly below the last; anything else would never end
         if K >= last or K not in space.basis:
-            raise AssertionError(f"correction failed: coefficient at {K} of element {J} is {vec[K]}")
+            raise AssertionError(f"correction failed: coefficient at {K} of element {J} is {coeff}")
         if not row:
             vec = dict(vec)
-        row[K] = bar_symmetric_top(vec[K])
+        row[K] = bar_symmetric_top(coeff)
         if not row[K].is_nonnegative():
             raise AssertionError(f"negative correction at {K} of element {J}: {row[K]}")
-        add_scaled(vec, -row[K], element(space, K)[0])
+        add_scaled(vec, -row[K], element(space, K)[0], n)
         last = K
     space.elements[J] = vec, row
     return space.elements[J]

@@ -219,6 +219,20 @@ def web_vector(web: LadderWeb) -> dict[int, int]:
     return sweep_raw({pack(start_config(web.bottom_weight)): 1}, web.slices, len(web.bottom_weight))
 
 
+class Memo(dict):
+    """A dict that fills a missing key with fill(key) and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
+
+
 def config_states(cfg, cols) -> tuple[int, ...]:
     try:
         return tuple([STATE_OF[cfg[i]] for i in cols])
@@ -226,26 +240,49 @@ def config_states(cfg, cols) -> tuple[int, ...]:
         return tuple([colorset_state(cfg[i]) for i in cols])
 
 
-def expansion(web: LadderWeb, states_of: dict | None = None) -> dict[tuple[int, ...], LaurentPoly]:
+def coefficient(vec: dict, cfg: int, n: int, span: range | None = None) -> dict[int, int]:
+    """The {exponent: coeff} of one configuration of a flat vector on n
+    columns (sweep_raw), probed at each exponent of span, by default every
+    one from the vector's least to its greatest; a caller probing many
+    configurations of one vector passes that span once."""
+    s = 3 * n
+    if span is None:
+        span = range(min(vec, default=0) >> s, (max(vec, default=0) >> s) + 1)
+    keys = [cfg + (e << s) for e in span]
+    return {key >> s: vec[key] for key in keys if key in vec}
+
+
+def add_scaled(acc: dict, c: LaurentPoly, vec: dict, n: int) -> None:
+    """acc += c * vec in place, on flat vectors on n columns (sweep_raw):
+    each term q^e of c adds e << 3n to vec's keys.  An entry that cancels
+    is deleted, so a vector built here, like one the sweep builds, stores
+    no zero and no reader filters zeros."""
+    s = 3 * n
+    get = acc.get
+    for e, a in c.coeffs.items():
+        d = e << s
+        for key, k in vec.items():
+            key += d
+            if v := get(key, 0) + a * k:
+                acc[key] = v
+            else:
+                del acc[key]
+
+
+def expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
     """Boundary-state coefficients of a closed-bottom web.
 
     Maps each state string of the top boundary to an exact Laurent
     polynomial; the top configuration of a flow determines its states
-    (and conversely, so no information is lost here).
-
-    states_of, a dict the caller keeps, memoizes the states of each
-    packed top configuration across calls.  It may serve webs of any top
-    weight: a configuration's color sets have as many colors as their
-    columns' weights, so it fixes its visible columns too.
+    (and conversely, so no information is lost here).  The library's own
+    readers keep web_vector's flat form; this is the form `expand
+    WEB_JSON` writes.
     """
     n, cols = len(web.top_weight), visible_columns(web.top_weight)
-    states_of, out = {} if states_of is None else states_of, {}
-    for cfg, coeffs in by_config(web_vector(web), n).items():
-        J = states_of.get(cfg)
-        if J is None:
-            J = states_of[cfg] = config_states(unpack(cfg, n), cols)
-        out[J] = LaurentPoly._trusted(coeffs)
-    return out
+    return {
+        config_states(unpack(cfg, n), cols): LaurentPoly._trusted(coeffs)
+        for cfg, coeffs in by_config(web_vector(web), n).items()
+    }
 
 
 def closed_value(vec: dict, n: int) -> LaurentPoly:
@@ -379,11 +416,14 @@ def _weight_window(sign: str, power: int, a: int, b: int) -> float:
 
 
 def lusztig_form_vec(u: dict, v: dict) -> LaurentPoly:
-    """Normalized pairing of two state-coefficient vectors, coordinatewise; on
-    two expansions it is q^(-strand count) * bracket(close(u, v))."""
-    out = LaurentPoly.zero()
-    for k, a in u.items():
-        b = v.get(k)
+    """Normalized pairing of two vectors grouped by configuration
+    (by_config), configuration by configuration; on two basis webs'
+    vectors it is q^(-strand count) * bracket(close(u, v))."""
+    out: dict[int, int] = {}
+    for cfg, a in u.items():
+        b = v.get(cfg)
         if b is not None:
-            out = out + a * b
-    return out
+            for e, c in a.items():
+                for f, d in b.items():
+                    out[e + f] = out.get(e + f, 0) + c * d
+    return LaurentPoly(out)

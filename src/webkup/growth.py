@@ -28,18 +28,21 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .qlaurent import ONE
 from .webs import WEIGHT_TO_SIGN, LadderWeb, Slice, weight_of_signs, visible_columns
 from .flows import (
     COLORS,
     FULL,
     Flow,
+    Memo,
     colorset_for,
     colorset_state,
+    coefficient,
     config_states,
-    expansion,
+    pack,
     transitions,
+    unpack,
     walk_moves,
+    web_vector,
 )
 from .tableaux import semistandard_states
 
@@ -199,42 +202,69 @@ def web_space(signs: str) -> "WebSpace":
 
 class WebSpace:
     """The web basis of one boundary string, keyed by its dominant states
-    in descending order, with two memos filled on request and freed with
-    the space: `expanded` (J -> expansion) and `elements` (J -> dual
-    canonical element, filled by dualcan.element)."""
+    in descending order, with three memos filled on request and freed with
+    the space: `expanded` (J -> the web's vector), `elements` (J -> dual
+    canonical element, filled by dualcan.element) and `states_of`.
+
+    A vector is flows.web_vector's flat form {cfg | e << 3n: coeff} on the
+    space's n columns: one int key per term, its packed top configuration
+    and its exponent of q.  As 0 <= cfg < 1 << 3n, a key is >= 0 exactly
+    when its exponent is, and >= 1 << 3n exactly when it is positive."""
 
     def __init__(self, signs: str):
         self.signs = signs
+        self.top_weight = weight_of_signs(signs)
+        self.n = len(self.top_weight)
         self.basis = {J: growth(signs, J).web for J in dominant_states(signs)}
-        self.expanded: dict[tuple, dict] = {}  # J -> expansion, filled on request
+        self.expanded: dict[tuple, dict] = {}  # J -> vector, filled on request
+
+    def key(self, J: tuple) -> int:
+        """J's packed configuration: its term of exponent 0 in a vector."""
+        states = iter(J)
+        return pack([
+            colorset_for(w, next(states)) if w in (1, 2) else FULL if w == 3 else frozenset()
+            for w in self.top_weight
+        ])
 
     def expansion(self, J: tuple) -> dict:
-        """Expansion of the web at J, built on first request and asserted
-        unitriangular: its largest state is J, with coefficient 1.  Shared,
-        so read-only."""
+        """The vector of the web at J, built on first request and asserted
+        unitriangular, the invariant every flat reader rests on: no flow
+        has positive weight (every key is below 1 << 3n), J's configuration
+        holds the one term q^0, and J is the largest state.  Shared, so
+        read-only."""
         if J not in self.expanded:
-            exp = expansion(self.basis[J], self.states_of)
-            if max(exp) != J or exp[J] != ONE:
+            vec, s = web_vector(self.basis[J]), 3 * self.n
+            if max(vec) >= 1 << s:
+                raise AssertionError(f"the basis web at {J} has a flow of positive weight")
+            mask, states_of = (1 << s) - 1, self.states_of
+            if (
+                coefficient(vec, self.key(J), self.n) != {0: 1}
+                or max(map(states_of.__getitem__, [key & mask for key in vec])) != J
+            ):
                 raise AssertionError(f"expansion of the basis web at {J} is not unitriangular")
-            self.expanded[J] = exp
-            if len(self.expanded) == len(self.basis):
-                del self.states_of  # no configuration is left to map
+            self.expanded[J] = vec
         return self.expanded[J]
 
     def scan(self):
-        """Yield (J, expansion) over the basis in descending order, read
-        from the memo where it holds J; any other is built by `expansion`
-        and dropped once the caller moves on.  So a scan leaves `expanded`
-        as it found it, and a cold one holds one expansion at a time.  The
-        order lets a caller drop dual canonical elements too: element(J)
-        reads only elements below J, which the scan has not reached."""
-        kept = set(self.expanded)
+        """Yield (J, vector) over the basis in descending order, read from
+        the memo where it holds J; any other is built by `expansion` and
+        dropped once the caller moves on.  So a cold scan holds one vector
+        at a time, and a scan leaves `expanded` and `states_of` as it found
+        them, also when the caller stops early or raises.  The order lets
+        a caller drop dual canonical elements too: element(J) reads only
+        elements below J, which the scan has not reached."""
         assert list(self.basis) == sorted(self.basis, reverse=True), "basis not descending"
-        for J in self.basis:
-            yield J, self.expansion(J)
-            if J not in kept:
+        kept, kept_states = set(self.expanded), "states_of" in vars(self)
+        try:
+            for J in self.basis:
+                yield J, self.expansion(J)
+                if J not in kept:
+                    del self.expanded[J]
+        finally:
+            for J in set(self.expanded) - kept:
                 del self.expanded[J]
-        vars(self).pop("states_of", None)  # every basis web has been expanded
+            if not kept_states:
+                vars(self).pop("states_of", None)
 
     @cached_property
     def elements(self) -> dict[tuple, tuple]:
@@ -243,28 +273,34 @@ class WebSpace:
         return {}
 
     @cached_property
-    def states_of(self) -> dict[int, tuple]:
-        """Packed top configuration -> states, shared by this space's
-        expansions and freed once the memo holds every expansion or a scan
-        has passed them all: a 10-strand boundary's expansions hold tens of
-        thousands of terms over a few thousand configurations."""
-        return {}
+    def states_of(self) -> Memo:
+        """Packed configuration -> its states, filled as `expansion` checks
+        each vector and read by every reader that names a configuration's
+        state: a 10-strand boundary's vectors hold tens of thousands of
+        terms over a few thousand configurations."""
+        n, cols = self.n, visible_columns(self.top_weight)
+        return Memo(lambda cfg: config_states(unpack(cfg, n), cols))
 
     @cached_property
     def expansions(self) -> dict[tuple, dict]:
-        """Expansion of every basis web, all held at once."""
+        """The vector of every basis web, all held at once."""
         return {J: self.expansion(J) for J in self.basis}
 
 
 def flow_census(signs: str) -> Counter:
     """Flow count of each boundary state, summed over the basis webs.
 
-    Every flow adds +q^weight to the expansion coefficient of its
-    boundary, so the count is that coefficient at q = 1.  Read through
-    WebSpace.scan, so it holds one expansion at a time, or reads those
-    already memoized (selftest's criterion 3 expands every space)."""
-    census: Counter = Counter()
-    for _, exp in web_space(signs).scan():
-        for state, poly in exp.items():
-            census[state] += poly.eval_at_one()
-    return census
+    Every flow adds +q^weight to its top configuration, so the count is
+    the sum of that configuration's coefficients; they are summed per
+    configuration, and each configuration is mapped to its state once.
+    Read through WebSpace.scan, so it holds one vector at a time, or reads
+    those already memoized (selftest's criterion 3 expands every space)."""
+    space = web_space(signs)
+    mask, counts, states_of = (1 << 3 * space.n) - 1, {}, {}
+    get = counts.get
+    for _, vec in space.scan():
+        states_of = space.states_of  # held past the scan, which drops it if it made it
+        for key, c in vec.items():
+            key &= mask
+            counts[key] = get(key, 0) + c
+    return Counter({states_of[cfg]: count for cfg, count in counts.items()})

@@ -219,19 +219,6 @@ def _add_product(acc: dict, a: Mapping, b: Mapping) -> None:
                 del acc[e]
 
 
-def add_scaled(acc: dict, c: LaurentPoly, vec: Mapping) -> None:
-    """acc += c * vec in place, for state vectors {key: LaurentPoly}.
-    A state vector never stores a zero coefficient: an entry that cancels
-    is removed, so vectors built here or by the slice sweep need no filter."""
-    for k, v in vec.items():
-        raw = dict(acc[k].coeffs) if k in acc else {}
-        _add_product(raw, c.coeffs, v.coeffs)
-        if raw:
-            acc[k] = LaurentPoly._trusted(raw)
-        else:
-            acc.pop(k, None)
-
-
 def qint(a: int) -> LaurentPoly:
     """Balanced quantum integer: q^(a-1) + q^(a-3) + ... + q^-(a-1).
 

@@ -19,7 +19,8 @@ import pytest
 import webkup
 from webkup import acceptance, dualcan, flows, growth, howe, planar
 from webkup.planar import PlanarWeb
-from webkup.qlaurent import LaurentPoly, add_scaled, qint
+from webkup.flows import add_scaled
+from webkup.qlaurent import LaurentPoly, qint
 from webkup.webs import Slice
 
 
@@ -392,12 +393,12 @@ def test_criterion_05_fails_on_a_wrong_oracle(monkeypatch):
 
 
 def _planted_space(monkeypatch, signs, change):
-    """Serve a web space of `signs` whose per-web expansions `change` has
-    edited, to the acceptance checks and to the dual canonical
-    construction: both read them through WebSpace.expansion."""
+    """Serve a web space of `signs` whose per-web vectors `change` has
+    edited in the space's memo, to the acceptance checks and to the dual
+    canonical construction: both read them through WebSpace.expansion."""
     space = growth.WebSpace(signs)
     space.expanded = {J: dict(space.expansion(J)) for J in space.basis}
-    change(space.expanded)
+    change(space)
     for module in (acceptance, dualcan):
         real = module.web_space
         monkeypatch.setattr(
@@ -409,8 +410,12 @@ def test_criterion_03_fails_on_a_negative_entry_off_the_dominant_states(monkeypa
     # the entry sits in a column of a state that is not dominant
     J, k = (1, 1, -1, -1), (-1, -1, 1, 1)
 
-    def negate(expansions):
-        expansions[J][k] = -expansions[J][k]
+    def negate(space):
+        vec, mask = space.expanded[J], (1 << 3 * space.n) - 1
+        terms = [key for key in vec if key & mask == space.key(k)]
+        assert terms
+        for key in terms:
+            vec[key] = -vec[key]
 
     _planted_space(monkeypatch, "+-+-", negate)
     res = acceptance.CRITERIA[3]()
@@ -421,8 +426,8 @@ def test_criterion_03_fails_on_a_negative_entry_off_the_dominant_states(monkeypa
 PLANTED_TOP, OTHER = (1, 1, -1, -1), (1, -1, 1, -1)  # the dominant states of +-+-
 
 
-def _top_plus_q_plus_inverse_q_times_other(expansions):
-    add_scaled(expansions[PLANTED_TOP], qint(2), expansions[OTHER])
+def _top_plus_q_plus_inverse_q_times_other(space):
+    add_scaled(space.expanded[PLANTED_TOP], qint(2), space.expanded[OTHER], space.n)
 
 
 def test_criterion_11_corrects_a_web_that_is_not_dual_canonical(monkeypatch, fresh_tables):
@@ -442,10 +447,11 @@ def test_criterion_11_corrects_a_web_that_is_not_dual_canonical(monkeypatch, fre
 CHAIN_J, CHAIN_K, CHAIN_L = (1, 1, 1, -1, -1, -1), (1, 1, 0, 0, -1, -1), (1, 0, -1, 1, 0, -1)
 
 
-def _chain(expansions):
+def _chain(space):
     # plant e_K + [2] e_L at K, then e_J + [2] (that) at J
-    add_scaled(expansions[CHAIN_K], qint(2), expansions[CHAIN_L])
-    add_scaled(expansions[CHAIN_J], qint(2), expansions[CHAIN_K])
+    vectors = space.expanded
+    add_scaled(vectors[CHAIN_K], qint(2), vectors[CHAIN_L], space.n)
+    add_scaled(vectors[CHAIN_J], qint(2), vectors[CHAIN_K], space.n)
 
 
 def test_criterion_11_corrects_a_chain_of_two_levels(monkeypatch, fresh_tables):
@@ -493,8 +499,8 @@ def test_criterion_11_fails_on_a_correction_that_is_not_bar_invariant(monkeypatc
     assert res.detail == f"element not bar-invariant at +-+- {PLANTED_TOP}"
 
 
-def _top_minus_two_times_other(expansions):
-    add_scaled(expansions[PLANTED_TOP], -qint(2), expansions[OTHER])
+def _top_minus_two_times_other(space):
+    add_scaled(space.expanded[PLANTED_TOP], -qint(2), space.expanded[OTHER], space.n)
 
 
 def test_criterion_11_fails_on_a_negative_correction(monkeypatch, fresh_tables):

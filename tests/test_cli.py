@@ -17,7 +17,8 @@ import pytest
 import webkup
 from webkup import cache, cli, dualcan, growth
 from webkup.cli import main
-from webkup.qlaurent import LaurentPoly, add_scaled, qint
+from webkup.flows import add_scaled, by_config, config_states, unpack
+from webkup.qlaurent import LaurentPoly, ONE
 from webkup.oracles import invariant_dim
 from webkup.webs import LadderWeb, Slice, format_states, parse_states, plain_boundaries
 
@@ -595,10 +596,10 @@ EXPANSION_READERS = (cli.blocks_payload, cli.expansions_payload, cli.dualcan_pay
 def test_cold_artifacts_hold_one_expansion_at_a_time(fresh_spaces, monkeypatch):
     """On a boundary without a hit, each builder that reads expansions
     holds at most one expansion and one element it made, and leaves a
-    fresh space's memos empty.  On a space expanded beforehand, as
-    selftest's criterion 3 leaves its spaces, they read the memos, compute
-    no expansion and keep every entry, the same objects, with the same
-    output."""
+    fresh space's memos empty and no state memo on it.  On a space
+    expanded beforehand, as selftest's criterion 3 leaves its spaces,
+    they read the memos, compute no expansion and keep every entry, the
+    same objects, with the same output."""
     signs = "+-++--++--"
     space = growth.web_space(signs)
     cold = {}
@@ -606,6 +607,7 @@ def test_cold_artifacts_hold_one_expansion_at_a_time(fresh_spaces, monkeypatch):
         space.expanded, space.elements = _PeakDict(), _PeakDict()
         cold[build] = build(signs)
         assert (space.expanded, space.elements) == ({}, {}), build.__name__
+        assert "states_of" not in vars(space), build.__name__
         assert space.expanded.peak == 1, build.__name__
         assert space.elements.peak == (1 if build is cli.dualcan_payload else 0), build.__name__
     growth.web_space.cache_clear()
@@ -616,7 +618,7 @@ def test_cold_artifacts_hold_one_expansion_at_a_time(fresh_spaces, monkeypatch):
     def no_expansion(*args):
         raise AssertionError("an expansion the memo holds was built again")
 
-    monkeypatch.setattr(growth, "expansion", no_expansion)
+    monkeypatch.setattr(growth, "web_vector", no_expansion)
     for build in EXPANSION_READERS:
         assert build(signs) == cold[build], build.__name__
         for memo, before in ((space.expanded, expanded), (space.elements, elements)):
@@ -626,28 +628,47 @@ def test_cold_artifacts_hold_one_expansion_at_a_time(fresh_spaces, monkeypatch):
 
 def test_dualcan_rows_of_planted_corrections_match_the_full_basis(fresh_spaces, monkeypatch):
     """No web through 8 strands needs a correction, so two are planted in
-    the expansions of +++---: e_K + [2] e_L at K, then e_J + [2] (that)
-    at J.  The cold payload builds J's element, which builds K's and L's
-    below it; the scan drops each once past it, and the text rows are
-    still those of dual_canonical_basis, non-empty at J and K."""
+    the vectors of +++---: e_K + e_L at K, then e_J + (that) at J.  They
+    are planted in the sweep, so the space checks them as it checks every
+    vector; their coefficient is 1, like the real 12-strand corrections',
+    since [2] = q + q^-1 would put a q^1 term in a vector, which that
+    check refuses.  The cold payload builds J's element, which builds K's
+    and L's below it; the scan drops each once past it, and the text rows
+    are still those of dual_canonical_basis, non-empty at J and K."""
     signs = "+++---"
     J, K, L = (parse_states(s) for s in ("111mmm", "1100mm", "10m10m"))
     real = growth.WebSpace(signs)
     planted = {s: dict(real.expansion(s)) for s in real.basis}
-    add_scaled(planted[K], qint(2), planted[L])
-    add_scaled(planted[J], qint(2), planted[K])
+    add_scaled(planted[K], ONE, planted[L], real.n)
+    add_scaled(planted[J], ONE, planted[K], real.n)
     by_web = {real.basis[s]: vec for s, vec in planted.items()}
-    monkeypatch.setattr(growth, "expansion", lambda web, states_of: by_web[web])
+    monkeypatch.setattr(growth, "web_vector", lambda web: by_web[web])
     payload = cli.dualcan_payload(signs)
     space = growth.web_space(signs)
     assert (space.expanded, space.elements) == ({}, {})
 
-    def text(vec):
-        return {format_states(k): str(v) for k, v in vec.items()}
+    def text(row):
+        return {format_states(k): str(v) for k, v in row.items()}
+
+    def by_state(vec):  # every column of +++--- is visible
+        return {config_states(unpack(cfg, 6), range(6)): LaurentPoly(c) for cfg, c in by_config(vec, 6).items()}
 
     db = dualcan.dual_canonical_basis(signs)
     assert payload == {
-        "elements": {format_states(s): text(vec) for s, (vec, _) in db.items()},
+        "elements": {format_states(s): text(by_state(vec)) for s, (vec, _) in db.items()},
         "d_matrix": {format_states(s): text(row) for s, (_, row) in db.items() if row},
     }
     assert payload["d_matrix"].keys() == {format_states(J), format_states(K)}
+
+
+def test_dualcan_of_a_twelve_strand_boundary_keeps_its_bytes(fresh_spaces):
+    """The one real correction the CLI path meets: through 11 strands no
+    basis web needs one, and +--++--++--+ has exactly one hit, whose row
+    is the web at 1m1m1m1m1m1m with coefficient 1."""
+    payload = cli.dualcan_payload("+--++--++--+")
+    assert payload["d_matrix"] == {"1110100m0mmm": {"1m1m1m1m1m1m": "1"}}
+    data = (cache.dumps(payload, 2) + "\n").encode()
+    assert len(data) == 31_696_781
+    assert hashlib.sha256(data).hexdigest() == (
+        "2c828da59e6d3bdbcd885763b2c32b5849bb64efdb5e1ab6d5093180adecb27c"
+    )

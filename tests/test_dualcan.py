@@ -13,10 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_flows import nested
 
-from webkup.qlaurent import LaurentPoly, ONE, ZERO, add_scaled
+from webkup.qlaurent import LaurentPoly, ONE, ZERO
 from webkup import dualcan, flows, growth as growth_module
 from webkup.webs import LadderWeb, Slice, close, parse_states, signs_of_weight
-from webkup.flows import bracket, count_weight_zero_flows, expansion, lusztig_form_vec, web_vector
+from webkup.flows import (
+    add_scaled,
+    bracket,
+    by_config,
+    coefficient,
+    count_weight_zero_flows,
+    lusztig_form_vec,
+    web_vector,
+)
 from webkup.oracles import invariant_dim
 from webkup.planar import PlanarWeb, rewrite_bracket
 from webkup.growth import WebSpace, growth, web_space
@@ -73,8 +81,7 @@ def test_strictly_below_one():
 def test_single_web_boundary_is_its_own_dual_canonical():
     db = dual_canonical_basis("+++")
     assert list(db) == [(1, 0, -1)]
-    exp = {k: v for k, v in expansion(TRIPOD).items() if not v.is_zero()}
-    assert db[(1, 0, -1)] == (exp, {})
+    assert db[(1, 0, -1)] == (web_vector(TRIPOD), {})
 
 
 def test_webs_match_dual_canonical_small():
@@ -91,21 +98,22 @@ def test_webs_match_dual_canonical_small():
 def test_element_coefficients_below_leading():
     for signs in ("++--", "+++---"):
         db = dual_canonical_basis(signs)
+        space = web_space(signs)
         for J, (vec, _) in db.items():
-            assert vec[J] == ONE
-            for k, v in vec.items():
-                if k != J:
-                    assert strictly_below_one(v)
+            assert coefficient(vec, space.key(J), space.n) == {0: 1}
+            # a key >= 0 is a term of exponent >= 0
+            assert all(key < 0 for key in vec if key != space.key(J))
 
 
 def test_lusztig_pairings_near_delta():
     """Pairings of dual canonical vectors are delta plus lower order."""
     for signs in ("++--", "+-+-", "+++---"):
         db = dual_canonical_basis(signs)
+        groups = {J: by_config(vec, len(signs)) for J, (vec, _) in db.items()}
         keys = sorted(db)
         for J in keys:
             for K in keys:
-                f = lusztig_form_vec(db[J][0], db[K][0])
+                f = lusztig_form_vec(groups[J], groups[K])
                 delta = ONE if J == K else ZERO
                 diff = f - delta
                 assert diff.is_zero() or strictly_below_one(diff)
@@ -158,10 +166,11 @@ def test_no_flow_of_a_basis_web_has_positive_weight():
     weight 0 at the web's own state."""
     for n in range(2, 8):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
-            for J, exp in web_space(signs).expansions.items():
-                assert exp[J] == ONE, (signs, J)
-                for K, poly in exp.items():
-                    assert poly.is_zero() or poly.degree() <= 0, (signs, J, K)
+            space = web_space(signs)
+            for J, exp in space.expansions.items():
+                assert coefficient(exp, space.key(J), n) == {0: 1}, (signs, J)
+                # exponent e > 0 would put a key at or above 1 << 3n
+                assert max(exp) < 1 << 3 * n, (signs, J)
 
 
 def test_search_raises_on_a_flow_of_positive_weight(monkeypatch):
@@ -235,23 +244,24 @@ def test_twelve_strand_counterexamples(signs, J, K, coeff):
     assert count_weight_zero_flows(web) == 2
     assert count_weight_zero_flows(web, stop_at=2) == 2
     exp = space.expansion(J)
-    assert exp[K] == LaurentPoly(coeff)
+    assert coefficient(exp, space.key(K), space.n) == coeff
     # the web is its element plus the web at K, which is its own element
     vec, row = element(space, J)
     assert row == {K: ONE}
-    # B_J has coefficients in N[q^-1] off its leading 1
-    assert all(v.is_nonnegative() for v in vec.values())
-    assert all(strictly_below_one(v) for k, v in vec.items() if k != J)
+    # B_J has coefficients in N[q^-1] off its leading 1: a key >= 0 is a
+    # term of exponent >= 0
+    assert all(c >= 0 for c in vec.values())
+    assert all(key < 0 for key in vec if key != space.key(J))
     assert element(space, K) == (space.expansion(K), {})
     recon = dict(vec)
-    add_scaled(recon, ONE, space.expansion(K))
+    add_scaled(recon, ONE, space.expansion(K), space.n)
     assert recon == exp
     # planar certificate: off the leading state a dual canonical pairing has
     # no constant term, and the rewriting evaluator finds one without flows
     value = rewrite_bracket(PlanarWeb.from_ladder(close(web, other)))
     assert value == bracket(close(web, other))
     form = value.shift(-len(signs))
-    assert form == lusztig_form_vec(exp, space.expansion(K))
+    assert form == lusztig_form_vec(by_config(exp, space.n), by_config(space.expansion(K), space.n))
     assert form.degree() == 0 and form.coeffs[0] == 1
 
 
@@ -282,7 +292,7 @@ def test_counterexample_script_prints_each_correction():
 
 def test_state_vectors_hold_no_zero():
     """No vector the library builds stores a zero coefficient, which is
-    why none of their readers filters zeros (qlaurent.add_scaled)."""
+    why none of their readers filters zeros (flows.add_scaled)."""
     for n in range(2, 7):
         for signs in ("".join(p) for p in product("+-", repeat=n)):
             vectors = [
@@ -290,7 +300,7 @@ def test_state_vectors_hold_no_zero():
                 *(vec for vec, _ in dual_canonical_basis(signs).values()),
             ]
             for vec in vectors:
-                assert not any(v.is_zero() for v in vec.values()), signs
+                assert 0 not in vec.values(), signs
             for web in web_space(signs).basis.values():
                 raw = nested(web_vector(web), len(web.top_weight))
                 assert all(c and 0 not in c.values() for c in raw.values()), signs

@@ -19,6 +19,7 @@ from webkup.webs import (
     ell,
     plain_boundaries,
     signs_of_weight,
+    visible_columns,
 )
 from webkup.flows import (
     COLORS,
@@ -27,8 +28,11 @@ from webkup.flows import (
     STATE_OF,
     SUBSETS,
     _weight_window,
+    add_scaled,
     bracket,
+    by_config,
     closed_value,
+    coefficient,
     colorset_for,
     colorset_state,
     config_states,
@@ -45,6 +49,7 @@ from webkup.flows import (
     web_vector,
 )
 from webkup import flows
+from test_qlaurent import _reference, laurents
 from webkup.acceptance import _closure_values
 from webkup.growth import dominant_states, growth, web_space
 from webkup.howe import step_weight, word_table, word_target
@@ -370,7 +375,7 @@ def test_kuperberg_form_values():
 
 
 def test_lusztig_form_values():
-    arc, tripod = expansion(ARC), expansion(TRIPOD)
+    arc, tripod = by_config(web_vector(ARC), 2), by_config(web_vector(TRIPOD), 3)
     assert lusztig_form_vec(arc, arc) == P([(0, 1), (-2, 1), (-4, 1)])
     assert lusztig_form_vec(tripod, tripod) == P([(0, 1), (-2, 2), (-4, 2), (-6, 1)])
 
@@ -378,16 +383,16 @@ def test_lusztig_form_values():
 def test_form_normalizations_agree():
     for u in (ARC, TRIPOD):
         n = ell(signs_of_weight(u.top_weight))
-        exp = expansion(u)
-        assert _kuperberg_form(u, u) == lusztig_form_vec(exp, exp).shift(2 * n)
+        vec = by_config(web_vector(u), len(u.top_weight))
+        assert _kuperberg_form(u, u) == lusztig_form_vec(vec, vec).shift(2 * n)
     # the whole graded Cartan matrix through 6 strands is D^T D, with D the
     # expansion matrix: each closed value is the dot product of expansions
     pairs = 0
     for signs in plain_boundaries(6):
         n = ell(signs)
-        expansions = web_space(signs).expansions
+        groups = {J: by_config(vec, n) for J, vec in web_space(signs).expansions.items()}
         for (J, K), (value, _, _) in _closure_values(signs).items():
-            assert value.shift(-n) == lusztig_form_vec(expansions[J], expansions[K]), (signs, J, K)
+            assert value.shift(-n) == lusztig_form_vec(groups[J], groups[K]), (signs, J, K)
             pairs += 1
     assert pairs == 888
 
@@ -529,6 +534,14 @@ def nested(vec, n):
     return out
 
 
+def by_state(vec, lam):
+    """A flat vector on columns of weights lam as {states: LaurentPoly},
+    read through nested and config_states rather than a web space's
+    memo: the form flows.expansion returns."""
+    cols = visible_columns(lam)
+    return {config_states(cfg, cols): LaurentPoly(c) for cfg, c in nested(vec, len(lam)).items()}
+
+
 def flat(vec, n):
     """nested's inverse: {tuple of n color sets: {exponent: coeff}} as a
     flat vector."""
@@ -558,6 +571,52 @@ def test_sweep_matches_flow_census(web):
     vec = nested(web_vector(web), len(web.top_weight))
     assert vec == _flow_census_by_config(web)
     assert all(coeffs and 0 not in coeffs.values() for coeffs in vec.values())
+
+
+# three configurations of one column, as flat vectors read them
+CFG_X, CFG_Y, CFG_Z = ((SUBSETS[mask],) for mask in (1, 2, 4))
+
+
+def _flat_of(polys):
+    """{configuration: LaurentPoly} on one column as a flat vector."""
+    return flat({cfg: p.coeffs for cfg, p in polys.items()}, 1)
+
+
+def test_add_scaled_removes_cancelled_entries():
+    acc = _flat_of({CFG_X: ONE, CFG_Y: qint(2)})
+    add_scaled(acc, -ONE, _flat_of({CFG_X: ONE, CFG_Z: qint(3)}), 1)
+    assert acc == _flat_of({CFG_Y: qint(2), CFG_Z: -qint(3)})  # X cancelled: no key
+    add_scaled(acc, qint(5), {}, 1)
+    assert acc == _flat_of({CFG_Y: qint(2), CFG_Z: -qint(3)})
+    add_scaled(acc, LaurentPoly({1: 1}), _flat_of({CFG_Y: ONE}), 1)
+    assert acc == _flat_of({CFG_Y: LaurentPoly({1: 2, -1: 1}), CFG_Z: -qint(3)})
+
+
+@given(laurents, laurents)
+def test_add_scaled_stores_no_zero(a, b):
+    c = b - a  # a + c is b: every term of a that b lacks cancels
+    acc = _flat_of({CFG_X: a, CFG_Y: b})
+    add_scaled(acc, ONE, _flat_of({CFG_X: -a, CFG_Y: c}), 1)  # X cancels exactly
+    add_scaled(acc, b, _flat_of({CFG_Y: a, CFG_Z: a}), 1)
+    got = nested(acc, 1)
+    assert CFG_X not in got
+    assert LaurentPoly(got.get(CFG_Y, {})) == _reference([(b, ONE), (c, ONE), (b, a)])
+    assert LaurentPoly(got.get(CFG_Z, {})) == _reference([(b, a)])
+    assert 0 not in acc.values()
+
+
+@pytest.mark.parametrize("web", [ARC, TRIPOD, *POWER_WEBS, WIDE_WEB])
+def test_coefficient_probes_one_configuration(web):
+    n = len(web.top_weight)
+    vec = web_vector(web)
+    groups = nested(vec, n)
+    for cfg, coeffs in groups.items():
+        assert coefficient(vec, pack(cfg), n) == coeffs
+        assert coefficient(vec, pack(cfg), n, range(0, 1)) == {e: k for e, k in coeffs.items() if e == 0}
+    absent = next(key for key in range(8**n) if unpack(key, n) not in groups)
+    assert coefficient(vec, absent, n) == {}
+    assert coefficient({}, absent, n) == {}
+    assert by_state(vec, web.top_weight) == expansion(web)
 
 
 def test_closed_value_reads_the_one_configuration():

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from webkup import flows
+from test_flows import by_state
+
+from webkup import flows, growth as growth_module
 from webkup.qlaurent import ONE
-from webkup.webs import LadderWeb, Slice, plain_boundaries, weight_of_signs
-from webkup.flows import count_weight_zero_flows, expansion
+from webkup.webs import LadderWeb, Slice, plain_boundaries, visible_columns, weight_of_signs
+from webkup.flows import config_states, count_weight_zero_flows, expansion, unpack, web_vector
 from webkup.growth import (
     GrowthStuck,
     WebSpace,
@@ -159,7 +161,7 @@ def test_expansions_unitriangular():
     ws = web_space("+-+-")
     states = sorted(ws.basis, reverse=True)
     for J in states:
-        exp = ws.expansions[J]
+        exp = by_state(ws.expansions[J], ws.top_weight)
         assert exp[J] == ONE
         for K, c in exp.items():
             if not c.is_zero():
@@ -173,7 +175,8 @@ def test_expansions_unitriangular_seven_and_eight_strands():
     for signs in ("".join(p) for n in (7, 8) for p in product("+-", repeat=n)):
         ws = web_space(signs)
         assert set(ws.expansions) == set(ws.basis)
-        for J, exp in ws.expansions.items():
+        for J, vec in ws.expansions.items():
+            exp = by_state(vec, ws.top_weight)
             assert exp[J] == ONE, (signs, J)
             assert all(K <= J and c.is_nonnegative() for K, c in exp.items()), (signs, J)
         spaces += 1
@@ -199,13 +202,13 @@ def _module_memory(module) -> dict:
     "signs", [*(s for s in plain_boundaries(6, 6) if s.count("+") == 3), "+-++--++--"]
 )
 def test_space_expansion_is_the_web_expansion(signs):
-    """The space's memo of top configurations changes no expansion, not
-    even its order.  It starts empty, lives on the space, shares each
-    state tuple among the expansions and is freed once every basis web is
-    expanded, also when a scan dropped each expansion it built; flows
-    keeps no memo of its own."""
+    """The space's vector of each basis web is the web's own flat vector,
+    in its order, and reads as the web's expansion.  The space's state
+    memo starts absent, maps every configuration of the vectors it
+    checked to that configuration's states, and lives on the space: a
+    scan drops it when the scan made it; flows keeps no memo of its own."""
     space = WebSpace(signs)
-    assert space.states_of == {}
+    assert "states_of" not in vars(space)
     n = len(weight_of_signs(signs))
     for sign in "+-":
         for power in (1, 2, 3):
@@ -214,17 +217,84 @@ def test_space_expansion_is_the_web_expansion(signs):
                 flows._moves(sign, power, c3, 3 * n)
     before = _module_memory(flows)
     for J, web in space.basis.items():
-        assert list(space.expansion(J).items()) == list(expansion(web).items())
+        assert list(space.expansion(J).items()) == list(web_vector(web).items())
+        assert by_state(space.expansion(J), space.top_weight) == expansion(web)
     assert _module_memory(flows) == before
-    assert flows.expansion.__defaults__ == (None,)
-    assert "states_of" not in vars(space)
-    states = [k for exp in space.expansions.values() for k in exp]
-    assert len({id(k) for k in states}) == len(set(states))
-    assert WebSpace(signs).states_of == {}
+    assert flows.expansion.__defaults__ is None
+    mask, cols = (1 << 3 * n) - 1, visible_columns(space.top_weight)
+    cfgs = {key & mask for vec in space.expansions.values() for key in vec}
+    assert space.states_of == {cfg: config_states(unpack(cfg, n), cols) for cfg in cfgs}
     space = WebSpace(signs)
-    scanned = [(J, list(exp.items())) for J, exp in space.scan()]
-    assert scanned == [(J, list(expansion(web).items())) for J, web in space.basis.items()]
+    scanned = [(J, list(vec.items())) for J, vec in space.scan()]
+    assert scanned == [(J, list(web_vector(web).items())) for J, web in space.basis.items()]
     assert space.expanded == {}
     assert "states_of" not in vars(space)
-    states = [k for _, items in scanned for k, _ in items]
-    assert len({id(k) for k in states}) == len(set(states))
+
+
+def test_a_scan_stopped_early_leaves_the_space_as_it_found_it():
+    space = WebSpace("+-+-+-")
+    top, below = sorted(space.basis, reverse=True)[:2]
+    for _ in space.scan():
+        break
+    assert space.expanded == {} and "states_of" not in vars(space)
+    with pytest.raises(KeyError):
+        for J, _ in space.scan():
+            raise KeyError(J)
+    assert space.expanded == {} and "states_of" not in vars(space)
+    # what the scan found, it keeps: a memoized vector and the state memo
+    vec = space.expansion(below)
+    for J, scanned in space.scan():
+        if J == below:
+            assert scanned is vec
+            break
+    assert list(space.expanded) == [below] and space.expanded[below] is vec
+    assert "states_of" in vars(space)
+    assert top not in space.expanded
+
+
+def _planted(monkeypatch, signs, J, plant):
+    """A fresh space of signs whose sweep gives the web at J the vector
+    that plant(space, vector) returns, a copy of the real one."""
+    space = WebSpace(signs)
+    real = flows.web_vector  # the sweep itself, never planted
+    web = space.basis[J]
+    monkeypatch.setattr(
+        growth_module, "web_vector", lambda w: plant(space, dict(real(w))) if w == web else real(w)
+    )
+    return space
+
+
+def _plus(exponent, state):
+    """A plant adding q^exponent at the configuration of `state`."""
+
+    def plant(space, vec):
+        key = space.key(state) + (exponent << 3 * space.n)
+        vec[key] = vec.get(key, 0) + 1
+        return vec
+
+    return plant
+
+
+def test_space_refuses_a_vector_against_the_invariant(monkeypatch):
+    """Every flat reader rests on three facts that WebSpace.expansion
+    asserts on each vector it builds: no key reaches 1 << 3n (no flow of
+    positive weight), J's configuration holds only q^0, and J is the
+    largest state.  A vector planted against each, off J or at it, is
+    refused, by a scan too, which then leaves the space as it found it;
+    the space's other vectors are untouched."""
+    top, below = sorted(web_space("+-+-").basis, reverse=True)
+    for J, plant, message in (
+        (top, _plus(1, below), "the basis web at .* has a flow of positive weight"),
+        (below, _plus(1, below), "the basis web at .* has a flow of positive weight"),
+        (top, _plus(-1, top), "is not unitriangular"),
+        (below, _plus(-2, top), "is not unitriangular"),
+    ):
+        space = _planted(monkeypatch, "+-+-", J, plant)
+        with pytest.raises(AssertionError, match=message):
+            list(space.scan())
+        assert space.expanded == {} and "states_of" not in vars(space)
+        with pytest.raises(AssertionError, match=message):
+            space.expansion(J)
+        for K in space.basis:
+            if K != J:
+                assert space.expansion(K) == web_space("+-+-").expansion(K)
