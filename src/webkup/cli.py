@@ -19,7 +19,7 @@ import sys
 
 # each handler or payload builder imports the modules only it runs
 from .qlaurent import LaurentPoly
-from .flows import Memo, coefficient
+from .flows import Memo
 from .webs import LadderWeb, format_states, parse_states, weight_of_signs
 from .cache import Workspace, dumps
 
@@ -97,26 +97,29 @@ def _text_writer(space):
     thousands of terms.  It reads space.states_of, which the scan that
     yields the vectors holds.
 
-    Most configurations of a vector hold one term, so it writes term by
-    term, the text of q^e times c read from a memo by c and e, and then
-    rewrites each configuration met twice from its whole group."""
+    Nearly every configuration of a vector holds one term (about 99 % on
+    10-strand boundaries), so it writes term by term, and then rewrites
+    each configuration met twice from its whole group, gathered in a
+    second pass; grouping every configuration first (by_config) builds a
+    dict per configuration and is slower."""
     s = 3 * space.n
     mask = (1 << s) - 1
     state_text = Memo(lambda cfg: format_states(space.states_of[cfg]))
     group_text = Memo(lambda items: str(LaurentPoly._trusted(dict(items))))
-    term_text = Memo(lambda c: Memo(lambda e: group_text[((e, c),)]))
 
     def write(vec: dict) -> dict:
-        row, shared = {}, set()
+        row, shared = {}, {}
         for key, c in vec.items():
             text = state_text[key & mask]
             if text in row:
-                shared.add(key & mask)
-            row[text] = term_text[c][key >> s]
+                shared[key & mask] = {}
+            row[text] = group_text[((key >> s, c),)]
         if shared:
-            span = range(min(vec) >> s, (max(vec) >> s) + 1)
-            for cfg in shared:
-                row[state_text[cfg]] = group_text[tuple(coefficient(vec, cfg, space.n, span).items())]
+            for key, c in vec.items():
+                if (cfg := key & mask) in shared:
+                    shared[cfg][key >> s] = c
+            for cfg, coeffs in shared.items():
+                row[state_text[cfg]] = group_text[tuple(sorted(coeffs.items()))]
         return row
 
     return write

@@ -240,15 +240,12 @@ def config_states(cfg, cols) -> tuple[int, ...]:
         return tuple([colorset_state(cfg[i]) for i in cols])
 
 
-def coefficient(vec: dict, cfg: int, n: int, span: range | None = None) -> dict[int, int]:
+def coefficient(vec: dict, cfg: int, n: int) -> dict[int, int]:
     """The {exponent: coeff} of one configuration of a flat vector on n
-    columns (sweep_raw), probed at each exponent of span, by default every
-    one from the vector's least to its greatest; a caller probing many
-    configurations of one vector passes that span once."""
+    columns (sweep_raw), probed at each exponent from the vector's least
+    to its greatest."""
     s = 3 * n
-    if span is None:
-        span = range(min(vec, default=0) >> s, (max(vec, default=0) >> s) + 1)
-    keys = [cfg + (e << s) for e in span]
+    keys = [cfg + (e << s) for e in range(min(vec, default=0) >> s, (max(vec, default=0) >> s) + 1)]
     return {key >> s: vec[key] for key in keys if key in vec}
 
 
